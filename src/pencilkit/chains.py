@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import linalg
 from .operators import Pencil, Space
 from .sparsevec import SparseVec, vec_add, vec_norm, vec_scale
 from .sections import SectionedPencil
@@ -141,12 +142,9 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
         scale = 1.0
     thr = tol * scale
     for d in range(k):
-        T = _chain_system(E, A, d)
-        _, svals, vh = scipy.linalg.svd(T)
-        smin = svals[-1] if len(svals) >= T.shape[1] else 0.0
-        if smin > thr:
+        svals, null = linalg.smallest_right(_chain_system(E, A, d))
+        if svals[-1] > thr:
             continue
-        null = vh[-1].conj()
         chain = [null[j * k : (j + 1) * k] for j in range(d + 1)]
         norm = max(np.linalg.norm(v) for v in chain)
         chain = [v / norm for v in chain]
@@ -272,7 +270,7 @@ def reduce_polynomial(q: VectorPolynomial) -> VectorPolynomial:
     mat, support = q.coefficient_matrix()
     # orthonormal frame of the coefficient span
     u, svals, vh = scipy.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(svals > max(mat.shape) * svals[0] * 2.0**-52)) if svals.size else 0
+    rank = int(np.sum(svals > linalg.rank_tol(mat.shape, svals[0]))) if svals.size else 0
     rank = max(rank, 1)
     coords = u[:, :rank] * svals[:rank]  # (k+1) x rank; rows = coefficient coords
     frame = vh[:rank]

@@ -21,14 +21,12 @@ from . import chains as chainsmod
 from . import dh as dhmod
 from . import fixtures as fixturesmod
 from . import odae, sections, serialize, spectra
+from .fixtures import _fmt
+from .sparsevec import vec_norm
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_INPUT = 2
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 class CLIError(Exception):
@@ -44,15 +42,19 @@ def _load(path: str):
         raise CLIError(str(exc)) from exc
 
 
-def _fixture_data(name: str, seed: int = 0, **params) -> dict:
+def _seed_param(name: str, seed: int) -> dict:
+    """--seed as a build parameter of the fixtures that take one."""
     try:
         fx = fixturesmod.get_fixture(name)
     except KeyError as exc:
         raise CLIError(str(exc)) from exc
-    merged = {**fx.default_params, **params}
-    if "seed" in fx.default_params:
-        merged["seed"] = seed
-    return fx.build(**merged)
+    return {"seed": seed} if "seed" in fx.default_params else {}
+
+
+def _fixture_data(name: str, seed: int = 0) -> dict:
+    params = _seed_param(name, seed)
+    fx = fixturesmod.get_fixture(name)
+    return fx.build(**{**fx.default_params, **params})
 
 
 def _target_pencil(args, seed: int = 0):
@@ -172,7 +174,7 @@ def _cmd_chains(args) -> int:
         entry = rep.to_json()
         poly = chainsmod.chain_to_polynomial(rep)
         entry["verify_residual"] = chainsmod.verify_singular_polynomial(
-            s if side == "right" else s, poly, side=side
+            s, poly, side=side
         )
         report[side] = entry
     _emit([json.dumps(report, sort_keys=True)], args.out)
@@ -218,8 +220,8 @@ def _cmd_approx(args) -> int:
                             _fmt(lam.imag),
                             "",
                             "",
-                            _fmt(np.sqrt(sum(abs(c) ** 2 for c in poly.evaluate(lam).values()))),
-                            _fmt(np.sqrt(sum(abs(c) ** 2 for c in poly.reversal().evaluate(lam).values()))),
+                            _fmt(vec_norm(poly.evaluate(lam))),
+                            _fmt(vec_norm(poly.reversal().evaluate(lam))),
                             _fmt(lmin[n]),
                         ]
                     )
@@ -344,10 +346,7 @@ def _cmd_examples(args) -> int:
     any_failed = False
     for name in names:
         lines.append(f"== {name} ==")
-        try:
-            results = fixturesmod.run_fixture(name, **_seed_param(name, args.seed))
-        except KeyError as exc:
-            raise CLIError(str(exc)) from exc
+        results = fixturesmod.run_fixture(name, **_seed_param(name, args.seed))
         for res in results:
             status = "pass" if res.passed else "FAIL"
             any_failed = any_failed or not res.passed
@@ -355,11 +354,6 @@ def _cmd_examples(args) -> int:
     lines.append("overall: " + ("FAIL" if any_failed else "pass"))
     _emit(lines, args.out)
     return EXIT_VERDICT if any_failed else EXIT_OK
-
-
-def _seed_param(name: str, seed: int) -> dict:
-    fx = fixturesmod.get_fixture(name)
-    return {"seed": seed} if "seed" in fx.default_params else {}
 
 
 # ---------------------------------------------------------------------------

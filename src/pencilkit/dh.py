@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import linalg
 from .operators import DHStructure, Pencil
-from .sections import SectionedPencil, numerical_rank_tol, operator_matrix
+from .sections import SectionedPencil, operator_matrix
 
 __all__ = [
     "DHSectionMats",
@@ -138,22 +139,12 @@ def verify_dh_structure(
     return DHDiagnostics(**{**diag.__dict__, "structure_ok": ok})
 
 
-def _kernel_of(mat: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical nullspace."""
-    if tol is None:
-        tol = numerical_rank_tol(mat)
-    _, svals, vh = scipy.linalg.svd(mat)
-    cols = mat.shape[1]
-    rank = int(np.sum(svals > tol))
-    return vh[rank:].conj().T if rank < cols else np.zeros((cols, 0), dtype=complex)
-
-
 def dh_common_kernel(
     s: SectionedPencil, dh: DHStructure, tol: float | None = None
 ) -> tuple[int, np.ndarray]:
     """Orthonormal basis of ker E intersect ker(BQ), via the stacked matrix."""
     mats = dh_section_mats(s, dh)
-    basis = _kernel_of(np.vstack([mats.E, mats.BQ]), tol)
+    basis = linalg.kernel(np.vstack([mats.E, mats.BQ]), tol)
     return basis.shape[1], basis
 
 
@@ -188,10 +179,10 @@ def dh_kernel_EJR(
     m = s.E_mat @ s.E_mat + mats.R @ mats.R - mats.J @ mats.J
     m = _herm(m)
     evals, evecs = np.linalg.eigh(m)
-    thr = tol if tol is not None else max(m.shape) * max(abs(evals[0]), evals[-1], 1e-300) * 2.0**-52
+    thr = tol if tol is not None else linalg.rank_tol(m.shape, max(abs(evals[0]), evals[-1], 1e-300))
     kdim = int(np.sum(evals <= thr))
     basis = evecs[:, :kdim]
-    stacked = _kernel_of(np.vstack([s.E_mat, mats.J, mats.R]), tol)
+    stacked = linalg.kernel(np.vstack([s.E_mat, mats.J, mats.R]), tol)
     if basis.shape[1] != stacked.shape[1] or subspace_angle(basis, stacked) > 1e-8:
         raise ValueError("E^2+R^2-J^2 kernel disagrees with ker E ∩ ker J ∩ ker R")
     return kdim, basis

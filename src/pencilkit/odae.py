@@ -5,9 +5,10 @@ residuals, and uniqueness demonstrations for dissipative pencils.
 Series and polynomial trajectories are stored in closed monomial form, so
 states, derivatives and time integrals are exact up to floating point; no
 truncation spillover occurs because every chain term is finitely supported.
-Quadrature (for integrator-produced trajectories) is composite Simpson with
-dyadic refinement until the Richardson estimate drops below a tenth of the
-requested tolerance.
+Trajectories without a term-wise integral (the exact matrix-exponential
+flow of the finite poroelasticity fixture) are integrated by composite
+Simpson with dyadic refinement until the Richardson estimate drops below a
+tenth of the requested tolerance.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .sections import SectionedPencil, section
 from .sparsevec import (
     SparseVec,
     vec_add,
+    vec_inner,
     vec_norm,
     vec_scale,
     vec_sub,
@@ -183,6 +185,25 @@ class ChainGenerator:
                     )
 
 
+def _monomial_trajectory(
+    p: Pencil, form: MonomialForm, times: np.ndarray, order: int
+) -> Trajectory:
+    """Closed-form trajectory with its exact classical residual ||E f' - A f||."""
+    e_dot = form.derivative().mapped(p.E.apply)
+    a_f = form.mapped(p.A.apply)
+    residual = np.array(
+        [vec_norm(vec_sub(e_dot.evaluate(t), a_f.evaluate(t))) for t in times]
+    )
+    return Trajectory(
+        times=times,
+        states=[form.evaluate(t) for t in times],
+        state_fn=form.evaluate,
+        integral_fn=form.integral().evaluate,
+        truncation_order=order,
+        residual_classical=residual,
+    )
+
+
 def series_solution(
     p: Pencil, gen: ChainGenerator, t_grid: Sequence[float], order: int
 ) -> Trajectory:
@@ -202,20 +223,7 @@ def series_solution(
     form = MonomialForm(
         tuple((j, vec_scale(1.0 / math.factorial(j), a[j])) for j in range(1, order + 1))
     )
-    e_dot = form.derivative().mapped(p.E.apply)
-    a_f = form.mapped(p.A.apply)
-    residual = np.array(
-        [vec_norm(vec_sub(e_dot.evaluate(t), a_f.evaluate(t))) for t in times]
-    )
-    integral = form.integral()
-    return Trajectory(
-        times=times,
-        states=[form.evaluate(t) for t in times],
-        state_fn=form.evaluate,
-        integral_fn=integral.evaluate,
-        truncation_order=order,
-        residual_classical=residual,
-    )
+    return _monomial_trajectory(p, form, times, order)
 
 
 def polynomial_solution(
@@ -234,19 +242,7 @@ def polynomial_solution(
         )
     times = np.asarray(list(t_grid), dtype=float)
     form = MonomialForm(tuple((j + 1, dict(c)) for j, c in enumerate(sp.coeffs)))
-    e_dot = form.derivative().mapped(p.E.apply)
-    a_f = form.mapped(p.A.apply)
-    residual = np.array(
-        [vec_norm(vec_sub(e_dot.evaluate(t), a_f.evaluate(t))) for t in times]
-    )
-    return Trajectory(
-        times=times,
-        states=[form.evaluate(t) for t in times],
-        state_fn=form.evaluate,
-        integral_fn=form.integral().evaluate,
-        truncation_order=len(sp.coeffs),
-        residual_classical=residual,
-    )
+    return _monomial_trajectory(p, form, times, len(sp.coeffs))
 
 
 def mild_residual(p: Pencil, traj: Trajectory, tol: float = 1e-10) -> np.ndarray:
@@ -300,14 +296,10 @@ def power_balance_residual(
 
     def energy(t: float) -> float:
         f = traj.state_fn(t)
-        from .sparsevec import vec_inner
-
         return float(vec_inner(E.apply(f), Q.apply(f)).real)
 
     def dissipation(t: float) -> float:
         f = traj.state_fn(t)
-        from .sparsevec import vec_inner
-
         qf = Q.apply(f)
         return 2.0 * float(vec_inner(B.apply(qf), qf).real)
 
@@ -380,7 +372,7 @@ def uniqueness_demo(
             notes=("no common kernel on this window; mild solutions from equal "
                    "initial values coincide",),
         )
-    if any(vec_norm(x0) for _ in [0]) and vec_norm(x0) > 0:
+    if vec_norm(x0) > 0:
         raise ValueError("non-uniqueness demo supports x0 = 0 only")
     v = {j: complex(c) for j, c in zip(indices, basis[:, 0]) if c != 0}
     zero_traj = Trajectory(

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from . import linalg
 from .operators import Pencil, Space, StructuredOperator
 
 __all__ = [
@@ -30,8 +31,6 @@ __all__ = [
     "joint_kernel_defect",
     "numerical_rank_tol",
 ]
-
-EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -45,13 +44,6 @@ class SectionWindow:
     @property
     def dim(self) -> int:
         return len(self.indices)
-
-    def sorted_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.indices))
-
-    def storage_permutation(self) -> np.ndarray:
-        """Permutation taking storage order to ascending logical order."""
-        return np.argsort(np.asarray(self.indices))
 
     def position(self, j: int) -> int:
         return self.indices.index(j)
@@ -123,12 +115,6 @@ class SectionedPencil:
             self.notes,
         )
 
-    def with_notes(self, *notes: str) -> "SectionedPencil":
-        return SectionedPencil(
-            self.window_in, self.window_out, self.E_mat, self.A_mat, self.source,
-            self.notes + notes,
-        )
-
 
 def section(p: Pencil, n: int, notes: tuple[str, ...] = ()) -> SectionedPencil:
     """Orthogonal compression of a pencil onto the canonical window of size n."""
@@ -145,11 +131,8 @@ def section(p: Pencil, n: int, notes: tuple[str, ...] = ()) -> SectionedPencil:
 
 
 def numerical_rank_tol(mat: np.ndarray) -> float:
-    """Default rank tolerance: k * sigma_max * 2^-52."""
-    if mat.size == 0:
-        return 0.0
-    smax = scipy.linalg.svdvals(mat)[0] if min(mat.shape) else 0.0
-    return max(mat.shape) * smax * EPS
+    """Default rank tolerance of ``mat`` under the package policy (``linalg.rank_tol``)."""
+    return linalg.rank_tol(mat.shape, scipy.linalg.svdvals(mat)[0] if mat.size else 0.0)
 
 
 @dataclass(frozen=True)
@@ -161,28 +144,17 @@ class StackedCertificate:
     singular_values: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
 
 
-def _stacked_certificate(s: SectionedPencil) -> StackedCertificate:
-    stacked = s.stacked()
-    _, svals, vh = scipy.linalg.svd(stacked)
-    k = s.E_mat.shape[1]
-    if len(svals) < k:  # rectangular with fewer rows than columns
-        svals = np.concatenate([svals, np.zeros(k - len(svals))])
-    return StackedCertificate(value=float(svals[-1]), witness=vh[-1].conj(), singular_values=svals)
-
-
 def distance_to_singularity_bound(s: SectionedPencil) -> StackedCertificate:
     """Certificate controlling the Frobenius distance to the nearest singular pencil.
 
-    Returns sigma_min([A; E]) together with the minimizing unit vector; if
-    this value tends to 0 along a window schedule, the true distance to
-    singularity of the sections tends to 0 as well.
+    Returns sigma_min([A; E]) together with the minimizing unit vector x,
+    which satisfies ||E x||^2 + ||A x||^2 = value^2; if this value tends to
+    0 along a window schedule, the true distance to singularity of the
+    sections tends to 0 as well.
     """
-    return _stacked_certificate(s)
+    svals, witness = linalg.smallest_right(s.stacked())
+    return StackedCertificate(value=float(svals[-1]), witness=witness, singular_values=svals)
 
 
-def joint_kernel_defect(s: SectionedPencil) -> StackedCertificate:
-    """Same quantity reported as the joint-kernel defect with its witness.
-
-    The witness x satisfies ||E x||^2 + ||A x||^2 = value^2.
-    """
-    return _stacked_certificate(s)
+# The same certificate, read as the joint-kernel defect of E and A.
+joint_kernel_defect = distance_to_singularity_bound

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pencilkit
 from pencilkit import Diagonal, Identity, L2N, Pencil, WeightRule, save_pencil
 from pencilkit.cli import EXIT_INPUT, EXIT_OK, main
 
@@ -151,3 +155,17 @@ def test_repeated_invocations_are_byte_identical(capsys):
     _, out1, _ = _run(capsys, "examples", "run", "poroelasticity_template")
     _, out2, _ = _run(capsys, "examples", "run", "poroelasticity_template")
     assert out1 == out2
+
+
+def test_examples_run_leaves_scipy_integrate_unimported():
+    code = (
+        "import sys\n"
+        "from pencilkit.cli import main\n"
+        "rc = main(['examples', 'run', 'poroelasticity_template'])\n"
+        "print(rc, 'scipy.integrate' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(pencilkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 False"

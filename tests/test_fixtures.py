@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from pencilkit import fixture_names, get_fixture, run_fixture, verify_singular_function
+from pencilkit.fixtures import integrator_trajectory
 
 
 def test_registry_contents():
@@ -51,3 +53,21 @@ def test_caveat_only_fixture_builds_no_pencil():
     assert fx.caveat_only
     data = fx.build()
     assert "pencil" not in data and "caveat" in data
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("d", (3, 4))
+def test_integrator_trajectory_matches_dop853(seed, d):
+    from scipy.integrate import solve_ivp
+
+    data = get_fixture("poroelasticity_template").build(seed=seed, d=d)
+    t_grid = np.linspace(0.0, 1.0, 6)
+    x0 = np.cos(np.arange(data["dim"], dtype=float) + 1.0)
+    traj = integrator_trajectory(data, t_grid, x0)
+    assert traj.integral_fn is None  # mild residuals must go through quadrature
+    rhs = lambda _t, x: np.linalg.solve(data["E_mat"], data["B_mat"] @ x)  # noqa: E731
+    ref = solve_ivp(rhs, (0.0, 1.0), x0, t_eval=t_grid, method="DOP853", rtol=1e-12, atol=1e-12)
+    for i, t in enumerate(t_grid):
+        state = traj.state(float(t))
+        got = np.array([state.get(j + 1, 0.0) for j in range(data["dim"])])
+        assert np.linalg.norm(got - ref.y[:, i]) <= 1e-9

@@ -1,0 +1,70 @@
+import numpy as np
+import pytest
+import scipy.linalg
+
+from pencilkit import linalg
+
+# (rows, cols, rank): tall, square and wide, each with a nontrivial kernel
+SHAPES = [(8, 5, 3), (6, 6, 4), (3, 7, 2), (4, 9, 4)]
+
+
+def _complex_of_rank(rng, rows, cols, rank):
+    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    return left @ right
+
+
+def _full_reference(mat):
+    """Padded singular values and null basis from the full SVD."""
+    _, svals, vh = scipy.linalg.svd(mat)
+    cols = mat.shape[1]
+    padded = np.concatenate([svals, np.zeros(cols - len(svals))])
+    rank = int(np.sum(svals > max(mat.shape) * svals[0] * 2.0**-52))
+    return padded, vh, vh[rank:].conj().T
+
+
+def _same_span(a, b):
+    return a.shape == b.shape and (
+        a.shape[1] == 0 or scipy.linalg.subspace_angles(a, b)[0] <= 1e-12
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("rows,cols,rank", SHAPES)
+def test_smallest_right_matches_full_svd(seed, rows, cols, rank):
+    rng = np.random.default_rng(seed)
+    generic = _complex_of_rank(rng, rows, cols, min(rows, cols))
+    for mat in (generic, _complex_of_rank(rng, rows, cols, rank)):
+        svals, witness = linalg.smallest_right(mat)
+        assert np.array_equal(svals, _full_reference(mat)[0])
+        assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(mat @ witness) == pytest.approx(svals[-1], abs=1e-12 * svals[0])
+    if rows >= cols:  # simple smallest singular value: the vectors agree up to phase
+        _, ref_vh, _ = _full_reference(generic)
+        witness = linalg.smallest_right(generic)[1]
+        assert abs(np.vdot(ref_vh[-1].conj(), witness)) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("rows,cols,rank", SHAPES)
+def test_kernel_matches_full_svd(seed, rows, cols, rank):
+    mat = _complex_of_rank(np.random.default_rng(seed), rows, cols, rank)
+    _, _, ref = _full_reference(mat)
+    basis = linalg.kernel(mat)
+    assert basis.shape == (cols, cols - rank)
+    assert _same_span(basis, ref)
+    assert np.allclose(basis.conj().T @ basis, np.eye(cols - rank), atol=1e-12)
+    assert np.linalg.norm(mat @ basis) <= 1e-12 * np.linalg.norm(mat, 2)
+
+
+def test_kernel_explicit_tolerance_and_full_rank():
+    mat = np.diag([1.0, 1e-3, 1e-9]).astype(complex)
+    assert linalg.kernel(mat).shape == (3, 0)
+    assert linalg.kernel(mat, tol=1e-6).shape == (3, 1)
+    assert linalg.kernel(mat, tol=1e-2).shape == (3, 2)
+    assert linalg.kernel(np.zeros((2, 3))).shape == (3, 3)
+
+
+def test_rank_tol_policy():
+    assert linalg.rank_tol((4, 7), 2.0) == 7 * 2.0 * 2.0**-52
+    assert linalg.EPS == 2.0**-52

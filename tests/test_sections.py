@@ -125,3 +125,20 @@ def test_sigma_min_lipschitz_in_lambda(seed, lam1, lam2):
     s2 = scipy.linalg.svdvals(s.evaluate(lam2))[-1]
     bound = abs(lam1 - lam2) * np.linalg.norm(e, 2)
     assert abs(s1 - s2) <= bound + 1e-10
+
+
+def test_stacked_certificate_on_wide_section():
+    # 2x5 blocks: the 4x5 stack has fewer rows than columns, so its null
+    # directions exist only in the full right singular factor.
+    rng = np.random.default_rng(7)
+    e = rng.standard_normal((2, 5))
+    a = rng.standard_normal((2, 5))
+    p = Pencil(E=DenseBlock(finite(5), finite(2), e), A=DenseBlock(finite(5), finite(2), a))
+    s = section(p, 5)
+    assert s.stacked().shape == (4, 5)
+    cert = distance_to_singularity_bound(s)
+    assert cert.value == 0.0
+    assert len(cert.singular_values) == 5
+    x = cert.witness
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(e @ x) ** 2 + np.linalg.norm(a @ x) ** 2 <= 1e-28
