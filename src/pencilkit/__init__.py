@@ -5,7 +5,17 @@ vector polynomials, approximate polynomial sequences with the Gram bound,
 dissipative-Hamiltonian structure checks, trajectories of E x' = A x with
 residual certificates, a registry of worked example pencils, and a JSON
 interchange format.
+
+Setting ``PENCILKIT_THREADS`` caps BLAS parallelism.  BLAS reads its thread
+count once, when numpy first loads it, so the cap only takes effect when
+pencilkit is imported before numpy.
 """
+
+import os as _os
+
+if _os.environ.get("PENCILKIT_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["PENCILKIT_THREADS"])
 
 from .operators import (
     BlockDirectSum,
@@ -80,9 +90,11 @@ from .dh import (
     DEFAULT_HALF_PLANE_PROBES,
     DHDiagnostics,
     DHReport,
+    DHSectionMats,
     dh_classify,
     dh_common_kernel,
     dh_kernel_EJR,
+    dh_section_mats,
     subspace_angle,
     verify_dh_structure,
 )
@@ -133,8 +145,9 @@ __all__ = [
     "reduce_polynomial", "verify_singular_polynomial",
     "GramReport", "PolynomialSequence", "ResidualRow",
     "approx_kernel_sequence", "gram_lower_bound", "sequence_residuals",
-    "DEFAULT_HALF_PLANE_PROBES", "DHDiagnostics", "DHReport", "dh_classify",
-    "dh_common_kernel", "dh_kernel_EJR", "subspace_angle", "verify_dh_structure",
+    "DEFAULT_HALF_PLANE_PROBES", "DHDiagnostics", "DHReport", "DHSectionMats",
+    "dh_classify", "dh_common_kernel", "dh_kernel_EJR", "dh_section_mats",
+    "subspace_angle", "verify_dh_structure",
     "ChainGenerator", "QuadratureError", "Trajectory", "UniquenessReport",
     "mild_residual", "polynomial_solution", "power_balance_residual",
     "series_solution", "uniqueness_demo",

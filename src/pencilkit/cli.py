@@ -57,16 +57,22 @@ def _fixture_data(name: str, seed: int = 0) -> dict:
     return fx.build(**{**fx.default_params, **params})
 
 
-def _target_pencil(args, seed: int = 0):
-    """Pencil from --fixture or from a JSON path, with its caveat notes."""
+def _target_data(args, seed: int = 0) -> dict:
+    """Fixture data from --fixture, or ``{"pencil": ...}`` from a JSON path."""
     if getattr(args, "fixture", None):
         data = _fixture_data(args.fixture, seed=seed)
         if "pencil" not in data:
             raise CLIError(f"fixture {args.fixture!r} is caveat-only and builds no pencil")
-        return data["pencil"], tuple(data.get("notes", ()))
+        return data
     if getattr(args, "pencil", None):
-        return _load(args.pencil), ()
+        return {"pencil": _load(args.pencil)}
     raise CLIError("either a pencil JSON path or --fixture is required")
+
+
+def _target_pencil(args, seed: int = 0):
+    """Pencil from --fixture or from a JSON path, with its caveat notes."""
+    data = _target_data(args, seed)
+    return data["pencil"], tuple(data.get("notes", ()))
 
 
 def _parse_complex_list(text: str) -> list[complex]:
@@ -254,9 +260,9 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_dh_check(args) -> int:
-    p, notes = _target_pencil(args, args.seed)
-    data = _fixture_data(args.fixture, seed=args.seed) if args.fixture else {}
-    target = data.get("dh_pencil", p) if args.use_companion else p
+    data = _target_data(args, args.seed)
+    notes = data.get("notes", ())
+    target = data.get("dh_pencil", data["pencil"]) if args.use_companion else data["pencil"]
     if target.dh is None:
         raise CLIError("pencil carries no dissipative-Hamiltonian metadata")
     s = sections.section(target, args.n)
@@ -435,11 +441,6 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    threads = os.environ.get("PENCILKIT_THREADS")
-    if threads:
-        # best effort: cap BLAS parallelism for libraries loaded later
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .operators import DHStructure, Pencil
+from .operators import DHStructure
 from .sections import SectionedPencil, operator_matrix
 
 __all__ = [
@@ -42,6 +42,7 @@ DEFAULT_HALF_PLANE_PROBES = (1.0 + 0.0j, 2.0 + 0.0j, 1.0 + 1.0j, 1.0 - 1.0j, 0.0
 @dataclass(frozen=True)
 class DHSectionMats:
     E: np.ndarray
+    A: np.ndarray
     B: np.ndarray
     Q: np.ndarray
     BQ: np.ndarray
@@ -53,8 +54,9 @@ def dh_section_mats(s: SectionedPencil, dh: DHStructure) -> DHSectionMats:
     """Compress the dH factors onto the section's window.
 
     BQ is formed as the product of the compressed factors; the compression
-    of the product can differ, and the mismatch against A_mat is surfaced
-    in the diagnostics.
+    of the product can differ, and the mismatch against A is surfaced in
+    the diagnostics.  Every dH check works on the result, so a caller
+    compresses each section once.
     """
     if dh is None:
         raise ValueError("pencil carries no dissipative-Hamiltonian metadata")
@@ -65,7 +67,7 @@ def dh_section_mats(s: SectionedPencil, dh: DHStructure) -> DHSectionMats:
     Q = operator_matrix(dh.Q, w, w)
     J = operator_matrix(dh.J, w, w) if dh.J is not None else None
     R = operator_matrix(dh.R, w, w) if dh.R is not None else None
-    return DHSectionMats(E=s.E_mat, B=B, Q=Q, BQ=B @ Q, J=J, R=R)
+    return DHSectionMats(E=s.E_mat, A=s.A_mat, B=B, Q=Q, BQ=B @ Q, J=J, R=R)
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,10 @@ class DHDiagnostics:
     r_min_eig: float | None
     bq_vs_a_defect: float
     tol: float
-    structure_ok: bool
+
+    @property
+    def structure_ok(self) -> bool:
+        return not self.failures()
 
     def failures(self) -> list[str]:
         out = []
@@ -104,11 +109,8 @@ def _herm(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def verify_dh_structure(
-    s: SectionedPencil, dh: DHStructure, tol: float = 1e-10
-) -> DHDiagnostics:
-    """Margins of the structure conditions on one section."""
-    mats = dh_section_mats(s, dh)
+def verify_dh_structure(mats: DHSectionMats, tol: float = 1e-10) -> DHDiagnostics:
+    """Margins of the structure conditions on one compressed section."""
     qe = mats.Q.conj().T @ mats.E
     qe_defect = float(np.linalg.norm(qe - qe.conj().T, 2))
     qe_min = float(np.linalg.eigvalsh(_herm(qe))[0])
@@ -122,8 +124,8 @@ def verify_dh_structure(
     if mats.R is not None:
         r_defect = float(np.linalg.norm(mats.R - mats.R.conj().T, 2))
         r_min = float(np.linalg.eigvalsh(_herm(mats.R))[0])
-    bq_defect = float(np.linalg.norm(mats.BQ - s.A_mat, 2))
-    diag = DHDiagnostics(
+    bq_defect = float(np.linalg.norm(mats.BQ - mats.A, 2))
+    return DHDiagnostics(
         qe_selfadjoint_defect=qe_defect,
         qe_min_eig=qe_min,
         b_sym_max_eig=b_sym_max,
@@ -133,17 +135,11 @@ def verify_dh_structure(
         r_min_eig=r_min,
         bq_vs_a_defect=bq_defect,
         tol=tol,
-        structure_ok=False,
     )
-    ok = not diag.failures()
-    return DHDiagnostics(**{**diag.__dict__, "structure_ok": ok})
 
 
-def dh_common_kernel(
-    s: SectionedPencil, dh: DHStructure, tol: float | None = None
-) -> tuple[int, np.ndarray]:
+def dh_common_kernel(mats: DHSectionMats, tol: float | None = None) -> tuple[int, np.ndarray]:
     """Orthonormal basis of ker E intersect ker(BQ), via the stacked matrix."""
-    mats = dh_section_mats(s, dh)
     basis = linalg.kernel(np.vstack([mats.E, mats.BQ]), tol)
     return basis.shape[1], basis
 
@@ -170,19 +166,19 @@ def dh_kernel_EJR(
         raise ValueError("E/J/R kernel formula requires Q = identity")
     if not dh.has_split:
         raise ValueError("requires the split B = J - R")
-    diag = verify_dh_structure(s, dh)
-    e_defect = float(np.linalg.norm(s.E_mat - s.E_mat.conj().T, 2))
-    e_min = float(np.linalg.eigvalsh(_herm(s.E_mat))[0])
+    mats = dh_section_mats(s, dh)
+    diag = verify_dh_structure(mats)
+    e_defect = float(np.linalg.norm(mats.E - mats.E.conj().T, 2))
+    e_min = float(np.linalg.eigvalsh(_herm(mats.E))[0])
     if diag.failures() or e_defect > diag.tol or e_min < -diag.tol:
         raise ValueError("structure preconditions fail: " + "; ".join(diag.failures() or ["E not selfadjoint nonnegative"]))
-    mats = dh_section_mats(s, dh)
-    m = s.E_mat @ s.E_mat + mats.R @ mats.R - mats.J @ mats.J
+    m = mats.E @ mats.E + mats.R @ mats.R - mats.J @ mats.J
     m = _herm(m)
     evals, evecs = np.linalg.eigh(m)
     thr = tol if tol is not None else linalg.rank_tol(m.shape, max(abs(evals[0]), evals[-1], 1e-300))
     kdim = int(np.sum(evals <= thr))
     basis = evecs[:, :kdim]
-    stacked = linalg.kernel(np.vstack([s.E_mat, mats.J, mats.R]), tol)
+    stacked = linalg.kernel(np.vstack([mats.E, mats.J, mats.R]), tol)
     if basis.shape[1] != stacked.shape[1] or subspace_angle(basis, stacked) > 1e-8:
         raise ValueError("E^2+R^2-J^2 kernel disagrees with ker E ∩ ker J ∩ ker R")
     return kdim, basis
@@ -234,9 +230,9 @@ def dh_classify(
     for lam in probes:
         if complex(lam).real <= 0:
             raise ValueError(f"probe {lam} not in the open right half plane")
-    diag = verify_dh_structure(s, dh, tol)
     mats = dh_section_mats(s, dh)
-    kdim, basis = dh_common_kernel(s, dh)
+    diag = verify_dh_structure(mats, tol)
+    kdim, basis = dh_common_kernel(mats)
     probe_vals = []
     for lam in probes:
         sv = float(scipy.linalg.svdvals(complex(lam) * mats.E - mats.BQ)[-1])

@@ -230,21 +230,24 @@ def _build_stokes_skeleton(m: int = 4, np_: int = 3) -> dict:
     return {"pencil": pencil, "kernel_direction": kernel_dir, "dim": d}
 
 
+def _structure_check(diag: dh.DHDiagnostics) -> CheckResult:
+    return CheckResult(
+        "structure conditions hold",
+        diag.structure_ok,
+        "failures: " + (", ".join(diag.failures()) or "none"),
+    )
+
+
 def _check_stokes_skeleton(data: dict) -> list[CheckResult]:
     p = data["pencil"]
-    s = sections.section(p, data["dim"])
-    diag = dh.verify_dh_structure(s, p.dh)
-    out = [
-        CheckResult(
-            "structure conditions hold",
-            diag.structure_ok,
-            "failures: " + (", ".join(diag.failures()) or "none"),
-        )
-    ]
-    kdim, basis = dh.dh_common_kernel(s, p.dh)
+    rep = dh.dh_classify(sections.section(p, data["dim"]), p.dh)
+    out = [_structure_check(rep.diagnostics)]
+    kdim = rep.common_kernel_dim
     out.append(CheckResult("common kernel is one-dimensional", kdim == 1, f"dim={kdim}"))
     if kdim >= 1:
-        angle = dh.subspace_angle(basis[:, :1], data["kernel_direction"].reshape(-1, 1))
+        angle = dh.subspace_angle(
+            rep.kernel_basis[:, :1], data["kernel_direction"].reshape(-1, 1)
+        )
         out.append(
             CheckResult(
                 "kernel is the constant-pressure direction",
@@ -252,7 +255,6 @@ def _check_stokes_skeleton(data: dict) -> list[CheckResult]:
                 f"subspace angle {_fmt(angle)}",
             )
         )
-    rep = dh.dh_classify(s, p.dh)
     out.append(
         CheckResult(
             "classification is point_singular",
@@ -344,15 +346,8 @@ def integrator_trajectory(data: dict, t_grid: np.ndarray, x0: np.ndarray) -> oda
 def _check_poroelasticity(data: dict) -> list[CheckResult]:
     p = data["pencil"]
     s = sections.section(p, data["dim"])
-    diag = dh.verify_dh_structure(s, p.dh)
-    out = [
-        CheckResult(
-            "structure conditions hold",
-            diag.structure_ok,
-            "failures: " + (", ".join(diag.failures()) or "none"),
-        )
-    ]
     if "kernel_vector" in data:
+        out = [_structure_check(dh.verify_dh_structure(dh.dh_section_mats(s, p.dh)))]
         rep = chains.extract_right_chain(s)
         ok = rep is not None and rep.minimal_index == 0
         detail = "no chain" if rep is None else f"minimal_index={rep.minimal_index}"
@@ -369,6 +364,7 @@ def _check_poroelasticity(data: dict) -> list[CheckResult]:
             )
     else:
         rep = dh.dh_classify(s, p.dh)
+        out = [_structure_check(rep.diagnostics)]
         out.append(
             CheckResult(
                 "classification is regular_candidate",

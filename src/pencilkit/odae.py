@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
+from .chains import verify_singular_polynomial
+from .dh import dh_classify
 from .operators import Pencil
 from .sections import SectionedPencil, section
 from .sparsevec import (
@@ -233,8 +234,6 @@ def polynomial_solution(
     verify_tol: float = 1e-8,
 ) -> Trajectory:
     """Trajectory f(t) = t * p(t) built from a verified right singular polynomial."""
-    from .chains import verify_singular_polynomial
-
     res = verify_singular_polynomial(p, sp, side="right")
     if res > verify_tol:
         raise ValueError(
@@ -354,19 +353,15 @@ def uniqueness_demo(
             "not a dissipative-Hamiltonian pencil; use series_solution to "
             "exhibit non-uniqueness for unstructured pencils"
         )
-    from .dh import dh_common_kernel, dh_section_mats
-
     s = section(p, n)
-    mats = dh_section_mats(s, p.dh)
-    kdim, basis = dh_common_kernel(s, p.dh)
-    stacked = np.vstack([mats.E, mats.BQ])
-    svals = scipy.linalg.svdvals(stacked)
+    rep = dh_classify(s, p.dh)
+    kdim = rep.common_kernel_dim
     times = np.asarray(list(t_grid), dtype=float)
     indices = s.window_in.indices
     if kdim == 0:
         return UniquenessReport(
             kernel_dim=0,
-            margin=float(svals[-1]),
+            margin=rep.stacked_sigma_min,
             witness=None,
             unique=True,
             notes=("no common kernel on this window; mild solutions from equal "
@@ -374,7 +369,7 @@ def uniqueness_demo(
         )
     if vec_norm(x0) > 0:
         raise ValueError("non-uniqueness demo supports x0 = 0 only")
-    v = {j: complex(c) for j, c in zip(indices, basis[:, 0]) if c != 0}
+    v = {j: complex(c) for j, c in zip(indices, rep.kernel_basis[:, 0]) if c != 0}
     zero_traj = Trajectory(
         times=times,
         states=[{} for _ in times],
@@ -395,7 +390,7 @@ def uniqueness_demo(
     )
     return UniquenessReport(
         kernel_dim=kdim,
-        margin=float(svals[-1]),
+        margin=rep.stacked_sigma_min,
         witness=v,
         trajectories=[zero_traj, drift_traj],
         max_distance=float(dist),

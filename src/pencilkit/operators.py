@@ -134,6 +134,8 @@ class WeightRule:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown weight rule {self.kind!r}")
+        if not np.isfinite([self.value, self.default, *self.values]).all():
+            raise ValueError("weight rule values must be finite")
 
     def _base(self, j: int) -> complex:
         if self.kind == "constant":
@@ -263,6 +265,8 @@ class DenseBlock(StructuredOperator):
         self.matrix = np.asarray(matrix, dtype=complex)
         if self.matrix.ndim != 2:
             raise ValueError("matrix must be 2-dimensional")
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("matrix entries must be finite")
         self.row_start = row_start
         self.col_start = col_start
         rows, cols = self.matrix.shape

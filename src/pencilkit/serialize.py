@@ -11,6 +11,7 @@ input); spaces are ``"l2N"``, ``"l2Z"`` or ``{"finite": dim}``.
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Any
 
 import numpy as np
@@ -60,6 +61,12 @@ def _cplx_in(v: Any) -> complex:
     raise FormatError(f"not a complex scalar: {v!r}")
 
 
+def _int_in(v: Any) -> int:
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+    raise FormatError(f"not an integer: {v!r}")
+
+
 def _space_out(s: Space) -> Any:
     return {"finite": s.dim} if s.is_finite else s.kind
 
@@ -70,7 +77,7 @@ def _space_in(v: Any) -> Space:
     if v == "l2Z":
         return L2Z
     if isinstance(v, dict) and set(v) == {"finite"}:
-        return finite(int(v["finite"]))
+        return finite(_int_in(v["finite"]))
     raise FormatError(f"not a space: {v!r}")
 
 
@@ -96,9 +103,9 @@ def _weights_in(v: Any) -> WeightRule:
         kind=v["kind"],
         value=_cplx_in(v.get("value", 1.0)),
         values=tuple(_cplx_in(x) for x in v.get("values", [])),
-        start=int(v.get("start", 1)),
+        start=_int_in(v.get("start", 1)),
         default=_cplx_in(v.get("default", 0.0)),
-        shift=int(v.get("shift", 0)),
+        shift=_int_in(v.get("shift", 0)),
         conjugate=bool(v.get("conjugate", False)),
     )
 
@@ -154,7 +161,7 @@ def op_from_json(v: Any) -> StructuredOperator:
     if node == "diagonal":
         return Diagonal(_space_in(v["space"]), _weights_in(v["weights"]))
     if node == "shift":
-        return Shift(_space_in(v["space"]), int(v["offset"]), _weights_in(v["weights"]))
+        return Shift(_space_in(v["space"]), _int_in(v["offset"]), _weights_in(v["weights"]))
     if node == "denseBlock":
         mat = np.array(
             [[_cplx_in(z) for z in row] for row in v["matrix"]], dtype=complex
@@ -163,8 +170,8 @@ def op_from_json(v: Any) -> StructuredOperator:
             _space_in(v["space_in"]),
             _space_in(v["space_out"]),
             mat,
-            row_start=int(v.get("row_start", 1)),
-            col_start=int(v.get("col_start", 1)),
+            row_start=_int_in(v.get("row_start", 1)),
+            col_start=_int_in(v.get("col_start", 1)),
         )
     if node == "identity":
         return Identity(_space_in(v["space"]))
@@ -205,6 +212,16 @@ def pencil_to_json(p: Pencil) -> dict:
 
 
 def pencil_from_json(v: Any) -> Pencil:
+    """Build a pencil from its JSON form; any malformed input raises FormatError."""
+    try:
+        return _pencil_from_json(v)
+    except FormatError:
+        raise
+    except (KeyError, ValueError, TypeError, IndexError) as exc:
+        raise FormatError(f"invalid pencil ({type(exc).__name__}: {exc})") from exc
+
+
+def _pencil_from_json(v: Any) -> Pencil:
     if not isinstance(v, dict):
         raise FormatError("top level must be an object")
     if v.get("format") != FORMAT_VERSION:

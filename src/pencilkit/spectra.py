@@ -11,7 +11,7 @@ about the infinite object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -63,10 +63,7 @@ def classify_point(
     """Classify a point (or infinity, via the reversal) for one section."""
     if lam == INFINITY:
         inner = classify_point(s.reverse(), 0.0, tol_point, tol_ap)
-        return PointClassification(
-            INFINITY, inner.sigma_min, inner.sigma_min_adjoint, inner.verdict,
-            inner.tol_point, inner.tol_ap,
-        )
+        return replace(inner, lam=INFINITY)
     mat = s.evaluate(complex(lam))
     svals = scipy.linalg.svdvals(mat)
     smax = float(svals[0]) if svals.size else 0.0

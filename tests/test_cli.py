@@ -169,3 +169,22 @@ def test_examples_run_leaves_scipy_integrate_unimported():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or os.cpu_count() == 1,
+    reason="needs /proc/self/task and more than one CPU",
+)
+def test_pencilkit_threads_caps_blas_threads():
+    code = (
+        "import os\n"
+        "import pencilkit.cli\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(pencilkit.__file__))
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env.update(PYTHONPATH=src, PENCILKIT_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1"]

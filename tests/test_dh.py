@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import pencilkit.dh
 from pencilkit import (
     DenseBlock,
     DHStructure,
@@ -10,9 +11,11 @@ from pencilkit import (
     dh_classify,
     dh_common_kernel,
     dh_kernel_EJR,
+    dh_section_mats,
     finite,
     section,
     subspace_angle,
+    uniqueness_demo,
     verify_dh_structure,
 )
 
@@ -49,7 +52,7 @@ def _random_dh(seed: int, dim: int = 4, engineered_kernel: bool = False) -> Penc
 
 def test_structure_diagnostics_pass_on_valid_instance():
     p = _random_dh(0)
-    diag = verify_dh_structure(section(p, 4), p.dh)
+    diag = verify_dh_structure(dh_section_mats(section(p, 4), p.dh))
     assert diag.structure_ok and diag.failures() == []
     assert diag.qe_min_eig > 0 and diag.b_sym_max_eig < 0
     assert diag.bq_vs_a_defect <= 1e-12
@@ -65,7 +68,7 @@ def test_structure_violations_are_named():
         A=DenseBlock(sp, sp, b),
         dh=DHStructure(B=DenseBlock(sp, sp, b), Q=Identity(sp)),
     )
-    diag = verify_dh_structure(section(p, dim), p.dh)
+    diag = verify_dh_structure(dh_section_mats(section(p, dim), p.dh))
     assert not diag.structure_ok
     assert "B not dissipative" in diag.failures()
 
@@ -73,7 +76,7 @@ def test_structure_violations_are_named():
 def test_common_kernel_matches_engineering():
     p = _random_dh(7, engineered_kernel=True)
     s = section(p, 4)
-    kdim, basis = dh_common_kernel(s, p.dh)
+    kdim, basis = dh_common_kernel(dh_section_mats(s, p.dh))
     assert kdim == 1
     # the basis vector is annihilated by both factors
     assert np.linalg.norm(s.E_mat @ basis[:, 0]) <= 1e-10
@@ -82,7 +85,7 @@ def test_common_kernel_matches_engineering():
 
 def test_no_kernel_for_spd_instance():
     p = _random_dh(7)
-    kdim, basis = dh_common_kernel(section(p, 4), p.dh)
+    kdim, basis = dh_common_kernel(dh_section_mats(section(p, 4), p.dh))
     assert kdim == 0 and basis.shape == (4, 0)
 
 
@@ -92,8 +95,6 @@ def test_kernel_EJR_agrees_with_stack():
         s = section(p, 4)
         kdim, basis = dh_kernel_EJR(s, p.dh)
         assert kdim == 1
-        from pencilkit.dh import dh_section_mats
-
         mats = dh_section_mats(s, p.dh)
         stacked = np.vstack([s.E_mat, mats.J, mats.R])
         _, svals, vh = scipy.linalg.svd(stacked)
@@ -148,3 +149,25 @@ def test_subspace_angle_edge_cases():
     assert subspace_angle(a, a) == 0.0
     b = np.eye(3)[:, :1]
     assert subspace_angle(a, b) == pytest.approx(np.pi / 2)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p: dh_classify(section(p, 4), p.dh),
+        lambda p: dh_kernel_EJR(section(p, 4), p.dh),
+        lambda p: uniqueness_demo(p, {}, [0.0, 1.0], n=4),
+    ],
+    ids=["dh_classify", "dh_kernel_EJR", "uniqueness_demo"],
+)
+def test_each_call_compresses_the_section_once(monkeypatch, run):
+    calls = []
+    compress = pencilkit.dh.dh_section_mats
+
+    def counting(*args):
+        calls.append(args)
+        return compress(*args)
+
+    monkeypatch.setattr(pencilkit.dh, "dh_section_mats", counting)
+    run(_random_dh(6, engineered_kernel=True))
+    assert len(calls) == 1

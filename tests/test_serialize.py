@@ -134,6 +134,43 @@ def test_errors_are_format_errors(tmp_path):
         load_pencil(str(bad))
 
 
+def _pencil_doc(e, a):
+    return {"format": 1, "E": e, "A": a}
+
+
+def _dense(matrix):
+    return {"node": "denseBlock", "space_in": {"finite": 2}, "space_out": {"finite": 2},
+            "matrix": matrix}
+
+
+_ID2 = {"node": "identity", "space": {"finite": 2}}
+_IDN = {"node": "identity", "space": "l2N"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _pencil_doc({"node": "identity", "space": {"finite": 2.5}},
+                    {"node": "identity", "space": {"finite": 2.5}}),
+        _pencil_doc(_IDN, {"node": "shift", "space": "l2N", "weights": {"kind": "constant"}}),
+        _pencil_doc(_IDN, {"node": "identity", "space": "l2Z"}),
+        _pencil_doc(_IDN, {"node": "diagonal", "space": "l2N", "weights": {"kind": "mystery"}}),
+        _pencil_doc(_ID2, _dense([[1.0, 2.0], [3.0]])),
+        _pencil_doc({"node": "identity", "space": {"finite": -1}},
+                    {"node": "identity", "space": {"finite": -1}}),
+        _pencil_doc(_ID2, _dense([[1.0, float("nan")], [0.0, 1.0]])),
+        _pencil_doc(_IDN, {"node": "diagonal", "space": "l2N",
+                           "weights": {"kind": "table", "values": [1.0, float("inf")]}}),
+    ],
+    ids=["non-integer-dim", "shift-without-offset", "mismatched-spaces",
+         "unknown-weight-kind", "ragged-matrix", "negative-dim", "nan-entry",
+         "infinite-table-weight"],
+)
+def test_malformed_documents_raise_format_error(doc):
+    with pytest.raises(FormatError):
+        pencil_from_json(doc)
+
+
 def test_rule_operators_are_not_serializable():
     op = RuleOperator(L2N, L2N, lambda j: basis_vec(j))
     with pytest.raises(FormatError):
