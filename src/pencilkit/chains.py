@@ -2,9 +2,14 @@
 
 Extraction works on dense (possibly rectangular) sections only: a chain
 x_0..x_k with A x_0 = 0, A x_{j+1} = E x_j, E x_k = 0 is found as a null
-vector of a block-Toeplitz system, scanning degrees upward so the returned
-chain has minimal length.  Section-level verdicts are statements about the
-section; they do not automatically lift to the infinite object.
+vector of a block-Toeplitz system T_d, scanning degrees upward so the
+returned chain has minimal length.  Two rules skip degrees that cannot carry
+a chain (details in ``extract_right_chain``): a section with at least as
+many rows as columns that has full column rank at two fixed unit-circle
+probes has no chain, so no T_d is built; and a degree whose values-only
+sigma_min(T_d) is clearly above the threshold is skipped without computing
+singular vectors.  Section-level verdicts are statements about the section;
+they do not automatically lift to the infinite object.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ __all__ = [
 ]
 
 ROOT_CLUSTER_TOL = 1e-8
+# Fixed unit-circle points of the full-column-rank exit of extract_right_chain.
+RANK_PROBES = (np.exp(2j * np.pi * 0.1234567), np.exp(2j * np.pi * 0.6180339))
 
 
 @dataclass(frozen=True)
@@ -134,6 +141,27 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
     Returns None for regular sections.  Link residuals are bounded by
     tol * (||E|| + ||A||); chain vectors are checked for linear
     independence at the same scale.
+
+    Degree d is accepted when sigma_min(T_d) <= thr = tol * scale, with
+    scale = ||E||_2 + ||A||_2.  Two rules skip degrees that cannot be:
+
+    - Full-column-rank exit, for m >= k (rows >= columns): if
+      sigma_k(lam0 E - A) > sqrt(tol) * scale at both ``RANK_PROBES``, the
+      result is None and no T_d is built.  In exact arithmetic full column
+      rank at one point proves that no right chain of any length exists.
+      Numerically: a unit v with ||T_d v|| <= thr gives the polynomial
+      p_v(lam) = sum_j lam^j x_j, and on the unit circle
+      sigma_min(lam0 E - A) * ||p_v(lam0)|| <= sqrt(d + 2) * thr.  So the
+      exit can only overrule a chain whose polynomial is below
+      sqrt(d + 2) * sqrt(tol) at both probes.  If either sigma_k is at or
+      below the margin, every degree is scanned.
+    - Values-only screening: where T_d has at least as many rows as
+      columns, its singular values are computed first, without vectors, and
+      the degree is skipped when sigma_min(T_d) exceeds
+      max(10 * thr, thr + 2 * rank_tol).  The values-only and the vector
+      SVD differ by less than rank_tol, so a skipped degree is one the
+      vector SVD rejects too.  Otherwise the vector SVD decides, as without
+      screening, and the chain vectors come from it.
     """
     E, A = s.E_mat, s.A_mat
     m, k = A.shape
@@ -141,15 +169,24 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
     if scale == 0:
         scale = 1.0
     thr = tol * scale
+    if 0 < k <= m and all(
+        linalg.singular_values(lam * E - A)[-1] > np.sqrt(tol) * scale for lam in RANK_PROBES
+    ):
+        return None
     for d in range(k):
-        svals, null = linalg.smallest_right(_chain_system(E, A, d))
+        T = _chain_system(E, A, d)
+        if T.shape[0] >= T.shape[1]:
+            screen = linalg.singular_values(T)
+            if screen[-1] > max(10 * thr, thr + 2 * linalg.rank_tol(T.shape, screen[0])):
+                continue
+        svals, null = linalg.smallest_right(T)
         if svals[-1] > thr:
             continue
         chain = [null[j * k : (j + 1) * k] for j in range(d + 1)]
         norm = max(np.linalg.norm(v) for v in chain)
         chain = [v / norm for v in chain]
         stackmat = np.column_stack(chain)
-        indep = scipy.linalg.svdvals(stackmat)[-1] if d > 0 else np.linalg.norm(chain[0])
+        indep = linalg.singular_values(stackmat)[-1] if d > 0 else np.linalg.norm(chain[0])
         if indep <= tol:
             continue  # degenerate null vector; a genuine chain shows at higher d
         return ChainReport(

@@ -4,7 +4,8 @@ Subcommands: analyze, spectra, chains, approx, distance, dh-check,
 simulate, examples.  All numeric output uses 17 significant digits and
 deterministic ordering, so identical inputs give byte-identical output.
 Exit codes: 0 success, 1 verdict failure in ``examples run``, 2 input
-error.
+error, 3 internal failure (a linear-algebra kernel that did not converge or
+a quadrature that missed its tolerance).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .sparsevec import vec_norm
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class CLIError(Exception):
@@ -451,6 +453,10 @@ def main(argv: list[str] | None = None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (np.linalg.LinAlgError, odae.QuadratureError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,9 +1,10 @@
 """Dense singular-value kernels and the package's single rank-tolerance policy.
 
 Every smallest-singular-vector and nullspace computation goes through this
-module.  Both helpers take the thin SVD; the full ``Vh`` is requested only
-for matrices with fewer rows than columns, the one case in which null
-directions are missing from the thin factor.
+module.  The vector helpers take the thin SVD; the full ``Vh`` is requested
+only for matrices with fewer rows than columns, the one case in which null
+directions are missing from the thin factor.  ``singular_values`` computes
+no vectors at all, for callers that only compare sigma_min with a threshold.
 """
 
 from __future__ import annotations
@@ -25,13 +26,21 @@ def _svals_vh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return svals, vh
 
 
+def _padded(svals: np.ndarray, cols: int) -> np.ndarray:
+    if len(svals) < cols:
+        svals = np.concatenate([svals, np.zeros(cols - len(svals))])
+    return svals
+
+
+def singular_values(mat: np.ndarray) -> np.ndarray:
+    """Singular values only, descending and zero-padded to the column count."""
+    return _padded(scipy.linalg.svdvals(mat), mat.shape[1])
+
+
 def smallest_right(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values zero-padded to the column count, and the last right singular vector."""
     svals, vh = _svals_vh(mat)
-    cols = mat.shape[1]
-    if len(svals) < cols:
-        svals = np.concatenate([svals, np.zeros(cols - len(svals))])
-    return svals, vh[-1].conj()
+    return _padded(svals, mat.shape[1]), vh[-1].conj()
 
 
 def kernel(mat: np.ndarray, tol: float | None = None) -> np.ndarray:

@@ -323,6 +323,8 @@ class Zero(StructuredOperator):
 class Scale(StructuredOperator):
     def __init__(self, factor: complex, op: StructuredOperator):
         self.factor = complex(factor)
+        if not np.isfinite(self.factor):
+            raise ValueError("scale factor must be finite")
         self.op = op
         self.space_in = op.space_in
         self.space_out = op.space_out

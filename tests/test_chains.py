@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pencilkit import (
     DenseBlock,
@@ -21,6 +24,9 @@ from pencilkit import (
     vec_sub,
     verify_singular_polynomial,
 )
+from pencilkit import chains, linalg
+from pencilkit.chains import ChainReport, RANK_PROBES, _chain_system, _link_residuals
+from pencilkit.fixtures import fixture_names, get_fixture
 
 
 def _kronecker(k: int) -> Pencil:
@@ -131,3 +137,199 @@ def test_roots_check_flags_near_root():
     assert polynomial_roots_check(q, [3.0])
     # the reversal has its own root at lam = 2
     assert not polynomial_roots_check(q, [2.0])
+
+
+# --- skipping degrees that cannot carry a chain ---------------------------
+
+
+def _reference_right_chain(s, tol=1e-10):
+    """The degree scan without the exit and the screening: one vector SVD per degree."""
+    E, A = s.E_mat, s.A_mat
+    m, k = A.shape
+    scale = np.linalg.norm(E, 2) + np.linalg.norm(A, 2)
+    if scale == 0:
+        scale = 1.0
+    thr = tol * scale
+    for d in range(k):
+        svals, null = linalg.smallest_right(_chain_system(E, A, d))
+        if svals[-1] > thr:
+            continue
+        chain = [null[j * k : (j + 1) * k] for j in range(d + 1)]
+        norm = max(np.linalg.norm(v) for v in chain)
+        chain = [v / norm for v in chain]
+        stackmat = np.column_stack(chain)
+        indep = scipy.linalg.svdvals(stackmat)[-1] if d > 0 else np.linalg.norm(chain[0])
+        if indep <= tol:
+            continue
+        return ChainReport(
+            side="right",
+            chain=tuple(chain),
+            minimal_index=d,
+            residuals=tuple(_link_residuals(E, A, chain)),
+            window_indices=s.window_in.indices,
+            space=s.window_in.space,
+        )
+    return None
+
+
+def _assert_same_report(got, ref):
+    assert (got is None) == (ref is None)
+    if ref is None:
+        return
+    assert got.minimal_index == ref.minimal_index
+    assert len(got.chain) == len(ref.chain)
+    assert all(np.array_equal(a, b) for a, b in zip(got.chain, ref.chain))
+    assert got.residuals == ref.residuals
+
+
+def _assert_matches_reference(s):
+    _assert_same_report(extract_right_chain(s), _reference_right_chain(s))
+    _assert_same_report(extract_left_chain(s), _reference_right_chain(s.adjoint()))
+
+
+def _dense_section(e, a):
+    rows, cols = a.shape
+    p = Pencil(
+        E=DenseBlock(finite(cols), finite(rows), e),
+        A=DenseBlock(finite(cols), finite(rows), a),
+    )
+    return section(p, max(rows, cols))
+
+
+def _l_block(eps):
+    """L_eps = (E, A) of shape eps x (eps + 1): right minimal index eps."""
+    e = np.eye(eps, eps + 1)
+    a = np.eye(eps, eps + 1, 1)
+    return e, a
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _kronecker_sum(rng, eps, etas, regular, delta):
+    """P (sum of L_eps, L_eta^T and a generic regular block) Q, perturbed by delta * scale."""
+    blocks = [_l_block(e) for e in eps] + [tuple(m.T for m in _l_block(h)) for h in etas]
+    if regular:
+        shape = (regular, regular)
+        blocks.append(tuple(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                            for _ in range(2)))
+    rows = sum(b[0].shape[0] for b in blocks)
+    cols = sum(b[0].shape[1] for b in blocks)
+    e = np.zeros((rows, cols), dtype=complex)
+    a = np.zeros((rows, cols), dtype=complex)
+    r = c = 0
+    for be, ba in blocks:
+        h, w = be.shape
+        e[r : r + h, c : c + w] = be
+        a[r : r + h, c : c + w] = ba
+        r, c = r + h, c + w
+    left, right = _unitary(rng, rows), _unitary(rng, cols)
+    e, a = left @ e @ right, left @ a @ right
+    if delta:
+        scale = np.linalg.norm(e, 2) + np.linalg.norm(a, 2)
+        for mat in (e, a):
+            g = rng.standard_normal(mat.shape) + 1j * rng.standard_normal(mat.shape)
+            mat += delta * scale * g / np.linalg.norm(g, 2)
+    return e, a
+
+
+minimal_indices = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from(["square", "wide", "tall"]),
+    eps=minimal_indices,
+    etas=minimal_indices,
+    regular=st.integers(min_value=0, max_value=4),
+    delta=st.sampled_from([0.0, 1e-13, 1e-8, 1e-3]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_chain_extraction_matches_reference_scan(shape, eps, etas, regular, delta, seed):
+    if shape == "square":
+        etas = etas[: len(eps)]
+        eps = eps[: len(etas)]
+    elif shape == "wide":
+        etas = []
+    else:
+        eps = []
+    rows = sum(eps) + sum(h + 1 for h in etas) + regular
+    cols = sum(e + 1 for e in eps) + sum(etas) + regular
+    assume(rows >= 1 and cols >= 1)
+    e, a = _kronecker_sum(np.random.default_rng(seed), eps, etas, regular, delta)
+    _assert_matches_reference(_dense_section(e, a))
+
+
+def _pencil_fixtures():
+    names = []
+    for name in fixture_names():
+        fx = get_fixture(name)
+        if "pencil" in fx.build(**fx.default_params):
+            names.append(name)
+    return names
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+@pytest.mark.parametrize("name", _pencil_fixtures())
+def test_fixture_chains_match_reference_scan(name, n):
+    fx = get_fixture(name)
+    _assert_matches_reference(section(fx.build(**fx.default_params)["pencil"], n))
+
+
+@pytest.fixture
+def chain_systems(monkeypatch):
+    """Counts the block-Toeplitz systems built by chain extraction."""
+    calls = []
+
+    def counted(E, A, d):
+        calls.append(d)
+        return _chain_system(E, A, d)
+
+    monkeypatch.setattr(chains, "_chain_system", counted)
+    return calls
+
+
+def test_full_column_rank_exit_builds_no_chain_system(chain_systems):
+    rng = np.random.default_rng(0)
+    e, a = (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)) for _ in range(2))
+    s = _dense_section(e, a)
+    assert extract_right_chain(s) is None and extract_left_chain(s) is None
+    big = section(get_fixture("diag_reciprocal").build()["pencil"], 200)
+    assert extract_right_chain(big) is None and extract_left_chain(big) is None
+    assert chain_systems == []
+
+
+def test_kronecker_chain_takes_one_vector_svd(monkeypatch):
+    calls = []
+    smallest_right = linalg.smallest_right
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return smallest_right(mat)
+
+    monkeypatch.setattr(linalg, "smallest_right", counted)
+    for k in range(1, 16):
+        s = section(get_fixture("kronecker_L").build(k=k)["pencil"], k + 1)
+        calls.clear()
+        rep = extract_right_chain(s)
+        assert rep is not None and rep.minimal_index == k
+        assert len(calls) == 1
+        calls.clear()
+        assert extract_left_chain(s) is None
+        assert calls == []
+
+
+@pytest.mark.parametrize("factor,scanned", [(0.5, True), (2.0, False)])
+def test_exit_margin_boundary(chain_systems, factor, scanned):
+    # E = I, A = diag(lam0 + delta, 3, 3, 3): sigma_min(lam0 E - A) = delta at the first probe
+    tol = 1e-10
+    scale = 1.0 + 3.0
+    delta = factor * np.sqrt(tol) * scale
+    lam0 = RANK_PROBES[0]
+    a = np.diag([lam0 + delta, 3.0, 3.0, 3.0])
+    s = _dense_section(np.eye(4, dtype=complex), a)
+    assert linalg.singular_values(lam0 * s.E_mat - s.A_mat)[-1] == pytest.approx(delta, rel=1e-9)
+    assert extract_right_chain(s, tol) is None
+    assert bool(chain_systems) == scanned

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import pencilkit
-from pencilkit import Diagonal, Identity, L2N, Pencil, WeightRule, save_pencil
-from pencilkit.cli import EXIT_INPUT, EXIT_OK, main
+from pencilkit import Diagonal, Identity, L2N, Pencil, QuadratureError, WeightRule, save_pencil
+from pencilkit import linalg, odae
+from pencilkit.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 
 
 def _run(capsys, *argv):
@@ -142,6 +143,28 @@ def test_simulate_unsupported_fixture(capsys):
 def test_bad_arguments_exit_2(capsys):
     assert main(["spectra", "--steps"]) == EXIT_INPUT
     assert main(["no-such-command"]) == EXIT_INPUT
+
+
+def test_linalg_failure_is_internal_error(capsys, monkeypatch, pencil_file):
+    def no_convergence(mat):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(linalg, "smallest_right", no_convergence)
+    code, out, err = _run(capsys, "analyze", pencil_file, "--n", "4")
+    assert code == EXIT_INTERNAL
+    assert err == "internal error: SVD did not converge\n"
+
+
+def test_quadrature_failure_is_internal_error(capsys, monkeypatch):
+    def missed(*args, **kwargs):
+        raise QuadratureError("quadrature estimate above tolerance")
+
+    monkeypatch.setattr(odae, "adaptive_simpson_vec", missed)
+    code, _, err = _run(
+        capsys, "simulate", "--fixture", "shift_identity", "--order", "8", "--samples", "3",
+    )
+    assert code == EXIT_INTERNAL
+    assert err == "internal error: quadrature estimate above tolerance\n"
 
 
 def test_output_file_option(tmp_path, capsys):

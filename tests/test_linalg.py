@@ -65,6 +65,22 @@ def test_kernel_explicit_tolerance_and_full_rank():
     assert linalg.kernel(np.zeros((2, 3))).shape == (3, 3)
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("rows,cols,rank", SHAPES)
+def test_singular_values_agree_with_vector_svd_within_rank_tol(seed, rows, cols, rank):
+    # the chain scan skips a degree on these values alone; that is sound only
+    # while they stay within rank_tol of the values of the vector SVD
+    rng = np.random.default_rng(seed)
+    for mat in (_complex_of_rank(rng, rows, cols, min(rows, cols)),
+                _complex_of_rank(rng, rows, cols, rank)):
+        values = linalg.singular_values(mat)
+        with_vectors = linalg.smallest_right(mat)[0]
+        assert values.shape == (cols,)
+        assert np.all(values[min(rows, cols):] == 0.0)
+        bound = linalg.rank_tol(mat.shape, with_vectors[0])
+        assert np.max(np.abs(values - with_vectors)) <= bound
+
+
 def test_rank_tol_policy():
     assert linalg.rank_tol((4, 7), 2.0) == 7 * 2.0 * 2.0**-52
     assert linalg.EPS == 2.0**-52

@@ -161,10 +161,12 @@ _IDN = {"node": "identity", "space": "l2N"}
         _pencil_doc(_ID2, _dense([[1.0, float("nan")], [0.0, 1.0]])),
         _pencil_doc(_IDN, {"node": "diagonal", "space": "l2N",
                            "weights": {"kind": "table", "values": [1.0, float("inf")]}}),
+        _pencil_doc(_IDN, {"node": "scale", "factor": [float("nan"), 0.0], "op": _IDN}),
+        _pencil_doc(_IDN, {"node": "scale", "factor": float("inf"), "op": _IDN}),
     ],
     ids=["non-integer-dim", "shift-without-offset", "mismatched-spaces",
          "unknown-weight-kind", "ragged-matrix", "negative-dim", "nan-entry",
-         "infinite-table-weight"],
+         "infinite-table-weight", "nan-scale-factor", "infinite-scale-factor"],
 )
 def test_malformed_documents_raise_format_error(doc):
     with pytest.raises(FormatError):
