@@ -8,7 +8,11 @@ interchange format.
 
 Setting ``PENCILKIT_THREADS`` caps BLAS parallelism.  BLAS reads its thread
 count once, when numpy first loads it, so the cap only takes effect when
-pencilkit is imported before numpy.
+pencilkit is imported before numpy.  Importing the package loads numpy's
+BLAS only; ``scipy.linalg``, with a BLAS of its own, is imported on first
+use by the computations that need singular vectors, ``expm``, QZ or
+subspace angles (see ``pencilkit.linalg``), so most commands run on a
+single BLAS.
 """
 
 import os as _os

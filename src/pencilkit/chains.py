@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .operators import Pencil, Space
@@ -140,7 +139,8 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
 
     Returns None for regular sections.  Link residuals are bounded by
     tol * (||E|| + ||A||); chain vectors are checked for linear
-    independence at the same scale.
+    independence at the same scale.  ``tol`` must be finite and
+    nonnegative (ValueError otherwise).
 
     Degree d is accepted when sigma_min(T_d) <= thr = tol * scale, with
     scale = ||E||_2 + ||A||_2.  Two rules skip degrees that cannot be:
@@ -163,6 +163,8 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
       vector SVD rejects too.  Otherwise the vector SVD decides, as without
       screening, and the chain vectors come from it.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"chain tolerance must be finite and nonnegative, got {tol!r}")
     E, A = s.E_mat, s.A_mat
     m, k = A.shape
     scale = np.linalg.norm(E, 2) + np.linalg.norm(A, 2)
@@ -306,7 +308,7 @@ def reduce_polynomial(q: VectorPolynomial) -> VectorPolynomial:
         raise ValueError("cannot reduce the zero polynomial")
     mat, support = q.coefficient_matrix()
     # orthonormal frame of the coefficient span
-    u, svals, vh = scipy.linalg.svd(mat, full_matrices=False)
+    u, svals, vh = linalg.thin_svd(mat)
     rank = int(np.sum(svals > linalg.rank_tol(mat.shape, svals[0]))) if svals.size else 0
     rank = max(rank, 1)
     coords = u[:, :rank] * svals[:rank]  # (k+1) x rank; rows = coefficient coords

@@ -5,13 +5,17 @@ simulate, examples.  All numeric output uses 17 significant digits and
 deterministic ordering, so identical inputs give byte-identical output.
 Exit codes: 0 success, 1 verdict failure in ``examples run``, 2 input
 error, 3 internal failure (a linear-algebra kernel that did not converge or
-a quadrature that missed its tolerance).
+a quadrature that missed its tolerance).  Numeric options (``--rect``,
+``--probes``, ``--tol``, ``--t-max``) must be finite; NaN or Inf is an input
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 
@@ -77,6 +81,17 @@ def _target_pencil(args, seed: int = 0):
     return data["pencil"], tuple(data.get("notes", ()))
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the real-valued options: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _parse_complex_list(text: str) -> list[complex]:
     out = []
     for item in text.split(","):
@@ -85,6 +100,8 @@ def _parse_complex_list(text: str) -> list[complex]:
             out.append(complex(item))
         except ValueError as exc:
             raise CLIError(f"bad complex number {item!r}") from exc
+        if not cmath.isfinite(out[-1]):
+            raise CLIError(f"non-finite complex number {item!r}")
     if not out:
         raise CLIError("empty probe list")
     return out
@@ -149,15 +166,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
-    p, notes = _target_pencil(args, args.seed)
-    s = sections.section(p, args.n)
     try:
         rect = tuple(float(x) for x in args.rect.split(","))
         steps = tuple(int(x) for x in args.steps.split(","))
-        if len(rect) != 4 or len(steps) != 2:
+        if len(rect) != 4 or len(steps) != 2 or not all(map(math.isfinite, rect)):
             raise ValueError
     except ValueError as exc:
-        raise CLIError("--rect needs 4 reals and --steps 2 integers") from exc
+        raise CLIError("--rect needs 4 finite reals and --steps 2 integers") from exc
+    p, notes = _target_pencil(args, args.seed)
+    s = sections.section(p, args.n)
     grid = spectra.spectra_grid(s, rect, steps)
     lines = [f"# note: {n}" for n in notes]
     lines.append("re,im,sigma_min,sigma_min_adjoint,verdict")
@@ -393,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("chains", help="singular chain extraction report (JSON)")
     add_target(sp)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=_finite_float, default=1e-10)
 
     sp = sub.add_parser("approx", help="approximate polynomial sequence residuals (CSV)")
     sp.add_argument("--fixture", required=True)
@@ -416,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="trajectory with residual columns (CSV)")
     sp.add_argument("--fixture", required=True)
     sp.add_argument("--order", type=int, default=10, help="series truncation order")
-    sp.add_argument("--t-max", type=float, default=1.0, dest="t_max")
+    sp.add_argument("--t-max", type=_finite_float, default=1.0, dest="t_max")
     sp.add_argument("--samples", type=int, default=11)
     sp.add_argument("--window", type=int, default=8, help="state coordinates to print")
     sp.add_argument("--out")

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .operators import DHStructure
@@ -115,7 +114,7 @@ def verify_dh_structure(mats: DHSectionMats, tol: float = 1e-10) -> DHDiagnostic
     qe_defect = float(np.linalg.norm(qe - qe.conj().T, 2))
     qe_min = float(np.linalg.eigvalsh(_herm(qe))[0])
     b_sym_max = float(np.linalg.eigvalsh(_herm(mats.B))[-1])
-    q_smin = float(scipy.linalg.svdvals(mats.Q)[-1])
+    q_smin = float(linalg.svdvals(mats.Q)[-1])
     j_defect = None
     r_defect = 0.0
     r_min = None
@@ -150,7 +149,7 @@ def subspace_angle(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.pi / 2)
     if a.shape[1] == 0:
         return 0.0
-    angles = scipy.linalg.subspace_angles(a, b)
+    angles = linalg.subspace_angles(a, b)
     return float(angles[0]) if angles.size else 0.0
 
 
@@ -226,19 +225,31 @@ def dh_classify(
     tol: float = 1e-10,
     tol_ap: float | None = None,
 ) -> DHReport:
-    """Classify a dH section: point_singular / approx_singular_evidence / regular_candidate."""
+    """Classify a dH section: point_singular / approx_singular_evidence / regular_candidate.
+
+    One values-only SVD of the stack [E; BQ] gives ``stacked_sigma_min``.
+    The common kernel (``dh_common_kernel``, a vector SVD of the same stack)
+    is computed only when that sigma_min is at most 10 * rank_tol; above it
+    the kernel is empty.  The values-only and the vector SVD differ by less
+    than rank_tol, and the kernel keeps the singular values at or below
+    rank_tol, so the skipped SVD would have found no kernel either.
+    """
     for lam in probes:
         if complex(lam).real <= 0:
             raise ValueError(f"probe {lam} not in the open right half plane")
     mats = dh_section_mats(s, dh)
     diag = verify_dh_structure(mats, tol)
-    kdim, basis = dh_common_kernel(mats)
+    stacked = np.vstack([mats.E, mats.BQ])
+    svals = linalg.svdvals(stacked)
+    stacked_smin = float(svals[-1])
+    if stacked_smin <= 10 * linalg.rank_tol(stacked.shape, svals[0]):
+        kdim, basis = dh_common_kernel(mats)
+    else:
+        kdim, basis = 0, np.zeros((stacked.shape[1], 0), dtype=np.result_type(stacked, 1.0))
     probe_vals = []
     for lam in probes:
-        sv = float(scipy.linalg.svdvals(complex(lam) * mats.E - mats.BQ)[-1])
+        sv = float(linalg.svdvals(complex(lam) * mats.E - mats.BQ)[-1])
         probe_vals.append((complex(lam), sv))
-    stacked = np.vstack([mats.E, mats.BQ])
-    stacked_smin = float(scipy.linalg.svdvals(stacked)[-1])
     scale = max(float(np.linalg.norm(mats.E, 2)), float(np.linalg.norm(mats.BQ, 2)), 1e-300)
     ta = tol_ap if tol_ap is not None else 1e-6 * scale
     if kdim >= 1:

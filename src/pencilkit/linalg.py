@@ -1,18 +1,35 @@
-"""Dense singular-value kernels and the package's single rank-tolerance policy.
+"""Dense linear-algebra kernels and the package's single rank-tolerance policy.
 
-Every smallest-singular-vector and nullspace computation goes through this
-module.  The vector helpers take the thin SVD; the full ``Vh`` is requested
-only for matrices with fewer rows than columns, the one case in which null
-directions are missing from the thin factor.  ``singular_values`` computes
-no vectors at all, for callers that only compare sigma_min with a threshold.
+This is the only module that names scipy.  Every singular-value, nullspace,
+matrix-exponential and generalized-eigenvalue computation goes through it.
+
+- Values only: ``svdvals`` and ``singular_values`` run
+  ``numpy.linalg.svd`` without vectors, so a command that needs nothing
+  else never loads ``scipy.linalg`` (about 0.3 s of cold start).  They keep
+  scipy's contract: NaN or Inf input raises ``ValueError``, not
+  ``LinAlgError``, and an empty matrix has no singular values.
+- Singular vectors: ``smallest_right``, ``kernel`` and ``thin_svd`` run
+  ``scipy.linalg.svd``, imported on first use.  numpy would copy U and Vh
+  out of its work buffers, which raises the peak memory of the large
+  stacked certificates.  The thin SVD is taken; the full ``Vh`` only for
+  matrices with fewer rows than columns, the one case in which null
+  directions are missing from the thin factor.
+- ``expm``, ``solve``, generalized ``eigvals`` (QZ) and
+  ``subspace_angles`` pass through to ``scipy.linalg``, imported on first
+  use.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 EPS = 2.0**-52
+
+
+def _scipy_linalg():
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 def rank_tol(shape: tuple[int, ...], smax: float) -> float:
@@ -20,9 +37,19 @@ def rank_tol(shape: tuple[int, ...], smax: float) -> float:
     return max(shape) * smax * EPS
 
 
+def svdvals(mat: np.ndarray) -> np.ndarray:
+    """Singular values in descending order, as ``scipy.linalg.svdvals`` gives them."""
+    return np.linalg.svd(np.asarray_chkfinite(mat), compute_uv=False)
+
+
+def thin_svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``U, s, Vh`` of the thin SVD."""
+    return _scipy_linalg().svd(mat, full_matrices=False)
+
+
 def _svals_vh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = mat.shape
-    _, svals, vh = scipy.linalg.svd(mat, full_matrices=rows < cols)
+    _, svals, vh = _scipy_linalg().svd(mat, full_matrices=rows < cols)
     return svals, vh
 
 
@@ -34,7 +61,7 @@ def _padded(svals: np.ndarray, cols: int) -> np.ndarray:
 
 def singular_values(mat: np.ndarray) -> np.ndarray:
     """Singular values only, descending and zero-padded to the column count."""
-    return _padded(scipy.linalg.svdvals(mat), mat.shape[1])
+    return _padded(svdvals(mat), mat.shape[1])
 
 
 def smallest_right(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -52,3 +79,20 @@ def kernel(mat: np.ndarray, tol: float | None = None) -> np.ndarray:
     if tol is None:
         tol = rank_tol(mat.shape, svals[0] if svals.size else 0.0)
     return vh[int(np.sum(svals > tol)):].conj().T
+
+
+def expm(mat: np.ndarray) -> np.ndarray:
+    return _scipy_linalg().expm(mat)
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _scipy_linalg().solve(a, b)
+
+
+def eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Generalized eigenvalues of ``a x = w b x`` (QZ)."""
+    return _scipy_linalg().eigvals(a, b)
+
+
+def subspace_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _scipy_linalg().subspace_angles(a, b)

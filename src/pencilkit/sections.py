@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .operators import Pencil, Space, StructuredOperator
@@ -132,7 +131,7 @@ def section(p: Pencil, n: int, notes: tuple[str, ...] = ()) -> SectionedPencil:
 
 def numerical_rank_tol(mat: np.ndarray) -> float:
     """Default rank tolerance of ``mat`` under the package policy (``linalg.rank_tol``)."""
-    return linalg.rank_tol(mat.shape, scipy.linalg.svdvals(mat)[0] if mat.size else 0.0)
+    return linalg.rank_tol(mat.shape, linalg.svdvals(mat)[0] if mat.size else 0.0)
 
 
 @dataclass(frozen=True)

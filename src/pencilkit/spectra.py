@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
+from . import linalg
 from .sections import SectionedPencil
 
 __all__ = [
@@ -65,7 +65,7 @@ def classify_point(
         inner = classify_point(s.reverse(), 0.0, tol_point, tol_ap)
         return replace(inner, lam=INFINITY)
     mat = s.evaluate(complex(lam))
-    svals = scipy.linalg.svdvals(mat)
+    svals = linalg.svdvals(mat)
     smax = float(svals[0]) if svals.size else 0.0
     rows, cols = mat.shape
     smin = float(svals[-1]) if svals.size == cols else 0.0
@@ -124,7 +124,7 @@ def regularity_disc(s: SectionedPencil, lam: complex, tol: float | None = None) 
     if not s.is_square:
         raise ValueError("regularity disc needs a square section")
     mat = s.evaluate(lam)
-    svals = scipy.linalg.svdvals(mat)
+    svals = linalg.svdvals(mat)
     smin = float(svals[-1])
     thr = tol if tol is not None else DEFAULT_TOL_AP_FACTOR * float(svals[0])
     if smin <= thr:

@@ -77,6 +77,13 @@ def test_kronecker_chain_minimal_index(k):
     assert max(rep.residuals) <= 1e-12
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+@pytest.mark.parametrize("extract", [extract_right_chain, extract_left_chain])
+def test_chain_tolerance_must_be_finite_and_nonnegative(extract, tol):
+    with pytest.raises(ValueError, match="chain tolerance must be finite and nonnegative"):
+        extract(section(_kronecker(2), 3), tol)
+
+
 def test_regular_section_has_no_chain():
     p = Pencil(E=Identity(L2N), A=Diagonal(L2N, WeightRule("reciprocal_index")))
     assert extract_right_chain(section(p, 5)) is None

@@ -2,12 +2,23 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import pencilkit
-from pencilkit import Diagonal, Identity, L2N, Pencil, QuadratureError, WeightRule, save_pencil
+from pencilkit import (
+    DenseBlock,
+    Diagonal,
+    Identity,
+    L2N,
+    Pencil,
+    QuadratureError,
+    WeightRule,
+    finite,
+    save_pencil,
+)
 from pencilkit import linalg, odae
 from pencilkit.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 
@@ -145,6 +156,35 @@ def test_bad_arguments_exit_2(capsys):
     assert main(["no-such-command"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_chain_tol_is_input_error(capsys, value):
+    code, out, err = _run(capsys, "chains", "--fixture", "kronecker_L", "--n", "4", "--tol", value)
+    assert code == EXIT_INPUT and out == ""
+    assert f"argument --tol: must be finite, got '{value}'" in err
+
+
+def test_non_finite_t_max_is_input_error(capsys):
+    code, out, err = _run(capsys, "simulate", "--fixture", "shift_identity", "--t-max", "nan")
+    assert code == EXIT_INPUT and out == ""
+    assert "argument --t-max: must be finite, got 'nan'" in err
+
+
+def test_non_finite_probe_is_input_error(capsys):
+    code, out, err = _run(capsys, "approx", "--fixture", "approxchain", "--probes", "nan,1")
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: non-finite complex number 'nan'\n"
+
+
+@pytest.mark.parametrize("rect", ["nan,1,0,1", "inf,1,0,1"])
+def test_non_finite_rect_is_input_error_without_warnings(capsys, pencil_file, rect):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, "spectra", pencil_file, f"--rect={rect}")
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: --rect needs 4 finite reals and --steps 2 integers\n"
+    assert [str(w.message) for w in caught] == []
+
+
 def test_linalg_failure_is_internal_error(capsys, monkeypatch, pencil_file):
     def no_convergence(mat):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -192,6 +232,37 @@ def test_examples_run_leaves_scipy_integrate_unimported():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_values_only_commands_leave_scipy_linalg_unimported(tmp_path):
+    rng = np.random.default_rng(0)
+    sp = finite(12)
+    regular = str(tmp_path / "regular.json")
+    save_pencil(Pencil(E=DenseBlock(sp, sp, rng.standard_normal((12, 12))),
+                       A=DenseBlock(sp, sp, rng.standard_normal((12, 12)))), regular)
+    commands = [
+        ["examples", "list"],
+        ["spectra", regular, "--n", "12", "--steps", "3,3"],
+        ["chains", regular, "--n", "12"],
+        ["approx", "--fixture", "approxchain"],
+        ["simulate", "--fixture", "shift_identity"],
+        ["dh-check", "--fixture", "diag_reciprocal", "--use-companion", "--n", "16"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import pencilkit.cli\n"
+        "print('import', 'scipy.linalg' in sys.modules)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = pencilkit.cli.main(argv)\n"
+        "    print(argv[0], rc, 'scipy.linalg' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(pencilkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["import False"] + [f"{c[0]} 0 False" for c in commands]
 
 
 @pytest.mark.skipif(

@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg
 
 import pencilkit.dh
+from pencilkit import linalg
+from pencilkit.fixtures import get_fixture
 from pencilkit import (
     DenseBlock,
     DHStructure,
@@ -171,3 +173,75 @@ def test_each_call_compresses_the_section_once(monkeypatch, run):
     monkeypatch.setattr(pencilkit.dh, "dh_section_mats", counting)
     run(_random_dh(6, engineered_kernel=True))
     assert len(calls) == 1
+
+
+def _count_svds(monkeypatch, stack_shape):
+    """Counters of vector SVDs and of values-only SVDs of the given stack shape."""
+    counts = {"vector": 0, "stack_values": 0}
+    svd, svdvals = scipy.linalg.svd, linalg.svdvals
+
+    def counting_svd(*args, **kwargs):
+        counts["vector"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_svdvals(mat):
+        counts["stack_values"] += mat.shape == stack_shape
+        return svdvals(mat)
+
+    monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
+    monkeypatch.setattr(linalg, "svdvals", counting_svdvals)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name,params,n",
+    [("diag_reciprocal", {}, 200), ("poroelasticity_template", {"d": 80}, 240)],
+)
+def test_regular_classification_takes_one_values_only_stack_svd(monkeypatch, name, params, n):
+    fx = get_fixture(name)
+    data = fx.build(**{**fx.default_params, **params})
+    p = data.get("dh_pencil", data["pencil"])
+    s = section(p, n)
+    counts = _count_svds(monkeypatch, (2 * n, n))
+    rep = dh_classify(s, p.dh)
+    assert counts == {"vector": 0, "stack_values": 1}
+    assert rep.classification == "regular_candidate"
+    assert rep.common_kernel_dim == 0 and rep.kernel_basis.shape == (n, 0)
+
+
+@pytest.mark.parametrize(
+    "name,params", [("stokes_skeleton", {}), ("poroelasticity_template", {"singular_pressure": True})]
+)
+def test_singular_fixtures_keep_their_one_dimensional_kernel(name, params):
+    fx = get_fixture(name)
+    data = fx.build(**{**fx.default_params, **params})
+    p = data["pencil"]
+    s = section(p, data["dim"])
+    rep = dh_classify(s, p.dh)
+    kdim, basis = dh_common_kernel(dh_section_mats(s, p.dh))
+    assert rep.classification == "point_singular"
+    assert rep.common_kernel_dim == kdim == 1
+    assert np.array_equal(rep.kernel_basis, basis)
+
+
+@pytest.mark.parametrize("factor,vector_svds,kdim", [(0.5, 1, 1), (9.0, 1, 0), (11.0, 0, 0)])
+def test_kernel_screen_boundary(monkeypatch, factor, vector_svds, kdim):
+    # [E; BQ] has orthogonal columns: sigma_min is exactly delta, sigma_max is sqrt(2)
+    rt = linalg.rank_tol((8, 4), np.sqrt(2.0))
+    delta = factor * rt
+    sp = finite(4)
+    b = np.diag([-1.0, -1.0, -1.0, 0.0])
+    p = Pencil(
+        E=DenseBlock(sp, sp, np.diag([1.0, 1.0, 1.0, delta])),
+        A=DenseBlock(sp, sp, b),
+        dh=DHStructure(B=DenseBlock(sp, sp, b), Q=Identity(sp)),
+    )
+    s = section(p, 4)
+    unscreened = dh_common_kernel(dh_section_mats(s, p.dh))
+    counts = _count_svds(monkeypatch, (8, 4))
+    rep = dh_classify(s, p.dh)
+    assert counts == {"vector": vector_svds, "stack_values": 1}
+    assert rep.stacked_sigma_min == pytest.approx(delta, rel=1e-12)
+    assert rep.common_kernel_dim == unscreened[0] == kdim
+    assert rep.kernel_basis.shape == (4, kdim)
+    assert np.array_equal(rep.kernel_basis, unscreened[1])

@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from pencilkit import linalg
+import pencilkit
+from pencilkit import linalg, section
+from pencilkit.chains import RANK_PROBES
+from pencilkit.fixtures import fixture_names, get_fixture
 
 # (rows, cols, rank): tall, square and wide, each with a nontrivial kernel
 SHAPES = [(8, 5, 3), (6, 6, 4), (3, 7, 2), (4, 9, 4)]
@@ -84,3 +89,62 @@ def test_singular_values_agree_with_vector_svd_within_rank_tol(seed, rows, cols,
 def test_rank_tol_policy():
     assert linalg.rank_tol((4, 7), 2.0) == 7 * 2.0 * 2.0**-52
     assert linalg.EPS == 2.0**-52
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("rows,cols", [(9, 5), (7, 7), (4, 10), (60, 40), (40, 60)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_svdvals_is_bitwise_scipy_svdvals(seed, rows, cols, dtype):
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((rows, cols))
+    if dtype is complex:
+        mat = mat + 1j * rng.standard_normal((rows, cols))
+    low_rank = _complex_of_rank(rng, rows, cols, 3)
+    if dtype is float:
+        low_rank = low_rank.real  # rank at most 6
+    for m in (mat, low_rank):
+        assert np.array_equal(linalg.svdvals(m), scipy.linalg.svdvals(m))
+
+
+def _fixture_pencils():
+    for name in fixture_names():
+        fx = get_fixture(name)
+        data = fx.build(**fx.default_params)
+        if "pencil" in data:
+            yield name, data["pencil"]
+
+
+@pytest.mark.parametrize("name,pencil", list(_fixture_pencils()))
+def test_svdvals_is_bitwise_scipy_svdvals_on_fixture_sections(name, pencil):
+    for n in (4, 7, 12):
+        s = section(pencil, n)
+        for lam in (0.0, 1.0, 1j, 0.3 - 0.7j) + RANK_PROBES:
+            mat = s.evaluate(lam)
+            assert np.array_equal(linalg.svdvals(mat), scipy.linalg.svdvals(mat)), (n, lam)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_svdvals_of_empty_matrix_is_empty(shape):
+    assert linalg.svdvals(np.zeros(shape)).shape == (0,)
+    assert linalg.singular_values(np.zeros(shape)).shape == (shape[1],)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("helper", [linalg.svdvals, linalg.singular_values])
+def test_non_finite_input_is_value_error_not_linalg_error(bad, helper):
+    mat = np.eye(3, dtype=complex)
+    mat[1, 2] = bad
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs") as exc:
+        helper(mat)
+    assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+
+def test_only_linalg_imports_scipy():
+    package = Path(pencilkit.__file__).parent
+    offenders = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "linalg.py"
+        and ("import scipy" in path.read_text() or "from scipy" in path.read_text())
+    ]
+    assert offenders == []
