@@ -245,7 +245,7 @@ def dh_classify(
     if stacked_smin <= 10 * linalg.rank_tol(stacked.shape, svals[0]):
         kdim, basis = dh_common_kernel(mats)
     else:
-        kdim, basis = 0, np.zeros((stacked.shape[1], 0), dtype=np.result_type(stacked, 1.0))
+        kdim, basis = 0, np.zeros((stacked.shape[1], 0), dtype=stacked.dtype)
     probe_vals = []
     for lam in probes:
         sv = float(linalg.svdvals(complex(lam) * mats.E - mats.BQ)[-1])
