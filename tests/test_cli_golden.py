@@ -1,7 +1,9 @@
 """CLI stdout pinned by sha256 digest.
 
 Covers ``analyze`` and ``chains`` on every fixture that builds a pencil at
-n = 4, 7, 12, and ``examples run --all --seed 0``.  A change meant to keep
+n = 4, 7, 12, ``examples run --all --seed 0``, and ``simulate`` on the
+poroelasticity template (seeds 0, 1, 2; both residuals run through the
+adaptive quadrature) and on two series fixtures.  A change meant to keep
 the output byte-identical (a faster kernel, a refactor) must keep these
 digests.
 
@@ -49,6 +51,10 @@ def _cases() -> list[list[str]]:
         for n in (4, 7, 12):
             for cmd in ("analyze", "chains"):
                 cases.append([cmd, "--fixture", name, "--n", str(n)])
+    for seed in ("0", "1", "2"):
+        cases.append(["--seed", seed, "simulate", "--fixture", "poroelasticity_template"])
+    cases.append(["simulate", "--fixture", "shift_identity"])
+    cases.append(["simulate", "--fixture", "facfac", "--t-max", "0.3"])
     return cases
 
 
