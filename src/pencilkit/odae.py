@@ -8,7 +8,9 @@ truncation spillover occurs because every chain term is finitely supported.
 Trajectories without a term-wise integral (the exact matrix-exponential
 flow of the finite poroelasticity fixture) are integrated by composite
 Simpson with dyadic refinement until the Richardson estimate drops below a
-tenth of the requested tolerance.
+tenth of the requested tolerance.  Halving the step is exact, so every node
+of one pass is a node of the next: each call evaluates the integrand once
+per distinct node, and only the new odd nodes of a refinement are fresh.
 """
 
 from __future__ import annotations
@@ -84,26 +86,56 @@ class MonomialForm:
 # quadrature
 
 
-def _simpson_pass(fn, a: float, b: float, m: int):
-    """Composite Simpson with m subintervals (even)."""
+def _simpson_pass(fn, values: dict, a: float, b: float, m: int) -> SparseVec:
+    """Composite Simpson with m subintervals (even); fn(t) is memoized in values.
+
+    Each weighted node value is added into the running sum in place, with
+    vec_add's rule (an entry that sums to zero is dropped).  The memoized
+    values are only read, never mutated.
+    """
     h = (b - a) / m
     total: SparseVec = {}
     for i in range(m + 1):
         w = 1 if i in (0, m) else (4 if i % 2 else 2)
-        total = vec_add(total, vec_scale(w, fn(a + i * h)))
+        t = a + i * h
+        ft = values.get(t)
+        if ft is None:
+            ft = values[t] = fn(t)
+        for j, x in ft.items():
+            s = total.get(j, 0.0) + w * x
+            if s == 0:
+                total.pop(j, None)
+            else:
+                total[j] = s
     return vec_scale(h / 3.0, total)
 
 
 def adaptive_simpson_vec(fn, a: float, b: float, tol: float, m0: int = 8,
                          max_m: int = 4096) -> SparseVec:
-    """Dyadically refined composite Simpson; Richardson estimate < 0.1 * tol."""
+    """Dyadically refined composite Simpson; Richardson estimate < 0.1 * tol.
+
+    Starts with m0 subintervals and doubles while m <= max_m, so the last
+    pass tried has 2 * max_m at most.  The nodes a + i*h of one pass are
+    bitwise nodes of the next, so fn is called once per distinct node (the
+    final m + 1 calls in all); fn must be pure.  m0 must be even and
+    positive, max_m >= m0, and tol finite and positive: anything else is a
+    ValueError raised before fn is called.  A missed tolerance raises
+    QuadratureError.
+    """
+    if m0 <= 0 or m0 % 2:
+        raise ValueError(f"m0 must be even and positive, got {m0}")
+    if max_m < m0:
+        raise ValueError(f"max_m must be >= m0, got max_m={max_m} < m0={m0}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if a == b:
         return {}
+    values: dict[float, SparseVec] = {}
     m = m0
-    prev = _simpson_pass(fn, a, b, m)
+    prev = _simpson_pass(fn, values, a, b, m)
     while m <= max_m:
         m *= 2
-        cur = _simpson_pass(fn, a, b, m)
+        cur = _simpson_pass(fn, values, a, b, m)
         est = vec_norm(vec_sub(cur, prev)) / 15.0
         if est < 0.1 * tol:
             return cur
@@ -302,22 +334,19 @@ def power_balance_residual(
         qf = Q.apply(f)
         return 2.0 * float(vec_inner(B.apply(qf), qf).real)
 
-    times = traj.times
-    e0 = energy(float(times[0]))
+    times = [float(t) for t in traj.times]
+    energies = [energy(t) for t in times]
+    e0 = energies[0]
     residuals = []
-    hams = []
     acc = 0.0
-    prev_t = float(times[0])
-    for t in times:
-        t = float(t)
+    prev_t = times[0]
+    for t, e in zip(times, energies):
         if t != prev_t:
             acc += adaptive_simpson_scalar(dissipation, prev_t, t, tol)
             prev_t = t
-        lhs = energy(t) - e0
-        residuals.append(abs(lhs - acc))
-        hams.append(0.5 * (energy(t)))
+        residuals.append(abs((e - e0) - acc))
     res = np.asarray(residuals)
-    ham = np.asarray(hams)
+    ham = np.asarray([0.5 * e for e in energies])
     traj.residual_pbe = res
     traj.hamiltonian = ham
     return res, ham

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilkit import (
     ChainGenerator,
@@ -24,8 +26,12 @@ from pencilkit import (
     power_balance_residual,
     series_solution,
     uniqueness_demo,
+    vec_add,
     vec_norm,
+    vec_scale,
+    vec_sub,
 )
+from pencilkit import odae
 from pencilkit.odae import MonomialForm, adaptive_simpson_scalar, adaptive_simpson_vec
 
 
@@ -45,6 +51,120 @@ def test_simpson_exact_on_cubics():
     assert val == pytest.approx(4.0 - 4.0, abs=1e-13)
     v = adaptive_simpson_vec(lambda t: {1: t**2}, 0.0, 3.0, 1e-12)
     assert v[1].real == pytest.approx(9.0, abs=1e-10)
+
+
+def _counting(fn):
+    calls = []
+
+    def wrapped(t):
+        calls.append(t)
+        return fn(t)
+
+    return wrapped, calls
+
+
+def _assert_one_call_per_final_node(calls, a, b, m0=8):
+    # the calls are exactly the nodes of the final pass, each evaluated once
+    m = len(calls) - 1
+    assert m > m0 and m % m0 == 0 and (m // m0) & (m // m0 - 1) == 0
+    h = (b - a) / m
+    assert sorted(calls) == sorted(a + i * h for i in range(m + 1))
+
+
+def test_simpson_evaluates_each_node_once_vector():
+    fn, calls = _counting(lambda t: {1: math.exp(t), 2: math.sin(3 * t)})
+    adaptive_simpson_vec(fn, 0.0, 1.0, 1e-10)
+    assert len(calls) > 17  # refined past the first doubling
+    _assert_one_call_per_final_node(calls, 0.0, 1.0)
+
+
+def test_simpson_evaluates_each_node_once_scalar():
+    fn, calls = _counting(lambda t: math.cos(2 * t))
+    adaptive_simpson_scalar(fn, -0.5, 1.25, 1e-10)
+    assert len(calls) > 17
+    _assert_one_call_per_final_node(calls, -0.5, 1.25)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"m0": 8, "max_m": 4},
+        {"m0": 0},
+        {"m0": 7},
+        {"tol": float("nan")},
+        {"tol": 0.0},
+        {"tol": -1e-8},
+    ],
+    ids=["max_m-below-m0", "m0-zero", "m0-odd", "tol-nan", "tol-zero", "tol-negative"],
+)
+def test_simpson_rejects_bad_arguments_before_evaluating(kwargs):
+    fn, calls = _counting(lambda t: {1: t})
+    args = {"tol": 1e-8, **kwargs}
+    with pytest.raises(ValueError):
+        adaptive_simpson_vec(fn, 0.0, 1.0, **args)
+    assert calls == []
+
+
+def _reference_simpson(fn, a, b, tol, m0=8, max_m=4096):
+    """Plain dyadic Simpson: every pass evaluates every node and rebuilds the
+    running sum with vec_add; adaptive_simpson_vec must match it bit for bit."""
+
+    def simpson_pass(m):
+        h = (b - a) / m
+        total = {}
+        for i in range(m + 1):
+            w = 1 if i in (0, m) else (4 if i % 2 else 2)
+            total = vec_add(total, vec_scale(w, fn(a + i * h)))
+        return vec_scale(h / 3.0, total)
+
+    if a == b:
+        return {}
+    m = m0
+    prev = simpson_pass(m)
+    while m <= max_m:
+        m *= 2
+        cur = simpson_pass(m)
+        if vec_norm(vec_sub(cur, prev)) / 15.0 < 0.1 * tol:
+            return cur
+        prev = cur
+    raise AssertionError("reference quadrature did not converge; shrink the test sizes")
+
+
+def _integrand(kind, a, b, tol):
+    c = 0.5 * (a + b)
+    tiny = 1e-3 * tol
+    if kind == "polynomial":
+        return lambda t: {1: 3 * t**3 - t + 2.0, 4: 1j * t**2}
+    if kind == "exponential":
+        # entry 3 has a negative-zero real part: its sum must come out +0.0
+        return lambda t: {2: math.exp(-t), 3: complex(-0.0, math.exp(0.5 * t))}
+    if kind == "oscillating":
+        return lambda t: {1: math.sin(4 * t), 2: complex(math.cos(3 * t), math.sin(3 * t))}
+    # entries that sum to exactly zero: an odd part about the midpoint, an
+    # identically zero entry, one that vanishes at the first node, and an
+    # endpoint spike cancelled by the next node (dropped, then re-inserted)
+    return lambda t: {
+        5: t - c,
+        6: 0.0 * t,
+        7: (t - a) ** 2,
+        8: complex(-0.0, t - c),
+        9: tiny if t == a else -tiny / 4,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["polynomial", "exponential", "oscillating", "cancelling"]),
+    a=st.floats(min_value=-1.0, max_value=1.0),
+    length=st.floats(min_value=-1.5, max_value=1.5),
+    tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
+)
+def test_simpson_matches_reference_loop_bitwise(kind, a, length, tol):
+    b = a + length
+    fn = _integrand(kind, a, b, tol)
+    want = _reference_simpson(fn, a, b, tol)
+    got = adaptive_simpson_vec(fn, a, b, tol)
+    assert [(j, repr(x)) for j, x in got.items()] == [(j, repr(x)) for j, x in want.items()]
 
 
 # --- chain generators and series solutions -------------------------------
@@ -206,6 +326,36 @@ def test_power_balance_exact_decay():
     assert float(res.max()) <= 1e-7
     assert np.allclose(ham, 0.5 * np.exp(-2.0 * traj.times), atol=1e-12)
     assert np.all(np.diff(ham) <= 0)
+
+
+def test_power_balance_computes_energy_once_per_sample(monkeypatch):
+    sp = finite(1)
+    p = Pencil(
+        E=Identity(sp),
+        A=DenseBlock(sp, sp, -np.eye(1)),
+        dh=DHStructure(B=DenseBlock(sp, sp, -np.eye(1)), Q=Identity(sp)),
+    )
+    traj = _exp_traj(-1.0, np.linspace(0.0, 1.0, 6))
+    outside = []  # state_fn calls made outside the dissipation quadrature
+    depth = [0]
+    state_fn = traj.state_fn
+
+    def counted(t):
+        if not depth[0]:
+            outside.append(t)
+        return state_fn(t)
+
+    def quadrature(fn, a, b, tol):
+        depth[0] += 1
+        try:
+            return adaptive_simpson_scalar(fn, a, b, tol)
+        finally:
+            depth[0] -= 1
+
+    traj.state_fn = counted
+    monkeypatch.setattr(odae, "adaptive_simpson_scalar", quadrature)
+    power_balance_residual(p, traj)
+    assert len(outside) == len(traj.times)
 
 
 def test_power_balance_requires_dh():
