@@ -313,14 +313,18 @@ def test_mild_residual_needs_some_state_description():
 # --- power balance --------------------------------------------------------
 
 
-def test_power_balance_exact_decay():
+def _unit_decay():
     # E = I, B = -I, Q = I: x(t) = e^{-t} x0, H(t) = e^{-2t} H(0)
     sp = finite(1)
-    p = Pencil(
+    return Pencil(
         E=Identity(sp),
         A=DenseBlock(sp, sp, -np.eye(1)),
         dh=DHStructure(B=DenseBlock(sp, sp, -np.eye(1)), Q=Identity(sp)),
     )
+
+
+def test_power_balance_exact_decay():
+    p = _unit_decay()
     traj = _exp_traj(-1.0, np.linspace(0.0, 2.0, 9))
     res, ham = power_balance_residual(p, traj)
     assert float(res.max()) <= 1e-7
@@ -329,12 +333,7 @@ def test_power_balance_exact_decay():
 
 
 def test_power_balance_computes_energy_once_per_sample(monkeypatch):
-    sp = finite(1)
-    p = Pencil(
-        E=Identity(sp),
-        A=DenseBlock(sp, sp, -np.eye(1)),
-        dh=DHStructure(B=DenseBlock(sp, sp, -np.eye(1)), Q=Identity(sp)),
-    )
+    p = _unit_decay()
     traj = _exp_traj(-1.0, np.linspace(0.0, 1.0, 6))
     outside = []  # state_fn calls made outside the dissipation quadrature
     depth = [0]
