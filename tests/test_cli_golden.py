@@ -3,7 +3,9 @@
 Covers ``analyze`` and ``chains`` on every fixture that builds a pencil at
 n = 4, 7, 12, ``examples run --all --seed 0``, and ``simulate`` on the
 poroelasticity template (seeds 0, 1, 2; both residuals run through the
-adaptive quadrature) and on two series fixtures.  A change meant to keep
+adaptive quadrature), on two series fixtures, and ``approx`` on the four
+polynomial-sequence fixtures (which evaluate ``VectorPolynomial.evaluate``
+and ``Pencil.evaluate_action``).  A change meant to keep
 the output byte-identical (a faster kernel, a refactor) must keep these
 digests.
 
@@ -55,6 +57,8 @@ def _cases() -> list[list[str]]:
         cases.append(["--seed", seed, "simulate", "--fixture", "poroelasticity_template"])
     cases.append(["simulate", "--fixture", "shift_identity"])
     cases.append(["simulate", "--fixture", "facfac", "--t-max", "0.3"])
+    for name in ("approxchain", "rescaled_approxchain", "revdegenerate", "gram_counterexample"):
+        cases.append(["approx", "--fixture", name])
     return cases
 
 
