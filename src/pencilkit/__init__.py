@@ -45,14 +45,12 @@ from .operators import (
 from .sparsevec import (
     SparseVec,
     basis_vec,
-    vec,
     vec_add,
-    vec_allclose,
+    vec_iadd,
     vec_inner,
     vec_norm,
     vec_scale,
     vec_sub,
-    vec_support,
 )
 from .sections import (
     SectionWindow,
@@ -137,8 +135,8 @@ __all__ = [
     "L2N", "L2Z", "Pencil", "RuleOperator", "Scale", "Shift", "Space",
     "StructuredOperator", "Sum", "WeightRule", "Zero", "constant_weight",
     "direct_sum", "finite",
-    "SparseVec", "basis_vec", "vec", "vec_add", "vec_allclose", "vec_inner",
-    "vec_norm", "vec_scale", "vec_sub", "vec_support",
+    "SparseVec", "basis_vec", "vec_add", "vec_iadd", "vec_inner", "vec_norm",
+    "vec_scale", "vec_sub",
     "SectionWindow", "SectionedPencil", "StackedCertificate",
     "distance_to_singularity_bound", "joint_kernel_defect", "operator_matrix",
     "section", "window_for",

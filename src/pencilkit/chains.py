@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .operators import Pencil, Space
-from .sparsevec import SparseVec, vec_add, vec_norm, vec_scale
+from .sparsevec import SparseVec, vec_iadd, vec_norm
 from .sections import SectionedPencil
 
 __all__ = [
@@ -71,7 +71,7 @@ class VectorPolynomial:
         out: SparseVec = {}
         power = 1.0 + 0.0j
         for c in self.coeffs:
-            out = vec_add(out, vec_scale(power, c))
+            vec_iadd(out, c, power)
             power *= lam
         return out
 

@@ -6,8 +6,9 @@ expected witnesses, closed-form singular functions, polynomial sequences,
 dH metadata, and caveat notes.  ``run_fixture`` executes the fixture's full
 check suite and reports one pass/fail line per expectation.
 
-Two registry entries are caveat-only: they describe operators with no
-faithful finite model and construct nothing numerical.
+One registry entry, ``symmetric_not_sa_note``, is caveat-only: it
+describes an operator with no faithful finite model and constructs nothing
+numerical.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .operators import (
     constant_weight,
     finite,
 )
-from .sparsevec import SparseVec, basis_vec, vec_norm, vec_sub
+from .sparsevec import SparseVec, basis_vec, vec_iadd, vec_norm, vec_sub
 
 __all__ = [
     "CheckResult",
@@ -96,10 +97,7 @@ class SingularFunctionData:
     def truncate(self, lam: complex, n: int) -> SparseVec:
         out: SparseVec = {}
         for j in self.index_range(n):
-            for i, c in self.term(j).items():
-                val = out.get(i, 0.0) + (lam**j) * c
-                if val != 0:
-                    out[i] = val
+            vec_iadd(out, self.term(j), lam**j)
         return out
 
 

@@ -25,14 +25,7 @@ from .chains import verify_singular_polynomial
 from .dh import dh_classify
 from .operators import Pencil
 from .sections import SectionedPencil, section
-from .sparsevec import (
-    SparseVec,
-    vec_add,
-    vec_inner,
-    vec_norm,
-    vec_scale,
-    vec_sub,
-)
+from .sparsevec import SparseVec, vec_iadd, vec_inner, vec_norm, vec_scale, vec_sub
 
 __all__ = [
     "ChainGenerator",
@@ -65,7 +58,10 @@ class MonomialForm:
     terms: tuple[tuple[int, SparseVec], ...]
 
     def evaluate(self, t: float) -> SparseVec:
-        return vec_add(*(vec_scale(t**p, c) for p, c in self.terms)) if self.terms else {}
+        out: SparseVec = {}
+        for p, c in self.terms:
+            vec_iadd(out, c, t**p)
+        return out
 
     def derivative(self) -> "MonomialForm":
         return MonomialForm(
@@ -89,9 +85,8 @@ class MonomialForm:
 def _simpson_pass(fn, values: dict, a: float, b: float, m: int) -> SparseVec:
     """Composite Simpson with m subintervals (even); fn(t) is memoized in values.
 
-    Each weighted node value is added into the running sum in place, with
-    vec_add's rule (an entry that sums to zero is dropped).  The memoized
-    values are only read, never mutated.
+    Each weighted node value is added into the running sum by ``vec_iadd``;
+    the memoized values are only read, never mutated.
     """
     h = (b - a) / m
     total: SparseVec = {}
@@ -101,12 +96,7 @@ def _simpson_pass(fn, values: dict, a: float, b: float, m: int) -> SparseVec:
         ft = values.get(t)
         if ft is None:
             ft = values[t] = fn(t)
-        for j, x in ft.items():
-            s = total.get(j, 0.0) + w * x
-            if s == 0:
-                total.pop(j, None)
-            else:
-                total[j] = s
+        vec_iadd(total, ft, w)
     return vec_scale(h / 3.0, total)
 
 
@@ -160,7 +150,6 @@ class Trajectory:
     states: list[SparseVec]
     state_fn: Callable[[float], SparseVec] | None = None
     integral_fn: Callable[[float], SparseVec] | None = None
-    truncation_order: int | None = None
     residual_classical: np.ndarray | None = None
     residual_mild: np.ndarray | None = None
     residual_pbe: np.ndarray | None = None
@@ -218,9 +207,7 @@ class ChainGenerator:
                     )
 
 
-def _monomial_trajectory(
-    p: Pencil, form: MonomialForm, times: np.ndarray, order: int
-) -> Trajectory:
+def _monomial_trajectory(p: Pencil, form: MonomialForm, times: np.ndarray) -> Trajectory:
     """Closed-form trajectory with its exact classical residual ||E f' - A f||."""
     e_dot = form.derivative().mapped(p.E.apply)
     a_f = form.mapped(p.A.apply)
@@ -232,7 +219,6 @@ def _monomial_trajectory(
         states=[form.evaluate(t) for t in times],
         state_fn=form.evaluate,
         integral_fn=form.integral().evaluate,
-        truncation_order=order,
         residual_classical=residual,
     )
 
@@ -256,7 +242,7 @@ def series_solution(
     form = MonomialForm(
         tuple((j, vec_scale(1.0 / math.factorial(j), a[j])) for j in range(1, order + 1))
     )
-    return _monomial_trajectory(p, form, times, order)
+    return _monomial_trajectory(p, form, times)
 
 
 def polynomial_solution(
@@ -273,7 +259,7 @@ def polynomial_solution(
         )
     times = np.asarray(list(t_grid), dtype=float)
     form = MonomialForm(tuple((j + 1, dict(c)) for j, c in enumerate(sp.coeffs)))
-    return _monomial_trajectory(p, form, times, len(sp.coeffs))
+    return _monomial_trajectory(p, form, times)
 
 
 def mild_residual(p: Pencil, traj: Trajectory, tol: float = 1e-10) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sparsevec import SparseVec, vec_add, vec_scale
+from .sparsevec import SparseVec, vec_add, vec_iadd, vec_scale
 
 __all__ = [
     "Space",
@@ -204,7 +204,10 @@ class StructuredOperator(ABC):
         """Structural adjoint (conjugate weights, reflected shifts, ...)."""
 
     def apply(self, v: SparseVec) -> SparseVec:
-        return vec_add(*(vec_scale(c, self.apply_basis(j)) for j, c in v.items())) if v else {}
+        out: SparseVec = {}
+        for j, c in v.items():
+            vec_iadd(out, self.apply_basis(j), c)
+        return out
 
     def _check_index(self, j: int) -> None:
         if not self.space_in.contains(j):
@@ -503,7 +506,10 @@ class Pencil:
 
     def evaluate_action(self, lam: complex, v: SparseVec) -> SparseVec:
         """(lam*E - A) v for finitely supported v."""
-        return vec_add(vec_scale(lam, self.E.apply(v)), vec_scale(-1.0, self.A.apply(v)))
+        out: SparseVec = {}
+        vec_iadd(out, self.E.apply(v), lam)
+        vec_iadd(out, self.A.apply(v), -1.0)
+        return out
 
 
 def direct_sum(pencils: list[Pencil]) -> Pencil:

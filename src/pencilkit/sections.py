@@ -82,7 +82,6 @@ class SectionedPencil:
     window_out: SectionWindow
     E_mat: np.ndarray
     A_mat: np.ndarray
-    source: Pencil | None = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -101,7 +100,7 @@ class SectionedPencil:
 
     def reverse(self) -> "SectionedPencil":
         return SectionedPencil(
-            self.window_in, self.window_out, self.A_mat, self.E_mat, self.source, self.notes
+            self.window_in, self.window_out, self.A_mat, self.E_mat, self.notes
         )
 
     def adjoint(self) -> "SectionedPencil":
@@ -110,7 +109,6 @@ class SectionedPencil:
             self.window_in,
             self.E_mat.conj().T,
             self.A_mat.conj().T,
-            None,
             self.notes,
         )
 
@@ -124,7 +122,6 @@ def section(p: Pencil, n: int, notes: tuple[str, ...] = ()) -> SectionedPencil:
         window_out=win_out,
         E_mat=operator_matrix(p.E, win_out, win_in),
         A_mat=operator_matrix(p.A, win_out, win_in),
-        source=p,
         notes=notes,
     )
 

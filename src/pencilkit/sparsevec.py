@@ -1,9 +1,16 @@
 """Finitely supported vectors over an integer index set.
 
 Vectors are plain ``dict[int, complex]`` objects mapping a (logical) basis
-index to a coefficient.  Entries that become numerically exact zeros are
-dropped so that supports stay finite and iteration stays cheap.  The inner
-product is linear in the first argument and conjugate-linear in the second.
+index to a coefficient.  The inner product is linear in the first argument
+and conjugate-linear in the second.
+
+Every sum of sparse vectors in the package goes through one accumulation
+rule, implemented once by ``vec_iadd(out, v, c)``: each entry ``x`` of ``v``
+(``c * x`` when a scalar is given) is added as ``out.get(j, 0.0) + x``, and
+an entry that sums to exactly zero is dropped, so supports stay finite and
+iteration stays cheap.  An unscaled add multiplies by nothing, and a scaled
+add with ``c == 0`` adds nothing (as ``vec_scale`` returns ``{}``), so an
+in-place sum is bitwise equal to merging ``vec_scale``'d copies.
 """
 
 from __future__ import annotations
@@ -13,23 +20,26 @@ import math
 SparseVec = dict[int, complex]
 
 
-def vec(*pairs: tuple[int, complex]) -> SparseVec:
-    return {j: complex(c) for j, c in pairs if c != 0}
-
-
 def basis_vec(j: int, c: complex = 1.0) -> SparseVec:
     return {j: complex(c)} if c != 0 else {}
+
+
+def vec_iadd(out: SparseVec, v: SparseVec, c: complex | None = None) -> None:
+    """out += v, or out += c * v, in place; entries summing to zero are dropped."""
+    if c == 0:
+        return
+    for j, x in v.items():
+        s = out.get(j, 0.0) + (x if c is None else c * x)
+        if s == 0:
+            out.pop(j, None)
+        else:
+            out[j] = s
 
 
 def vec_add(*vs: SparseVec) -> SparseVec:
     out: SparseVec = {}
     for v in vs:
-        for j, c in v.items():
-            s = out.get(j, 0.0) + c
-            if s == 0:
-                out.pop(j, None)
-            else:
-                out[j] = s
+        vec_iadd(out, v)
     return out
 
 
@@ -40,7 +50,9 @@ def vec_scale(c: complex, v: SparseVec) -> SparseVec:
 
 
 def vec_sub(a: SparseVec, b: SparseVec) -> SparseVec:
-    return vec_add(a, vec_scale(-1.0, b))
+    out = vec_add(a)
+    vec_iadd(out, b, -1.0)
+    return out
 
 
 def vec_inner(a: SparseVec, b: SparseVec) -> complex:
@@ -51,11 +63,3 @@ def vec_inner(a: SparseVec, b: SparseVec) -> complex:
 
 def vec_norm(v: SparseVec) -> float:
     return math.sqrt(sum(abs(c) ** 2 for c in v.values()))
-
-
-def vec_allclose(a: SparseVec, b: SparseVec, tol: float = 1e-12) -> bool:
-    return vec_norm(vec_sub(a, b)) <= tol
-
-
-def vec_support(v: SparseVec) -> list[int]:
-    return sorted(v)

@@ -44,15 +44,6 @@ class PointClassification:
     tol_point: float
     tol_ap: float
 
-    def to_json(self) -> dict:
-        lam = "inf" if self.lam == INFINITY else [complex(self.lam).real, complex(self.lam).imag]
-        return {
-            "lambda": lam,
-            "sigma_min": self.sigma_min,
-            "sigma_min_adjoint": self.sigma_min_adjoint,
-            "verdict": self.verdict,
-        }
-
 
 def classify_point(
     s: SectionedPencil,

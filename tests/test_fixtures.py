@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pencilkit import fixture_names, get_fixture, run_fixture, verify_singular_function
-from pencilkit.fixtures import integrator_trajectory
+from pencilkit.fixtures import SingularFunctionData, integrator_trajectory
 
 
 def test_registry_contents():
@@ -48,7 +48,19 @@ def test_singular_function_excluded_probe_raises():
         verify_singular_function(data, [0.0], truncation=10)
 
 
+def test_singular_function_truncation_drops_cancelled_entries():
+    # lam^0 * {1: 1} + lam^1 * {1: -1} cancels exactly at lam = 1
+    sf = SingularFunctionData(
+        term=lambda j: {1: 1.0} if j == 0 else {1: -1.0},
+        index_range=lambda n: list(range(n + 1)),
+        tail_bound=lambda lam, n: 0.0,
+    )
+    assert sf.truncate(1.0, 1) == {}
+    assert sf.truncate(2.0, 1) == {1: -1.0}
+
+
 def test_caveat_only_fixture_builds_no_pencil():
+    assert [n for n in fixture_names() if get_fixture(n).caveat_only] == ["symmetric_not_sa_note"]
     fx = get_fixture("symmetric_not_sa_note")
     assert fx.caveat_only
     data = fx.build()

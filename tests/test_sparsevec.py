@@ -1,0 +1,191 @@
+"""Sparse-vector sums built on ``vec_iadd`` against the scale-then-merge code.
+
+The ``_ref_*`` functions below are copies of the compositions that the
+operators, pencils, monomial forms and vector polynomials used before every
+sum went through ``vec_iadd``: scale a temporary dict with ``vec_scale``,
+then merge the temporaries with ``vec_add``.  The in-place sums must
+reproduce them exactly: the same keys in the same insertion order and the
+same ``repr`` of every entry, so signed zeros, float versus complex entries
+and non-finite parts all count.  Inputs mix float and complex entries with
+negative-zero and infinite parts, draw from a small value set so that
+entries cancel exactly, and include zero scalars.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pencilkit import (
+    BlockDirectSum,
+    DenseBlock,
+    Diagonal,
+    Identity,
+    Pencil,
+    Scale,
+    Shift,
+    Sum,
+    VectorPolynomial,
+    WeightRule,
+    finite,
+    vec_add,
+    vec_iadd,
+    vec_sub,
+)
+from pencilkit.odae import MonomialForm
+
+
+# --- reference: the scale-then-merge compositions -------------------------
+
+
+def _ref_add(*vs):
+    out = {}
+    for v in vs:
+        for j, c in v.items():
+            s = out.get(j, 0.0) + c
+            if s == 0:
+                out.pop(j, None)
+            else:
+                out[j] = s
+    return out
+
+
+def _ref_scale(c, v):
+    if c == 0:
+        return {}
+    return {j: c * x for j, x in v.items()}
+
+
+def _ref_sub(a, b):
+    return _ref_add(a, _ref_scale(-1.0, b))
+
+
+def _ref_apply_basis(op, j):
+    if isinstance(op, Sum):
+        return _ref_add(*(_ref_apply_basis(t, j) for t in op.terms))
+    if isinstance(op, Scale):
+        return _ref_scale(op.factor, _ref_apply_basis(op.op, j))
+    if isinstance(op, BlockDirectSum):
+        s, local = op.map_in.decode(j)
+        img = _ref_apply_basis(op.ops[s], local)
+        return {op.map_out.encode(s, i): c for i, c in img.items()}
+    return op.apply_basis(j)
+
+
+def _ref_apply(op, v):
+    return _ref_add(*(_ref_scale(c, _ref_apply_basis(op, j)) for j, c in v.items())) if v else {}
+
+
+def _ref_evaluate_action(p, lam, v):
+    return _ref_add(_ref_scale(lam, _ref_apply(p.E, v)), _ref_scale(-1.0, _ref_apply(p.A, v)))
+
+
+def _ref_monomial(terms, t):
+    return _ref_add(*(_ref_scale(t**p, c) for p, c in terms)) if terms else {}
+
+
+def _ref_polynomial(coeffs, lam):
+    out = {}
+    power = 1.0 + 0.0j
+    for c in coeffs:
+        out = _ref_add(out, _ref_scale(power, c))
+        power *= lam
+    return out
+
+
+def _entries(v):
+    return [(j, repr(x)) for j, x in v.items()]
+
+
+# --- strategies -------------------------------------------------------------
+
+FINITE_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -3.0])
+PARTS = st.one_of(FINITE_PARTS, st.sampled_from([math.inf, -math.inf]))
+FINITE_ENTRY = st.one_of(FINITE_PARTS, st.builds(complex, FINITE_PARTS, FINITE_PARTS))
+ENTRY = st.one_of(PARTS, st.builds(complex, PARTS, PARTS))
+SCALAR = st.one_of(st.sampled_from([0, 0j, -0.0]), FINITE_ENTRY)
+DIM = 4
+
+
+def vecs(entry=ENTRY, dim=DIM):
+    return st.dictionaries(st.integers(1, dim), entry, max_size=dim)
+
+
+@st.composite
+def leaves(draw, dim):
+    space = finite(dim)
+    row = st.lists(FINITE_ENTRY, min_size=dim, max_size=dim)
+    table = WeightRule("table", values=tuple(draw(row)))
+    kind = draw(st.sampled_from(["diag", "reciprocal", "identity", "shift", "dense"]))
+    if kind == "diag":
+        return Diagonal(space, table)
+    if kind == "reciprocal":
+        return Diagonal(space, WeightRule("reciprocal_index"))
+    if kind == "identity":
+        return Identity(space)
+    if kind == "shift":
+        return Shift(space, draw(st.sampled_from([-1, 1, 2])), table)
+    rows = draw(st.lists(row, min_size=dim, max_size=dim))
+    return DenseBlock(space, space, np.array(rows, dtype=complex))
+
+
+@st.composite
+def operators(draw, dim=DIM):
+    kind = draw(st.sampled_from(["leaf", "scale", "sum", "direct_sum"]))
+    if kind == "leaf":
+        return draw(leaves(dim))
+    if kind == "scale":
+        return Scale(draw(SCALAR), draw(operators(dim)))
+    if kind == "sum":
+        return Sum(draw(st.lists(operators(dim), min_size=1, max_size=3)))
+    half = dim // 2
+    return BlockDirectSum([draw(leaves(half)), draw(leaves(dim - half))])
+
+
+# --- tests ------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(vecs(), max_size=4), vecs(), vecs())
+def test_vec_add_and_sub_match_reference(vs, a, b):
+    assert _entries(vec_add(*vs)) == _entries(_ref_add(*vs))
+    assert _entries(vec_sub(a, b)) == _entries(_ref_sub(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(vecs(), vecs(), SCALAR)
+def test_vec_iadd_matches_scaled_merge(start, v, c):
+    # a running sum built by the rule itself holds no negative-zero parts,
+    # so adding into it in place equals re-merging it
+    out = vec_add(start)
+    ref = _ref_add(out, _ref_scale(c, v))
+    vec_iadd(out, v, c)
+    assert _entries(out) == _entries(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operators(), vecs())
+def test_apply_matches_reference(op, v):
+    assert _entries(op.apply(v)) == _entries(_ref_apply(op, v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(operators(), operators(), SCALAR, vecs())
+def test_evaluate_action_matches_reference(E, A, lam, v):
+    p = Pencil(E, A)
+    assert _entries(p.evaluate_action(lam, v)) == _entries(_ref_evaluate_action(p, lam, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), vecs()), max_size=4), FINITE_PARTS)
+def test_monomial_form_evaluate_matches_reference(terms, t):
+    form = MonomialForm(tuple(terms))
+    assert _entries(form.evaluate(t)) == _entries(_ref_monomial(terms, t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(vecs(), max_size=4), SCALAR)
+def test_vector_polynomial_evaluate_matches_reference(coeffs, lam):
+    poly = VectorPolynomial(tuple(coeffs), finite(DIM))
+    assert _entries(poly.evaluate(lam)) == _entries(_ref_polynomial(coeffs, lam))
