@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import linalg
 from .chains import VectorPolynomial
 from .operators import Pencil, Space
 from .sparsevec import SparseVec, vec_inner, vec_norm, vec_scale
@@ -49,20 +50,24 @@ class PolynomialSequence:
 class ResidualRow:
     n: int
     probe: complex
-    forward: float
-    reverse: float
+    forward: float | None
+    reverse: float | None
     p_norm: float
     revp_norm: float
 
 
 def sequence_residuals(
-    p: Pencil,
+    p: Pencil | None,
     seq: PolynomialSequence,
     probes: Sequence[complex],
     n_range: Iterable[int],
 ) -> list[ResidualRow]:
-    """Per-(n, probe) norms of (lam E - A) p_n(lam) and (lam A - E) rev p_n(lam)."""
-    rev_pencil = p.reverse()
+    """Per-(n, probe) norms of (lam E - A) p_n(lam) and (lam A - E) rev p_n(lam).
+
+    Without a pencil only the norms of p_n(lam) and rev p_n(lam) are taken;
+    ``forward`` and ``reverse`` are then None.
+    """
+    rev_pencil = None if p is None else p.reverse()
     rows = []
     for n in n_range:
         poly = seq(n)
@@ -74,8 +79,8 @@ def sequence_residuals(
                 ResidualRow(
                     n=n,
                     probe=complex(lam),
-                    forward=vec_norm(p.evaluate_action(lam, val)),
-                    reverse=vec_norm(rev_pencil.evaluate_action(lam, rval)),
+                    forward=None if p is None else vec_norm(p.evaluate_action(lam, val)),
+                    reverse=None if p is None else vec_norm(rev_pencil.evaluate_action(lam, rval)),
                     p_norm=vec_norm(val),
                     revp_norm=vec_norm(rval),
                 )
@@ -113,8 +118,8 @@ def gram_lower_bound(seq: PolynomialSequence, n_range: Iterable[int]) -> GramRep
         poly = seq(n)
         g = _gram(poly)
         s = np.eye(g.shape[0])[::-1]
-        lm = float(np.linalg.eigvalsh(g)[0])
-        lm_rev = float(np.linalg.eigvalsh(s @ g @ s)[0])
+        lm = float(linalg.eigvalsh(g)[0])
+        lm_rev = float(linalg.eigvalsh(s @ g @ s)[0])
         ns.append(n)
         grams.append(g)
         lmins.append(lm)

@@ -167,7 +167,7 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
         raise ValueError(f"chain tolerance must be finite and nonnegative, got {tol!r}")
     E, A = s.E_mat, s.A_mat
     m, k = A.shape
-    scale = np.linalg.norm(E, 2) + np.linalg.norm(A, 2)
+    scale = linalg.norm2(E) + linalg.norm2(A)
     if scale == 0:
         scale = 1.0
     thr = tol * scale

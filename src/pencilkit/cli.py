@@ -2,12 +2,14 @@
 
 Subcommands: analyze, spectra, chains, approx, distance, dh-check,
 simulate, examples.  All numeric output uses 17 significant digits and
-deterministic ordering, so identical inputs give byte-identical output.
+deterministic ordering, so identical inputs give byte-identical output at a
+fixed BLAS thread count; across thread counts the last digits of
+near-singular results can move.  ``PENCILKIT_THREADS=1`` pins the count.
 Exit codes: 0 success, 1 verdict failure in ``examples run``, 2 input
 error, 3 internal failure (a linear-algebra kernel that did not converge or
 a quadrature that missed its tolerance).  Numeric options (``--rect``,
 ``--probes``, ``--tol``, ``--t-max``) must be finite; NaN or Inf is an input
-error.
+error.  Counts (``--samples``, ``--n-values``) must be positive.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from . import dh as dhmod
 from . import fixtures as fixturesmod
 from . import odae, sections, serialize, spectra
 from .fixtures import _fmt
-from .sparsevec import vec_norm
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -90,6 +91,25 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the count options: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _positive_int_list(text: str) -> list[int]:
+    """argparse type of ``--n-values``: comma-separated integers >= 1."""
+    vals = [_positive_int(s) for s in text.split(",") if s.strip()]
+    if not vals:
+        raise argparse.ArgumentTypeError("empty integer list")
+    return vals
 
 
 def _parse_complex_list(text: str) -> list[complex]:
@@ -212,45 +232,13 @@ def _cmd_approx(args) -> int:
         raise CLIError(f"fixture {args.fixture!r} provides no polynomial sequence")
     seq = data["sequence"]
     probes = _parse_complex_list(args.probes)
-    n_values = _parse_int_list(args.n_values)
-    gram = approxmod.gram_lower_bound(seq, n_values)
+    gram = approxmod.gram_lower_bound(seq, args.n_values)
     lmin = dict(zip(gram.n_values, gram.lambda_min))
     lines = ["n,probe_re,probe_im,fwd_residual,rev_residual,p_norm,revp_norm,gram_lambda_min"]
-    if "pencil" in data:
-        rows = approxmod.sequence_residuals(data["pencil"], seq, probes, n_values)
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(r.n),
-                        _fmt(r.probe.real),
-                        _fmt(r.probe.imag),
-                        _fmt(r.forward),
-                        _fmt(r.reverse),
-                        _fmt(r.p_norm),
-                        _fmt(r.revp_norm),
-                        _fmt(lmin[r.n]),
-                    ]
-                )
-            )
-    else:
-        for n in n_values:
-            poly = seq(n)
-            for lam in probes:
-                lines.append(
-                    ",".join(
-                        [
-                            str(n),
-                            _fmt(lam.real),
-                            _fmt(lam.imag),
-                            "",
-                            "",
-                            _fmt(vec_norm(poly.evaluate(lam))),
-                            _fmt(vec_norm(poly.reversal().evaluate(lam))),
-                            _fmt(lmin[n]),
-                        ]
-                    )
-                )
+    for r in approxmod.sequence_residuals(data.get("pencil"), seq, probes, args.n_values):
+        residuals = ["", ""] if r.forward is None else [_fmt(r.forward), _fmt(r.reverse)]
+        lines.append(",".join([str(r.n), _fmt(r.probe.real), _fmt(r.probe.imag), *residuals,
+                               _fmt(r.p_norm), _fmt(r.revp_norm), _fmt(lmin[r.n])]))
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -415,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("approx", help="approximate polynomial sequence residuals (CSV)")
     sp.add_argument("--fixture", required=True)
     sp.add_argument("--probes", default="0,1,-1,1+1i")
-    sp.add_argument("--n-values", default="1,2,3,4,5,6", dest="n_values")
+    sp.add_argument("--n-values", type=_positive_int_list, default="1,2,3,4,5,6", dest="n_values")
     sp.add_argument("--out")
 
     sp = sub.add_parser("distance", help="stacked sigma_min sweep over sections (CSV)")
@@ -434,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fixture", required=True)
     sp.add_argument("--order", type=int, default=10, help="series truncation order")
     sp.add_argument("--t-max", type=_finite_float, default=1.0, dest="t_max")
-    sp.add_argument("--samples", type=int, default=11)
+    sp.add_argument("--samples", type=_positive_int, default=11)
     sp.add_argument("--window", type=int, default=8, help="state coordinates to print")
     sp.add_argument("--out")
 

@@ -33,6 +33,7 @@ __all__ = [
     "dh_kernel_EJR",
     "dh_classify",
     "DEFAULT_HALF_PLANE_PROBES",
+    "subspace_angle",
 ]
 
 DEFAULT_HALF_PLANE_PROBES = (1.0 + 0.0j, 2.0 + 0.0j, 1.0 + 1.0j, 1.0 - 1.0j, 0.01 + 10.0j)
@@ -111,19 +112,19 @@ def _herm(m: np.ndarray) -> np.ndarray:
 def verify_dh_structure(mats: DHSectionMats, tol: float = 1e-10) -> DHDiagnostics:
     """Margins of the structure conditions on one compressed section."""
     qe = mats.Q.conj().T @ mats.E
-    qe_defect = float(np.linalg.norm(qe - qe.conj().T, 2))
-    qe_min = float(np.linalg.eigvalsh(_herm(qe))[0])
-    b_sym_max = float(np.linalg.eigvalsh(_herm(mats.B))[-1])
+    qe_defect = float(linalg.norm2(qe - qe.conj().T))
+    qe_min = float(linalg.eigvalsh(_herm(qe))[0])
+    b_sym_max = float(linalg.eigvalsh(_herm(mats.B))[-1])
     q_smin = float(linalg.svdvals(mats.Q)[-1])
     j_defect = None
     r_defect = 0.0
     r_min = None
     if mats.J is not None:
-        j_defect = float(np.linalg.norm(mats.J + mats.J.conj().T, 2))
+        j_defect = float(linalg.norm2(mats.J + mats.J.conj().T))
     if mats.R is not None:
-        r_defect = float(np.linalg.norm(mats.R - mats.R.conj().T, 2))
-        r_min = float(np.linalg.eigvalsh(_herm(mats.R))[0])
-    bq_defect = float(np.linalg.norm(mats.BQ - mats.A, 2))
+        r_defect = float(linalg.norm2(mats.R - mats.R.conj().T))
+        r_min = float(linalg.eigvalsh(_herm(mats.R))[0])
+    bq_defect = float(linalg.norm2(mats.BQ - mats.A))
     return DHDiagnostics(
         qe_selfadjoint_defect=qe_defect,
         qe_min_eig=qe_min,
@@ -167,13 +168,13 @@ def dh_kernel_EJR(
         raise ValueError("requires the split B = J - R")
     mats = dh_section_mats(s, dh)
     diag = verify_dh_structure(mats)
-    e_defect = float(np.linalg.norm(mats.E - mats.E.conj().T, 2))
-    e_min = float(np.linalg.eigvalsh(_herm(mats.E))[0])
+    e_defect = float(linalg.norm2(mats.E - mats.E.conj().T))
+    e_min = float(linalg.eigvalsh(_herm(mats.E))[0])
     if diag.failures() or e_defect > diag.tol or e_min < -diag.tol:
         raise ValueError("structure preconditions fail: " + "; ".join(diag.failures() or ["E not selfadjoint nonnegative"]))
     m = mats.E @ mats.E + mats.R @ mats.R - mats.J @ mats.J
     m = _herm(m)
-    evals, evecs = np.linalg.eigh(m)
+    evals, evecs = linalg.eigh(m)
     thr = tol if tol is not None else linalg.rank_tol(m.shape, max(abs(evals[0]), evals[-1], 1e-300))
     kdim = int(np.sum(evals <= thr))
     basis = evecs[:, :kdim]
@@ -250,7 +251,7 @@ def dh_classify(
     for lam in probes:
         sv = float(linalg.svdvals(complex(lam) * mats.E - mats.BQ)[-1])
         probe_vals.append((complex(lam), sv))
-    scale = max(float(np.linalg.norm(mats.E, 2)), float(np.linalg.norm(mats.BQ, 2)), 1e-300)
+    scale = max(float(linalg.norm2(mats.E)), float(linalg.norm2(mats.BQ)), 1e-300)
     ta = tol_ap if tol_ap is not None else 1e-6 * scale
     if kdim >= 1:
         classification = "point_singular"

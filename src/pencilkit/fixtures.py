@@ -47,7 +47,6 @@ __all__ = [
     "fixture_names",
     "run_fixture",
     "verify_singular_function",
-    "SingularFunctionData",
 ]
 
 
@@ -187,6 +186,14 @@ def _check_kronecker_l(data: dict) -> list[CheckResult]:
     return out
 
 
+def _dense_dh_pencil(e: np.ndarray, j: np.ndarray, r: np.ndarray) -> Pencil:
+    """Dense pencil lambda E - (J - R) on finite(dim) with dH data B = J - R, Q = I."""
+    b = j - r
+    sp = finite(e.shape[0])
+    E, A, B, J, R = (DenseBlock(sp, sp, m) for m in (e, b, b, j, r))
+    return Pencil(E=E, A=A, dh=DHStructure(B=B, Q=Identity(sp), J=J, R=R))
+
+
 def _build_stokes_skeleton(m: int = 4, np_: int = 3) -> dict:
     """Finite algebraic toy of the incompressible-flow block structure.
 
@@ -210,18 +217,7 @@ def _build_stokes_skeleton(m: int = 4, np_: int = 3) -> dict:
     j[m:, :m] = g.T
     r = np.zeros((d, d))
     r[:m, :m] = lap
-    b = j - r
-    sp = finite(d)
-    pencil = Pencil(
-        E=DenseBlock(sp, sp, e),
-        A=DenseBlock(sp, sp, b),
-        dh=DHStructure(
-            B=DenseBlock(sp, sp, b),
-            Q=Identity(sp),
-            J=DenseBlock(sp, sp, j),
-            R=DenseBlock(sp, sp, r),
-        ),
-    )
+    pencil = _dense_dh_pencil(e, j, r)
     kernel_dir = np.zeros(d)
     kernel_dir[m:] = 1.0 / math.sqrt(np_)
     return {"pencil": pencil, "kernel_direction": kernel_dir, "dim": d}
@@ -303,17 +299,7 @@ def _build_poroelasticity(seed: int = 0, d: int = 3, singular_pressure: bool = F
     r = np.zeros((n, n))
     r[2 * d :, 2 * d :] = k
     b = j - r
-    sp = finite(n)
-    pencil = Pencil(
-        E=DenseBlock(sp, sp, e),
-        A=DenseBlock(sp, sp, b),
-        dh=DHStructure(
-            B=DenseBlock(sp, sp, b),
-            Q=Identity(sp),
-            J=DenseBlock(sp, sp, j),
-            R=DenseBlock(sp, sp, r),
-        ),
-    )
+    pencil = _dense_dh_pencil(e, j, r)
     out = {"pencil": pencil, "dim": n, "block_dim": d, "E_mat": e, "B_mat": b}
     if p0 is not None:
         kv = np.zeros(n)
@@ -373,7 +359,7 @@ def _check_poroelasticity(data: dict) -> list[CheckResult]:
         )
         evals = linalg.eigvals(s.A_mat, s.E_mat)
         worst = float(np.max(evals.real))
-        scale = float(np.linalg.norm(s.A_mat, 2))
+        scale = float(linalg.norm2(s.A_mat))
         out.append(
             CheckResult(
                 "generalized eigenvalues avoid the right half plane",
@@ -474,7 +460,7 @@ def _check_shift_adjoint_sum(data: dict) -> list[CheckResult]:
         block = Sum([Shift(L2N, -1, constant_weight(1.0)), Scale(a, Identity(L2N))])
         w = sections.window_for(L2N, n)
         mat = sections.operator_matrix(block, w, w)
-        evals = np.linalg.eigvals(mat)
+        evals = linalg.standard_eigvals(mat)
         worst = float(np.max(np.abs(evals - a)))
         out.append(
             CheckResult(

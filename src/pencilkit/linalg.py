@@ -1,7 +1,8 @@
 """Dense linear-algebra kernels and the package's single rank-tolerance policy.
 
-This is the only module that names scipy.  Every singular-value, nullspace,
-matrix-exponential and generalized-eigenvalue computation goes through it.
+Every factorization in the package goes through this module, and it is the
+only one that names scipy: singular values and vectors, nullspaces, matrix
+2-norms, eigenvalues, matrix exponentials and solves.
 
 - Values only: ``svdvals`` and ``singular_values`` run
   ``numpy.linalg.svd`` without vectors, so a command that needs nothing
@@ -14,6 +15,9 @@ matrix-exponential and generalized-eigenvalue computation goes through it.
   stacked certificates.  The thin SVD is taken; the full ``Vh`` only for
   matrices with fewer rows than columns, the one case in which null
   directions are missing from the thin factor.
+- ``norm2``, ``eigvalsh``, ``eigh`` and ``standard_eigvals`` pass through
+  to ``numpy.linalg``, looked up at each call, so they return exactly what
+  the numpy call returns.
 - ``expm``, ``solve``, generalized ``eigvals`` (QZ) and
   ``subspace_angles`` pass through to ``scipy.linalg``, imported on first
   use.
@@ -79,6 +83,26 @@ def kernel(mat: np.ndarray, tol: float | None = None) -> np.ndarray:
     if tol is None:
         tol = rank_tol(mat.shape, svals[0] if svals.size else 0.0)
     return vh[int(np.sum(svals > tol)):].conj().T
+
+
+def norm2(mat: np.ndarray) -> float:
+    """Spectral norm, the largest singular value."""
+    return np.linalg.norm(mat, 2)
+
+
+def eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending."""
+    return np.linalg.eigvalsh(mat)
+
+
+def eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian matrix."""
+    return np.linalg.eigh(mat)
+
+
+def standard_eigvals(mat: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a square matrix."""
+    return np.linalg.eigvals(mat)
 
 
 def expm(mat: np.ndarray) -> np.ndarray:

@@ -38,6 +38,10 @@ __all__ = [
     "DHStructure",
     "Pencil",
     "direct_sum",
+    "finite",
+    "L2N",
+    "L2Z",
+    "constant_weight",
 ]
 
 

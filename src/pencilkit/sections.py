@@ -28,7 +28,8 @@ __all__ = [
     "operator_matrix",
     "distance_to_singularity_bound",
     "joint_kernel_defect",
-    "numerical_rank_tol",
+    "StackedCertificate",
+    "window_for",
 ]
 
 

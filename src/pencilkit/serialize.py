@@ -35,7 +35,8 @@ from .operators import (
     L2Z,
 )
 
-__all__ = ["FORMAT_VERSION", "pencil_to_json", "pencil_from_json", "load_pencil", "save_pencil"]
+__all__ = ["FORMAT_VERSION", "FormatError", "pencil_to_json", "pencil_from_json", "load_pencil",
+           "save_pencil"]
 
 FORMAT_VERSION = 1
 

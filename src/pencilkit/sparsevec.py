@@ -17,6 +17,17 @@ from __future__ import annotations
 
 import math
 
+__all__ = [
+    "SparseVec",
+    "basis_vec",
+    "vec_add",
+    "vec_iadd",
+    "vec_inner",
+    "vec_norm",
+    "vec_scale",
+    "vec_sub",
+]
+
 SparseVec = dict[int, complex]
 
 

@@ -120,7 +120,7 @@ def regularity_disc(s: SectionedPencil, lam: complex, tol: float | None = None) 
     thr = tol if tol is not None else DEFAULT_TOL_AP_FACTOR * float(svals[0])
     if smin <= thr:
         raise ValueError(f"section not invertible at {lam}")
-    e_norm = float(np.linalg.norm(s.E_mat, 2))
+    e_norm = float(linalg.norm2(s.E_mat))
     if e_norm == 0.0:
         return math.inf
     return smin / e_norm

@@ -175,6 +175,23 @@ def test_non_finite_probe_is_input_error(capsys):
     assert err == "error: non-finite complex number 'nan'\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simulate", "--samples", "0"], "--samples: must be positive, got '0'"),
+        (["simulate", "--samples=-3"], "--samples: must be positive, got '-3'"),
+        (["approx", "--n-values", "0"], "--n-values: must be positive, got '0'"),
+        (["approx", "--n-values", "2,-1"], "--n-values: must be positive, got '-1'"),
+        (["approx", "--n-values", ","], "--n-values: empty integer list"),
+    ],
+)
+def test_non_positive_count_is_input_error(capsys, argv, message):
+    fixture = {"simulate": "shift_identity", "approx": "approxchain"}[argv[0]]
+    code, out, err = _run(capsys, argv[0], "--fixture", fixture, *argv[1:])
+    assert code == EXIT_INPUT and out == ""
+    assert f"argument {message}" in err
+
+
 @pytest.mark.parametrize("rect", ["nan,1,0,1", "inf,1,0,1"])
 def test_non_finite_rect_is_input_error_without_warnings(capsys, pencil_file, rect):
     with warnings.catch_warnings(record=True) as caught:

@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -139,12 +140,83 @@ def test_non_finite_input_is_value_error_not_linalg_error(bad, helper):
     assert not isinstance(exc.value, np.linalg.LinAlgError)
 
 
-def test_only_linalg_imports_scipy():
+NUMPY_LINALG = ("np.linalg", "numpy.linalg")
+NUMPY_NORMS = ("np.linalg.norm", "numpy.linalg.norm")
+
+
+def _is_factorization(name: str) -> bool:
+    return "svd" in name or name.startswith("eig")
+
+
+def _factorizations(tree: ast.AST):
+    """Scipy imports and numpy SVD, eig* and matrix 2-norm uses in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found = [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            found = [module] if module.split(".")[0] == "scipy" else []
+            if module in NUMPY_LINALG:
+                found += [a.name for a in node.names if _is_factorization(a.name)]
+        elif isinstance(node, ast.Attribute):
+            numpy_fn = ast.unparse(node.value) in NUMPY_LINALG and _is_factorization(node.attr)
+            found = [ast.unparse(node)] if numpy_fn else []
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in NUMPY_NORMS:
+            matrix_norm = len(node.args) > 1 or any(k.arg == "ord" for k in node.keywords)
+            found = [ast.unparse(node)] if matrix_norm else []
+        else:
+            found = []
+        yield from (f"line {node.lineno}: {name}" for name in found)
+
+
+def test_only_linalg_factorizes_or_imports_scipy():
     package = Path(pencilkit.__file__).parent
-    offenders = [
-        path.name
+    offenders = {
+        path.name: found
         for path in sorted(package.glob("*.py"))
         if path.name != "linalg.py"
-        and ("import scipy" in path.read_text() or "from scipy" in path.read_text())
-    ]
-    assert offenders == []
+        and (found := list(_factorizations(ast.parse(path.read_text()))))
+    }
+    assert offenders == {}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import scipy.linalg",
+        "from scipy import linalg",
+        "s = np.linalg.svd(m)",
+        "w = numpy.linalg.eigvalsh(m)",
+        "f = np.linalg.eigh",
+        "from numpy.linalg import eigvals",
+        "n = np.linalg.norm(m, 2)",
+        "n = np.linalg.norm(m, ord=-2)",
+    ],
+)
+def test_factorization_source_check_flags(source):
+    assert list(_factorizations(ast.parse(source)))
+
+
+def test_factorization_source_check_allows_linalg_layer_and_vector_norms():
+    source = "s = linalg.svdvals(m)\nw = linalg.eigvalsh(m)\nn = np.linalg.norm(v)\n"
+    assert list(_factorizations(ast.parse(source))) == []
+
+
+def _hermitian(mat):
+    return 0.5 * (mat + mat.conj().T)
+
+
+@pytest.mark.parametrize("name,pencil", list(_fixture_pencils()))
+def test_numpy_pass_throughs_are_bitwise_numpy_on_fixture_sections(name, pencil):
+    for n in (4, 7, 12):
+        s = section(pencil, n)
+        for lam in (0.0, 1.0, 0.3 - 0.7j):
+            mat = s.evaluate(lam)
+            assert np.array_equal(linalg.norm2(mat), np.linalg.norm(mat, 2))
+            if not s.is_square:
+                continue
+            herm = _hermitian(mat)
+            assert np.array_equal(linalg.eigvalsh(herm), np.linalg.eigvalsh(herm))
+            for ours, ref in zip(linalg.eigh(herm), np.linalg.eigh(herm)):
+                assert np.array_equal(ours, ref)
+            assert np.array_equal(linalg.standard_eigvals(mat), np.linalg.eigvals(mat))
