@@ -93,14 +93,26 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the count options: an integer >= 1."""
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the count options: an integer >= 1."""
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type of ``simulate --window``: an integer >= 0 (0 prints no coordinates)."""
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
     return value
 
 
@@ -423,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, default=10, help="series truncation order")
     sp.add_argument("--t-max", type=_finite_float, default=1.0, dest="t_max")
     sp.add_argument("--samples", type=_positive_int, default=11)
-    sp.add_argument("--window", type=int, default=8, help="state coordinates to print")
+    sp.add_argument("--window", type=_nonnegative_int, default=8, help="state coordinates to print")
     sp.add_argument("--out")
 
     sp = sub.add_parser("examples", help="list fixtures or run their check suites")

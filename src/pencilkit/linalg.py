@@ -15,6 +15,14 @@ only one that names scipy: singular values and vectors, nullspaces, matrix
   stacked certificates.  The thin SVD is taken; the full ``Vh`` only for
   matrices with fewer rows than columns, the one case in which null
   directions are missing from the thin factor.
+- Tall vector SVDs: ``smallest_right`` and ``kernel`` need only the
+  singular values and ``Vh``.  With at least twice as many rows as columns
+  they factor ``scipy.linalg.qr(mode="r")`` first and take the SVD of the
+  square triangle R.  On such shapes LAPACK's ``gesdd`` runs the same
+  ``geqrf`` and decomposes the same R itself (its "M much larger than N"
+  path), so the values and ``Vh`` are bitwise equal; only Q and Q·U, which
+  both callers discard, are no longer formed.  Below two rows per column
+  the answers differ in the last digits, so the threshold stays at 2.
 - ``norm2``, ``eigvalsh``, ``eigh`` and ``standard_eigvals`` pass through
   to ``numpy.linalg``, looked up at each call, so they return exactly what
   the numpy call returns.
@@ -53,6 +61,8 @@ def thin_svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _svals_vh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = mat.shape
+    if cols and rows >= 2 * cols:
+        mat = np.triu(_scipy_linalg().qr(mat, mode="r")[0][:cols])
     _, svals, vh = _scipy_linalg().svd(mat, full_matrices=rows < cols)
     return svals, vh
 

@@ -289,8 +289,8 @@ class DenseBlock(StructuredOperator):
         k = j - self.col_start
         if not 0 <= k < self.matrix.shape[1]:
             return {}
-        col = self.matrix[:, k]
-        return {self.row_start + i: complex(c) for i, c in enumerate(col) if c != 0}
+        col = self.matrix[:, k].tolist()
+        return {self.row_start + i: c for i, c in enumerate(col) if c != 0}
 
     def adjoint(self) -> "DenseBlock":
         return DenseBlock(

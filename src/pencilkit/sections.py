@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .operators import Pencil, Space, StructuredOperator
+from .operators import DenseBlock, Pencil, Space, StructuredOperator
 
 __all__ = [
     "SectionWindow",
@@ -64,15 +64,40 @@ def window_for(space: Space, n: int) -> SectionWindow:
 def operator_matrix(
     op: StructuredOperator, window_out: SectionWindow, window_in: SectionWindow
 ) -> np.ndarray:
-    """Compression matrix with entries <op e_j, e_i> over the given windows."""
+    """Compression matrix with entries <op e_j, e_i> over the given windows.
+
+    A ``DenseBlock`` is copied in one indexed assignment of the part of its
+    matrix that falls inside the windows, its logical indices mapped to
+    storage positions as for every other operator.  Entries equal to zero
+    (``-0.0`` included) land as ``+0.0``, as they do in the per-column loop
+    that every other operator, and a ``DenseBlock`` inside a ``Sum`` or
+    ``Scale``, goes through.
+    """
     rows = {j: i for i, j in enumerate(window_out.indices)}
     mat = np.zeros((window_out.dim, window_in.dim), dtype=complex)
+    if type(op) is DenseBlock:
+        _copy_dense_block(mat, op, rows, window_in.indices)
+        return mat
     for col, j in enumerate(window_in.indices):
         for i, c in op.apply_basis(j).items():
             r = rows.get(i)
             if r is not None:
                 mat[r, col] = c
     return mat
+
+
+def _copy_dense_block(
+    mat: np.ndarray, op: DenseBlock, rows: dict[int, int], cols: tuple[int, ...]
+) -> None:
+    height, width = op.matrix.shape
+    for j in cols:  # an index outside the input space raises as apply_basis does
+        op._check_index(j)
+    at_rows = [(r, i - op.row_start) for i, r in rows.items() if 0 <= i - op.row_start < height]
+    at_cols = [(c, j - op.col_start) for c, j in enumerate(cols) if 0 <= j - op.col_start < width]
+    if at_rows and at_cols:
+        (dst_r, src_r), (dst_c, src_c) = zip(*at_rows), zip(*at_cols)
+        block = op.matrix[np.ix_(src_r, src_c)]
+        mat[np.ix_(dst_r, dst_c)] = np.where(block != 0, block, 0)
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,14 @@ def test_simulate_series_fixture(capsys):
     assert len(lines) == 4
 
 
+def test_simulate_window_zero_prints_no_coordinates(capsys):
+    code, out, _ = _run(
+        capsys, "simulate", "--fixture", "shift_identity", "--samples", "2", "--window", "0"
+    )
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "t,residual_classical,residual_mild,residual_pbe,hamiltonian"
+
+
 def test_simulate_unsupported_fixture(capsys):
     code, _, err = _run(capsys, "simulate", "--fixture", "kronecker_L")
     assert code == EXIT_INPUT and "no simulation recipe" in err
@@ -180,6 +188,7 @@ def test_non_finite_probe_is_input_error(capsys):
     [
         (["simulate", "--samples", "0"], "--samples: must be positive, got '0'"),
         (["simulate", "--samples=-3"], "--samples: must be positive, got '-3'"),
+        (["simulate", "--window=-2"], "--window: must be non-negative, got '-2'"),
         (["approx", "--n-values", "0"], "--n-values: must be positive, got '0'"),
         (["approx", "--n-values", "2,-1"], "--n-values: must be positive, got '-1'"),
         (["approx", "--n-values", ","], "--n-values: empty integer list"),

@@ -131,13 +131,59 @@ def test_svdvals_of_empty_matrix_is_empty(shape):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("helper", [linalg.svdvals, linalg.singular_values])
+@pytest.mark.parametrize(
+    "helper", [linalg.svdvals, linalg.singular_values, linalg.smallest_right, linalg.kernel]
+)
 def test_non_finite_input_is_value_error_not_linalg_error(bad, helper):
-    mat = np.eye(3, dtype=complex)
+    mat = np.eye(6, 3, dtype=complex)  # tall: the vector SVDs run a QR first
     mat[1, 2] = bad
     with pytest.raises(ValueError, match="array must not contain infs or NaNs") as exc:
         helper(mat)
     assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+
+def _of_rank(rng, rows, cols, rank, dtype):
+    if dtype is complex:
+        return _complex_of_rank(rng, rows, cols, rank)
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
+def _assert_vector_svds_are_bitwise_scipy_svd(mat):
+    _, svals, vh = scipy.linalg.svd(mat, full_matrices=False)
+    ours, witness = linalg.smallest_right(mat)
+    assert np.array_equal(ours, svals) and np.array_equal(witness, vh[-1].conj())
+    rank = int(np.sum(svals > linalg.rank_tol(mat.shape, svals[0])))
+    assert np.array_equal(linalg.kernel(mat), vh[rank:].conj().T)
+
+
+@pytest.mark.parametrize("ratio", [2, 3, 5])
+@pytest.mark.parametrize("cols", [1, 4, 9, 33])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_tall_vector_svds_are_bitwise_scipy_svd(ratio, cols, dtype):
+    # at >= 2 rows per column the vector SVD is taken of R from a QR first
+    rng = np.random.default_rng(100 * cols + ratio)
+    for rank in {cols, max(cols - 2, 1)}:
+        _assert_vector_svds_are_bitwise_scipy_svd(_of_rank(rng, ratio * cols, cols, rank, dtype))
+
+
+@pytest.mark.parametrize("name,pencil", list(_fixture_pencils()))
+def test_vector_svds_are_bitwise_scipy_svd_on_fixture_stacks(name, pencil):
+    for n in (4, 7, 12):
+        _assert_vector_svds_are_bitwise_scipy_svd(section(pencil, n).stacked())
+
+
+@pytest.mark.parametrize("helper", [linalg.smallest_right, linalg.kernel])
+def test_tall_vector_svd_factors_only_the_triangle(monkeypatch, helper):
+    shapes = []
+    svd = scipy.linalg.svd
+
+    def counting_svd(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
+    helper(_of_rank(np.random.default_rng(0), 12, 6, 6, complex))
+    assert shapes == [(6, 6)]
 
 
 NUMPY_LINALG = ("np.linalg", "numpy.linalg")

@@ -61,6 +61,60 @@ def test_bilateral_section_matrix_in_interleaved_storage():
     assert np.allclose(s, expect)
 
 
+def _ref_operator_matrix(op, window_out, window_in):
+    """The per-column loop that every operator but a bare ``DenseBlock`` goes through."""
+    rows = {j: i for i, j in enumerate(window_out.indices)}
+    mat = np.zeros((window_out.dim, window_in.dim), dtype=complex)
+    for col, j in enumerate(window_in.indices):
+        for i, c in op.apply_basis(j).items():
+            r = rows.get(i)
+            if r is not None:
+                mat[r, col] = c
+    return mat
+
+
+def _assert_bitwise(a, b):
+    assert np.array_equal(a, b)
+    for part in (np.real, np.imag):  # the sign of every zero too
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
+def _block_with_zeros(rows, cols):
+    rng = np.random.default_rng(rows * cols)
+    m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    signed = [-0.0, 0.0, complex(-0.0, -0.0), complex(-0.0, 1.5), complex(2.0, -0.0)]
+    for k, z in enumerate(signed):
+        m[k % rows, (2 * k) % cols] = z
+    return m
+
+
+@pytest.mark.parametrize(
+    "space_in,space_out,shape,row_start,col_start",
+    [
+        (finite(5), finite(5), (5, 5), 1, 1),
+        (finite(6), finite(4), (4, 6), 1, 1),  # rectangular
+        (finite(7), finite(5), (3, 4), 2, 3),  # offset inside the spaces
+        (L2N, L2N, (4, 5), 3, 2),
+        (L2Z, L2Z, (4, 5), -2, -1),
+    ],
+)
+def test_dense_block_assembly_matches_per_column_loop(
+    space_in, space_out, shape, row_start, col_start
+):
+    op = DenseBlock(space_in, space_out, _block_with_zeros(*shape), row_start, col_start)
+    for n in (1, 2, 3, 5, 9):  # windows cutting the block, covering it, and beyond
+        w_in, w_out = window_for(space_in, n), window_for(space_out, n)
+        _assert_bitwise(operator_matrix(op, w_out, w_in), _ref_operator_matrix(op, w_out, w_in))
+
+
+def test_dense_block_assembly_rejects_window_outside_input_space():
+    op = DenseBlock(L2N, L2N, np.ones((2, 2)))
+    w = window_for(L2Z, 2)
+    for assemble in (operator_matrix, _ref_operator_matrix):
+        with pytest.raises(IndexError):
+            assemble(op, w, w)
+
+
 def test_section_reverse_and_adjoint_shapes():
     e = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]])
     a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])

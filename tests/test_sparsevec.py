@@ -14,7 +14,7 @@ entries cancel exactly, and include zero scalars.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencilkit import (
@@ -22,6 +22,7 @@ from pencilkit import (
     DenseBlock,
     Diagonal,
     Identity,
+    L2N,
     Pencil,
     Scale,
     Shift,
@@ -189,3 +190,24 @@ def test_monomial_form_evaluate_matches_reference(terms, t):
 def test_vector_polynomial_evaluate_matches_reference(coeffs, lam):
     poly = VectorPolynomial(tuple(coeffs), finite(DIM))
     assert _entries(poly.evaluate(lam)) == _entries(_ref_polynomial(coeffs, lam))
+
+
+def _ref_dense_column(op, j):
+    """``DenseBlock.apply_basis`` as it was: ``complex`` of each numpy scalar."""
+    k = j - op.col_start
+    if not 0 <= k < op.matrix.shape[1]:
+        return {}
+    return {op.row_start + i: complex(c) for i, c in enumerate(op.matrix[:, k]) if c != 0}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(FINITE_ENTRY, min_size=3, max_size=3), min_size=1, max_size=5),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+@example([[-0.0, complex(-0.0, 1.0), 0.0], [complex(0.0, -0.0), 2.0, complex(-3.0, -0.0)]], 2, 1)
+def test_dense_apply_basis_matches_complex_comprehension(rows, row_start, col_start):
+    op = DenseBlock(L2N, L2N, np.array(rows, dtype=complex), row_start, col_start)
+    for j in range(1, col_start + 4):
+        assert _entries(op.apply_basis(j)) == _entries(_ref_dense_column(op, j))
