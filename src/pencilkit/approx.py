@@ -36,8 +36,6 @@ class PolynomialSequence:
     """Indexed family n -> vector polynomial with finitely supported coefficients."""
 
     generator: Callable[[int], VectorPolynomial]
-    n_max: int
-    name: str = ""
 
     def __call__(self, n: int) -> VectorPolynomial:
         p = self.generator(n)
@@ -110,8 +108,9 @@ def _gram(poly: VectorPolynomial) -> np.ndarray:
 def gram_lower_bound(seq: PolynomialSequence, n_range: Iterable[int]) -> GramReport:
     """Gram matrices of coefficient vectors, their lambda_min, and the running infimum.
 
-    Also validates that the index-reversing permutation leaves lambda_min
-    unchanged (the bound for the reversal polynomials).
+    ``lambda_min_reversed`` is lambda_min of the Gram matrix under the
+    index-reversing permutation (the bound for the reversal polynomials); it
+    is computed and reported, not compared with ``lambda_min``.
     """
     ns, grams, lmins, lmins_rev = [], [], [], []
     for n in n_range:
@@ -136,9 +135,7 @@ def gram_lower_bound(seq: PolynomialSequence, n_range: Iterable[int]) -> GramRep
 def approx_kernel_sequence(
     space: Space,
     witness_rule: Callable[[int], SparseVec],
-    n_max: int,
     normalize: bool = True,
-    name: str = "",
 ) -> PolynomialSequence:
     """Constant polynomials from a joint-approximate-kernel witness family."""
 
@@ -150,4 +147,4 @@ def approx_kernel_sequence(
             x = vec_scale(1.0 / vec_norm(x), x)
         return VectorPolynomial.make([x], space)
 
-    return PolynomialSequence(generator=gen, n_max=n_max, name=name)
+    return PolynomialSequence(generator=gen)

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 ROOT_CLUSTER_TOL = 1e-8
+NEAR_ROOT_TOL = 1e-2
 # Fixed unit-circle points of the full-column-rank exit of extract_right_chain.
 RANK_PROBES = (np.exp(2j * np.pi * 0.1234567), np.exp(2j * np.pi * 0.6180339))
 
@@ -358,14 +359,13 @@ def reduce_polynomial(q: VectorPolynomial) -> VectorPolynomial:
     return result
 
 
-def polynomial_roots_check(
-    q: VectorPolynomial, grid: list[complex], tol: float = 1e-2
-) -> bool:
-    """Falsification probe: True iff neither q nor rev q dips below tol on the grid.
+def polynomial_roots_check(q: VectorPolynomial, grid: list[complex]) -> bool:
+    """Falsification probe: True iff ||q|| and ||rev q|| exceed NEAR_ROOT_TOL on the grid.
 
-    Not a proof of root-freeness; a False verdict exhibits a near-root.
+    The threshold is the fixed absolute 1e-2.  Not a proof of root-freeness;
+    a False verdict exhibits a near-root.
     """
-    rev = q.reversal()
+    rev, tol = q.reversal(), NEAR_ROOT_TOL
     for lam in grid:
         if vec_norm(q.evaluate(lam)) <= tol or vec_norm(rev.evaluate(lam)) <= tol:
             return False

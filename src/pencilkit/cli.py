@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 verdict failure in ``examples run``, 2 input
 error, 3 internal failure (a linear-algebra kernel that did not converge or
 a quadrature that missed its tolerance).  Numeric options (``--rect``,
 ``--probes``, ``--tol``, ``--t-max``) must be finite; NaN or Inf is an input
-error.  Counts (``--samples``, ``--n-values``) must be positive.
+error.  Counts (``--samples``, ``--n-values``, ``--sections``) must be positive.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _positive_int_list(text: str) -> list[int]:
-    """argparse type of ``--n-values``: comma-separated integers >= 1."""
+    """argparse type of ``--n-values`` and ``--sections``: comma-separated integers >= 1."""
     vals = [_positive_int(s) for s in text.split(",") if s.strip()]
     if not vals:
         raise argparse.ArgumentTypeError("empty integer list")
@@ -137,16 +137,6 @@ def _parse_complex_list(text: str) -> list[complex]:
     if not out:
         raise CLIError("empty probe list")
     return out
-
-
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        vals = [int(s) for s in text.split(",") if s.strip()]
-    except ValueError as exc:
-        raise CLIError(f"bad integer list {text!r}") from exc
-    if not vals:
-        raise CLIError("empty integer list")
-    return vals
 
 
 def _emit(lines, out_path: str | None):
@@ -268,7 +258,7 @@ def _cmd_distance(args) -> int:
     p, notes = _target_pencil(args, args.seed)
     lines = [f"# note: {n}" for n in notes]
     lines.append("n,stacked_sigma_min,witness_support_center")
-    for n in _parse_int_list(args.sections):
+    for n in args.sections:
         s = sections.section(p, n)
         cert = sections.distance_to_singularity_bound(s)
         lines.append(
@@ -320,13 +310,13 @@ def _cmd_simulate(args) -> int:
     p = data.get("pencil")
     if "generator" in data:
         traj = odae.series_solution(p, data["generator"], t_grid, order=args.order)
-        odae.mild_residual(p, traj)
+        mild = odae.mild_residual(p, traj)
         pbe = ham = None
     elif args.fixture == "poroelasticity_template":
         dim = data["dim"]
         x0 = np.cos(np.arange(dim, dtype=float) + 1.0)
         traj = fixturesmod.integrator_trajectory(data, t_grid, x0)
-        odae.mild_residual(p, traj, tol=1e-8)
+        mild = odae.mild_residual(p, traj, tol=1e-8)
         pbe, ham = odae.power_balance_residual(p, traj)
     else:
         raise CLIError(f"fixture {args.fixture!r} has no simulation recipe")
@@ -341,9 +331,8 @@ def _cmd_simulate(args) -> int:
         row += [_fmt(complex(state.get(j, 0.0)).real) for j in range(1, w + 1)]
         row += [_fmt(complex(state.get(j, 0.0)).imag) for j in range(1, w + 1)]
         rc = traj.residual_classical[i] if traj.residual_classical is not None else float("nan")
-        rm = traj.residual_mild[i] if traj.residual_mild is not None else float("nan")
         row.append(_fmt(float(rc)))
-        row.append(_fmt(float(rm)))
+        row.append(_fmt(float(mild[i])))
         row.append(_fmt(float(pbe[i])) if pbe is not None else "nan")
         row.append(_fmt(float(ham[i])) if ham is not None else "nan")
         lines.append(",".join(row))
@@ -393,9 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_target(sp, pencil_positional=True):
-        if pencil_positional:
-            sp.add_argument("pencil", nargs="?", help="pencil description (JSON)")
+    def add_target(sp):
+        sp.add_argument("pencil", nargs="?", help="pencil description (JSON)")
         sp.add_argument("--fixture", help="use a named fixture instead of a JSON file")
         sp.add_argument("--n", type=int, default=8, help="section window size (default 8)")
         sp.add_argument("--out", help="write output to a file instead of stdout")
@@ -420,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("distance", help="stacked sigma_min sweep over sections (CSV)")
     add_target(sp)
-    sp.add_argument("--sections", default="2,4,8,16")
+    sp.add_argument("--sections", type=_positive_int_list, default="2,4,8,16")
 
     sp = sub.add_parser("dh-check", help="dissipative-Hamiltonian structure report")
     add_target(sp)

@@ -11,6 +11,8 @@ Classification at section level: a nontrivial common kernel of E and BQ is
 equivalent to a constant right singular polynomial and to
 sigma_min(lam E - BQ) = 0 at every right-half-plane probe; a small stacked
 sigma_min without an exact kernel is evidence of approximate singularity.
+Structure margins are judged against STRUCTURE_TOL = 1e-10 (reported as
+``DHDiagnostics.tol``); kernels keep singular values at or below ``linalg.rank_tol``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "subspace_angle",
 ]
 
+STRUCTURE_TOL = 1e-10
 DEFAULT_HALF_PLANE_PROBES = (1.0 + 0.0j, 2.0 + 0.0j, 1.0 + 1.0j, 1.0 - 1.0j, 0.01 + 10.0j)
 
 
@@ -109,8 +112,8 @@ def _herm(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def verify_dh_structure(mats: DHSectionMats, tol: float = 1e-10) -> DHDiagnostics:
-    """Margins of the structure conditions on one compressed section."""
+def verify_dh_structure(mats: DHSectionMats) -> DHDiagnostics:
+    """Margins of the structure conditions on one compressed section, judged at STRUCTURE_TOL."""
     qe = mats.Q.conj().T @ mats.E
     qe_defect = float(linalg.norm2(qe - qe.conj().T))
     qe_min = float(linalg.eigvalsh(_herm(qe))[0])
@@ -134,13 +137,13 @@ def verify_dh_structure(mats: DHSectionMats, tol: float = 1e-10) -> DHDiagnostic
         r_selfadjoint_defect=r_defect,
         r_min_eig=r_min,
         bq_vs_a_defect=bq_defect,
-        tol=tol,
+        tol=STRUCTURE_TOL,
     )
 
 
-def dh_common_kernel(mats: DHSectionMats, tol: float | None = None) -> tuple[int, np.ndarray]:
+def dh_common_kernel(mats: DHSectionMats) -> tuple[int, np.ndarray]:
     """Orthonormal basis of ker E intersect ker(BQ), via the stacked matrix."""
-    basis = linalg.kernel(np.vstack([mats.E, mats.BQ]), tol)
+    basis = linalg.kernel(np.vstack([mats.E, mats.BQ]))
     return basis.shape[1], basis
 
 
@@ -154,9 +157,7 @@ def subspace_angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(angles[0]) if angles.size else 0.0
 
 
-def dh_kernel_EJR(
-    s: SectionedPencil, dh: DHStructure, tol: float | None = None
-) -> tuple[int, np.ndarray]:
+def dh_kernel_EJR(s: SectionedPencil, dh: DHStructure) -> tuple[int, np.ndarray]:
     """Kernel of E^2 + R^2 - J^2 (Q = I, split supplied); checked against the stack.
 
     Raises if the structure preconditions fail or if the two kernel
@@ -175,10 +176,10 @@ def dh_kernel_EJR(
     m = mats.E @ mats.E + mats.R @ mats.R - mats.J @ mats.J
     m = _herm(m)
     evals, evecs = linalg.eigh(m)
-    thr = tol if tol is not None else linalg.rank_tol(m.shape, max(abs(evals[0]), evals[-1], 1e-300))
+    thr = linalg.rank_tol(m.shape, max(abs(evals[0]), evals[-1], 1e-300))
     kdim = int(np.sum(evals <= thr))
     basis = evecs[:, :kdim]
-    stacked = linalg.kernel(np.vstack([mats.E, mats.J, mats.R]), tol)
+    stacked = linalg.kernel(np.vstack([mats.E, mats.J, mats.R]))
     if basis.shape[1] != stacked.shape[1] or subspace_angle(basis, stacked) > 1e-8:
         raise ValueError("E^2+R^2-J^2 kernel disagrees with ker E ∩ ker J ∩ ker R")
     return kdim, basis
@@ -223,7 +224,6 @@ def dh_classify(
     s: SectionedPencil,
     dh: DHStructure,
     probes: tuple[complex, ...] = DEFAULT_HALF_PLANE_PROBES,
-    tol: float = 1e-10,
     tol_ap: float | None = None,
 ) -> DHReport:
     """Classify a dH section: point_singular / approx_singular_evidence / regular_candidate.
@@ -239,7 +239,7 @@ def dh_classify(
         if complex(lam).real <= 0:
             raise ValueError(f"probe {lam} not in the open right half plane")
     mats = dh_section_mats(s, dh)
-    diag = verify_dh_structure(mats, tol)
+    diag = verify_dh_structure(mats)
     stacked = np.vstack([mats.E, mats.BQ])
     svals = linalg.svdvals(stacked)
     stacked_smin = float(svals[-1])

@@ -300,7 +300,7 @@ def _build_poroelasticity(seed: int = 0, d: int = 3, singular_pressure: bool = F
     r[2 * d :, 2 * d :] = k
     b = j - r
     pencil = _dense_dh_pencil(e, j, r)
-    out = {"pencil": pencil, "dim": n, "block_dim": d, "E_mat": e, "B_mat": b}
+    out = {"pencil": pencil, "dim": n, "E_mat": e, "B_mat": b}
     if p0 is not None:
         kv = np.zeros(n)
         kv[2 * d :] = p0
@@ -765,14 +765,6 @@ def _approxchain_ops(alpha: Callable[[int], float], scale: Callable[[int], float
     return e, a, glob
 
 
-def _approxchain_sequence(glob, n_max: int) -> approx.PolynomialSequence:
-    def gen(n: int) -> chains.VectorPolynomial:
-        coeffs = [basis_vec(glob(n, j + 1)) for j in range(n + 1)]
-        return chains.VectorPolynomial.make(coeffs, L2N)
-
-    return approx.PolynomialSequence(generator=gen, n_max=n_max, name="block chain")
-
-
 def _build_approxchain(alpha: Callable[[int], float] | None = None) -> dict:
     """Orthogonal sum of (2n+1)-blocks coupling two shift chains via alpha_n.
 
@@ -783,12 +775,12 @@ def _build_approxchain(alpha: Callable[[int], float] | None = None) -> dict:
     if alpha is None:
         alpha = lambda n: 1.0 / math.factorial(n + 1)
     e, a, glob = _approxchain_ops(alpha, lambda n: 1.0)
-    return {
-        "pencil": Pencil(E=e, A=a),
-        "alpha": alpha,
-        "sequence": _approxchain_sequence(glob, 10),
-        "glob": glob,
-    }
+
+    def gen(n: int) -> chains.VectorPolynomial:
+        coeffs = [basis_vec(glob(n, j + 1)) for j in range(n + 1)]
+        return chains.VectorPolynomial.make(coeffs, L2N)
+
+    return {"pencil": Pencil(E=e, A=a), "alpha": alpha, "sequence": approx.PolynomialSequence(gen)}
 
 
 def _check_approxchain(data: dict) -> list[CheckResult]:
@@ -831,10 +823,8 @@ def _build_rescaled_approxchain() -> dict:
     """
     e, a, glob = _approxchain_ops(lambda n: 1.0, lambda n: 1.0 / n)
     p = Pencil(E=e, A=a)
-    seq = approx.approx_kernel_sequence(
-        L2N, lambda n: basis_vec(glob(n, 1)), n_max=64, name="constant witnesses"
-    )
-    return {"pencil": p, "sequence": seq, "glob": glob}
+    seq = approx.approx_kernel_sequence(L2N, lambda n: basis_vec(glob(n, 1)))
+    return {"pencil": p, "sequence": seq}
 
 
 def _check_rescaled_approxchain(data: dict) -> list[CheckResult]:
@@ -868,7 +858,7 @@ def _build_gram_counterexample() -> dict:
     poly = chains.VectorPolynomial.make(
         [basis_vec(1), basis_vec(2), basis_vec(2), basis_vec(3)], finite(3)
     )
-    seq = approx.PolynomialSequence(generator=lambda n: poly, n_max=8, name="constant")
+    seq = approx.PolynomialSequence(generator=lambda n: poly)
     return {"polynomial": poly, "sequence": seq}
 
 
@@ -905,8 +895,7 @@ def _build_revdegenerate() -> dict:
         ]
         return chains.VectorPolynomial.make(coeffs, finite(2))
 
-    seq = approx.PolynomialSequence(generator=gen, n_max=12, name="reversal degenerate")
-    return {"sequence": seq}
+    return {"sequence": approx.PolynomialSequence(generator=gen)}
 
 
 def _check_revdegenerate(data: dict) -> list[CheckResult]:

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 LINK_TOL = 1e-12
+POLYNOMIAL_VERIFY_TOL = 1e-8
 RADIUS_MARGIN = 0.1
 
 
@@ -144,17 +145,13 @@ def adaptive_simpson_scalar(fn, a: float, b: float, tol: float) -> float:
 
 @dataclass
 class Trajectory:
-    """Sampled solution candidate with optional closed forms and residual columns."""
+    """Sampled solution candidate with optional closed forms and its classical residual."""
 
     times: np.ndarray
     states: list[SparseVec]
     state_fn: Callable[[float], SparseVec] | None = None
     integral_fn: Callable[[float], SparseVec] | None = None
     residual_classical: np.ndarray | None = None
-    residual_mild: np.ndarray | None = None
-    residual_pbe: np.ndarray | None = None
-    hamiltonian: np.ndarray | None = None
-    notes: tuple[str, ...] = ()
 
     def state(self, t: float) -> SparseVec:
         if self.state_fn is not None:
@@ -183,14 +180,17 @@ class ChainGenerator:
         return 1.0 / (self.c * math.e)
 
     def validate(self, p: Pencil, k_max: int) -> None:
+        """Check a_1 .. a_{k_max+1}; E and A are applied to each a_k once."""
         a = {k: self.rule(k) for k in range(1, k_max + 2)}
         if all(not v for v in a.values()):
             raise ValueError("chain generator is identically zero up to the sampled order")
-        e1 = vec_norm(p.E.apply(a[1]))
+        ea = {k: p.E.apply(v) for k, v in a.items()}
+        aa = {k: p.A.apply(v) for k, v in a.items()}
+        e1 = vec_norm(ea[1])
         if e1 > LINK_TOL:
             raise ValueError(f"E a_1 = 0 violated: ||E a_1|| = {e1:.3e}")
         for k in range(1, k_max + 1):
-            defect = vec_norm(vec_sub(p.E.apply(a[k + 1]), p.A.apply(a[k])))
+            defect = vec_norm(vec_sub(ea[k + 1], aa[k]))
             scale = max(1.0, vec_norm(a[k]))
             if defect > LINK_TOL * scale:
                 raise ValueError(f"chain link k={k} violated: defect {defect:.3e}")
@@ -198,8 +198,8 @@ class ChainGenerator:
             bound = (k / self.c) ** k
             for label, val in (
                 ("||a_k||", vec_norm(a[k])),
-                ("||A a_k||", vec_norm(p.A.apply(a[k]))),
-                ("||E a_k||", vec_norm(p.E.apply(a[k]))),
+                ("||A a_k||", vec_norm(aa[k])),
+                ("||E a_k||", vec_norm(ea[k])),
             ):
                 if val > bound * (1 + 1e-12):
                     raise ValueError(
@@ -245,17 +245,13 @@ def series_solution(
     return _monomial_trajectory(p, form, times)
 
 
-def polynomial_solution(
-    p: Pencil,
-    sp,
-    t_grid: Sequence[float],
-    verify_tol: float = 1e-8,
-) -> Trajectory:
-    """Trajectory f(t) = t * p(t) built from a verified right singular polynomial."""
+def polynomial_solution(p: Pencil, sp, t_grid: Sequence[float]) -> Trajectory:
+    """Trajectory f(t) = t * p(t) from a right singular polynomial (residual <= 1e-8)."""
     res = verify_singular_polynomial(p, sp, side="right")
-    if res > verify_tol:
+    if res > POLYNOMIAL_VERIFY_TOL:
         raise ValueError(
-            f"polynomial fails singularity verification: residual {res:.3e} > {verify_tol:.1e}"
+            "polynomial fails singularity verification: "
+            f"residual {res:.3e} > {POLYNOMIAL_VERIFY_TOL:.1e}"
         )
     times = np.asarray(list(t_grid), dtype=float)
     form = MonomialForm(tuple((j + 1, dict(c)) for j, c in enumerate(sp.coeffs)))
@@ -292,9 +288,7 @@ def mild_residual(p: Pencil, traj: Trajectory, tol: float = 1e-10) -> np.ndarray
                 raise QuadratureError(
                     f"quadrature cross-check drift {drift:.3e} above {tol:.1e}"
                 )
-    result = np.asarray(out)
-    traj.residual_mild = result
-    return result
+    return np.asarray(out)
 
 
 def power_balance_residual(
@@ -331,11 +325,7 @@ def power_balance_residual(
             acc += adaptive_simpson_scalar(dissipation, prev_t, t, tol)
             prev_t = t
         residuals.append(abs((e - e0) - acc))
-    res = np.asarray(residuals)
-    ham = np.asarray([0.5 * e for e in energies])
-    traj.residual_pbe = res
-    traj.hamiltonian = ham
-    return res, ham
+    return np.asarray(residuals), np.asarray([0.5 * e for e in energies])
 
 
 @dataclass
@@ -355,7 +345,6 @@ def uniqueness_demo(
     x0: SparseVec,
     t_grid: Sequence[float],
     n: int = 12,
-    tol: float = 1e-10,
 ) -> UniquenessReport:
     """Exhibit two mild solutions (kernel drift) or a section-level uniqueness certificate.
 
@@ -385,21 +374,10 @@ def uniqueness_demo(
     if vec_norm(x0) > 0:
         raise ValueError("non-uniqueness demo supports x0 = 0 only")
     v = {j: complex(c) for j, c in zip(indices, rep.kernel_basis[:, 0]) if c != 0}
-    zero_traj = Trajectory(
-        times=times,
-        states=[{} for _ in times],
-        state_fn=lambda t: {},
-        integral_fn=lambda t: {},
-    )
-    drift_form = MonomialForm(((1, v),))
-    drift_traj = Trajectory(
-        times=times,
-        states=[drift_form.evaluate(float(t)) for t in times],
-        state_fn=drift_form.evaluate,
-        integral_fn=drift_form.integral().evaluate,
-    )
-    r0 = mild_residual(p, zero_traj, tol)
-    r1 = mild_residual(p, drift_traj, tol)
+    zero_traj = _monomial_trajectory(p, MonomialForm(()), times)
+    drift_traj = _monomial_trajectory(p, MonomialForm(((1, v),)), times)
+    r0 = mild_residual(p, zero_traj)
+    r1 = mild_residual(p, drift_traj)
     dist = max(
         vec_norm(vec_sub(a, b)) for a, b in zip(zero_traj.states, drift_traj.states)
     )

@@ -218,7 +218,7 @@ def pencil_from_json(v: Any) -> Pencil:
         return _pencil_from_json(v)
     except FormatError:
         raise
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError, RecursionError) as exc:
         raise FormatError(f"invalid pencil ({type(exc).__name__}: {exc})") from exc
 
 
@@ -258,7 +258,7 @@ def load_pencil(path: str) -> Pencil:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: malformed JSON ({exc})") from exc
     try:
         return pencil_from_json(data)

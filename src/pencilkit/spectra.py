@@ -32,8 +32,6 @@ INFINITY = math.inf
 DEFAULT_TOL_POINT_FACTOR = 1e-10
 DEFAULT_TOL_AP_FACTOR = 1e-6
 
-VERDICTS = ("point_singular", "approx_singular_only", "singular_only", "regular")
-
 
 @dataclass(frozen=True)
 class PointClassification:
@@ -45,15 +43,13 @@ class PointClassification:
     tol_ap: float
 
 
-def classify_point(
-    s: SectionedPencil,
-    lam: complex | float,
-    tol_point: float | None = None,
-    tol_ap: float | None = None,
-) -> PointClassification:
-    """Classify a point (or infinity, via the reversal) for one section."""
+def classify_point(s: SectionedPencil, lam: complex | float) -> PointClassification:
+    """Classify a point (or infinity, via the reversal) for one section.
+
+    The thresholds are DEFAULT_TOL_*_FACTOR times sigma_max; the report states both.
+    """
     if lam == INFINITY:
-        inner = classify_point(s.reverse(), 0.0, tol_point, tol_ap)
+        inner = classify_point(s.reverse(), 0.0)
         return replace(inner, lam=INFINITY)
     mat = s.evaluate(complex(lam))
     svals = linalg.svdvals(mat)
@@ -61,8 +57,8 @@ def classify_point(
     rows, cols = mat.shape
     smin = float(svals[-1]) if svals.size == cols else 0.0
     smin_adj = float(svals[-1]) if svals.size == rows else 0.0
-    tp = DEFAULT_TOL_POINT_FACTOR * smax if tol_point is None else tol_point
-    ta = DEFAULT_TOL_AP_FACTOR * smax if tol_ap is None else tol_ap
+    tp = DEFAULT_TOL_POINT_FACTOR * smax
+    ta = DEFAULT_TOL_AP_FACTOR * smax
     if smin <= tp:
         verdict = "point_singular"
     elif smin <= ta:
@@ -91,8 +87,6 @@ def spectra_grid(
     s: SectionedPencil,
     rect: tuple[float, float, float, float],
     steps: tuple[int, int],
-    tol_point: float | None = None,
-    tol_ap: float | None = None,
 ) -> SpectraGrid:
     """classify_point on an inclusive rectangular grid, row-major by re then im."""
     re_min, re_max, im_min, im_max = rect
@@ -101,24 +95,22 @@ def spectra_grid(
         raise ValueError("need at least 2 steps per axis")
     res = np.linspace(re_min, re_max, n_re)
     ims = np.linspace(im_min, im_max, n_im)
-    points = tuple(
-        classify_point(s, complex(re, im), tol_point, tol_ap) for re in res for im in ims
-    )
+    points = tuple(classify_point(s, complex(re, im)) for re in res for im in ims)
     return SpectraGrid(rect, steps, points, notes=s.notes)
 
 
-def regularity_disc(s: SectionedPencil, lam: complex, tol: float | None = None) -> float:
+def regularity_disc(s: SectionedPencil, lam: complex) -> float:
     """Radius sigma_min(lam E - A) / ||E|| of guaranteed section regularity around lam.
 
     Every point strictly inside the disc is regular for the same section.
+    A section with sigma_min <= DEFAULT_TOL_AP_FACTOR * sigma_max is refused.
     """
     if not s.is_square:
         raise ValueError("regularity disc needs a square section")
     mat = s.evaluate(lam)
     svals = linalg.svdvals(mat)
     smin = float(svals[-1])
-    thr = tol if tol is not None else DEFAULT_TOL_AP_FACTOR * float(svals[0])
-    if smin <= thr:
+    if smin <= DEFAULT_TOL_AP_FACTOR * float(svals[0]):
         raise ValueError(f"section not invertible at {lam}")
     e_norm = float(linalg.norm2(s.E_mat))
     if e_norm == 0.0:

@@ -201,6 +201,21 @@ def test_non_positive_count_is_input_error(capsys, argv, message):
     assert f"argument {message}" in err
 
 
+@pytest.mark.parametrize("value", ["0", "x", "4,-1"])
+def test_bad_sections_list_is_input_error(capsys, value):
+    code, out, err = _run(capsys, "distance", "--fixture", "kronecker_L", f"--sections={value}")
+    assert code == EXIT_INPUT and out == ""
+    assert "argument --sections:" in err
+
+
+def test_deeply_nested_json_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = _run(capsys, "analyze", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert "malformed JSON" in err
+
+
 @pytest.mark.parametrize("rect", ["nan,1,0,1", "inf,1,0,1"])
 def test_non_finite_rect_is_input_error_without_warnings(capsys, pencil_file, rect):
     with warnings.catch_warnings(record=True) as caught:

@@ -15,6 +15,7 @@ from pencilkit import (
     Pencil,
     QuadratureError,
     Shift,
+    StructuredOperator,
     Trajectory,
     VectorPolynomial,
     WeightRule,
@@ -179,6 +180,21 @@ def _shift_identity():
 def test_generator_validates_links_and_growth():
     p, gen = _shift_identity()
     gen.validate(p, 10)  # no error
+
+
+def test_generator_applies_e_and_a_once_per_vector(monkeypatch):
+    p, gen = _shift_identity()
+    calls = []
+    apply = StructuredOperator.apply
+
+    def counting(self, v):
+        calls.append((id(self), tuple(v.items())))
+        return apply(self, v)
+
+    monkeypatch.setattr(StructuredOperator, "apply", counting)
+    gen.validate(p, 10)
+    vectors = [tuple(basis_vec(k).items()) for k in range(1, 12)]
+    assert sorted(calls) == sorted((id(op), v) for op in (p.E, p.A) for v in vectors)
 
 
 def test_generator_rejects_broken_link():

@@ -1,0 +1,80 @@
+"""The settable options of the public API are pinned.
+
+Every function and class (dataclasses included) named in a module's
+``__all__`` is inspected, and each parameter that has a default is listed
+here with the ``repr`` of that default.  A new keyword, a dropped one, or a
+changed default value is then a deliberate, visible edit of this file: each
+independently settable value multiplies the configurations that must be
+covered, so none should appear by accident.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import pencilkit
+
+OPTIONS = {
+    "approx.approx_kernel_sequence": {"normalize": "True"},
+    "chains.extract_left_chain": {"tol": "1e-10"},
+    "chains.extract_right_chain": {"tol": "1e-10"},
+    "chains.verify_singular_polynomial": {"side": "'right'", "probes": "None"},
+    "dh.dh_classify": {
+        "probes": "((1+0j), (2+0j), (1+1j), (1-1j), (0.01+10j))",
+        "tol_ap": "None",
+    },
+    "fixtures.Fixture": {"default_params": "<factory>", "caveat_only": "False"},
+    "odae.ChainGenerator": {"n0": "1"},
+    "odae.Trajectory": {"state_fn": "None", "integral_fn": "None", "residual_classical": "None"},
+    "odae.UniquenessReport": {
+        "trajectories": "<factory>",
+        "max_distance": "0.0",
+        "mild_residuals": "<factory>",
+        "unique": "True",
+        "notes": "()",
+    },
+    "odae.mild_residual": {"tol": "1e-10"},
+    "odae.power_balance_residual": {"tol": "1e-08"},
+    "odae.uniqueness_demo": {"n": "12"},
+    "operators.DHStructure": {"J": "None", "R": "None"},
+    "operators.DenseBlock": {"row_start": "1", "col_start": "1"},
+    "operators.Pencil": {"dh": "None"},
+    "operators.RuleOperator": {"adjoint_rule": "None"},
+    "operators.Space": {"dim": "None"},
+    "operators.WeightRule": {
+        "value": "1.0",
+        "values": "()",
+        "start": "1",
+        "default": "0.0",
+        "shift": "0",
+        "conjugate": "False",
+    },
+    "operators.Zero": {"space_out": "None"},
+    "sections.SectionedPencil": {"notes": "()"},
+    "sections.StackedCertificate": {"singular_values": "None"},
+    "sections.section": {"notes": "()"},
+    "sparsevec.basis_vec": {"c": "1.0"},
+    "sparsevec.vec_iadd": {"c": "None"},
+    "spectra.SpectraGrid": {"notes": "()"},
+}
+
+
+def _defaulted_parameters():
+    found = {}
+    for info in pkgutil.iter_modules(pencilkit.__path__):
+        module = importlib.import_module(f"pencilkit.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isclass(obj) and issubclass(obj, BaseException):
+                continue  # exceptions take the message only
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            params = inspect.signature(obj).parameters.values()
+            defaults = {p.name: repr(p.default) for p in params if p.default is not p.empty}
+            if defaults:
+                found[f"{info.name}.{name}"] = defaults
+    return found
+
+
+def test_defaulted_parameters_are_pinned():
+    assert _defaulted_parameters() == OPTIONS

@@ -173,6 +173,14 @@ def test_malformed_documents_raise_format_error(doc):
         pencil_from_json(doc)
 
 
+def test_deeply_nested_operator_is_format_error():
+    op = _IDN
+    for _ in range(100_000):
+        op = {"node": "adjoint", "op": op}
+    with pytest.raises(FormatError, match="RecursionError"):
+        pencil_from_json(_pencil_doc(op, _IDN))
+
+
 def test_rule_operators_are_not_serializable():
     op = RuleOperator(L2N, L2N, lambda j: basis_vec(j))
     with pytest.raises(FormatError):
