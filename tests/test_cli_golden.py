@@ -1,7 +1,10 @@
 """CLI stdout pinned by sha256 digest.
 
 Covers ``analyze`` and ``chains`` on every fixture that builds a pencil at
-n = 4, 7, 12, ``examples run --all --seed 0``, and ``simulate`` on the
+n = 4, 7, 12, ``spectra --n 4 --steps 3,3`` and ``distance --sections 2,4,8``
+on the same fixtures, ``dh-check`` on the two dH templates and on the
+dissipative companion of ``diag_reciprocal`` (n = 16),
+``examples run --all --seed 0``, ``examples list``, and ``simulate`` on the
 poroelasticity template (seeds 0, 1, 2; both residuals run through the
 adaptive quadrature), on two series fixtures, and ``approx`` on the four
 polynomial-sequence fixtures (which evaluate ``VectorPolynomial.evaluate``
@@ -46,13 +49,18 @@ def _builds_pencil(name: str) -> bool:
 
 
 def _cases() -> list[list[str]]:
-    cases = [["--seed", "0", "examples", "run", "--all"]]
+    cases = [["--seed", "0", "examples", "run", "--all"], ["examples", "list"]]
     for name in fixture_names():
         if not _builds_pencil(name):
             continue
         for n in (4, 7, 12):
             for cmd in ("analyze", "chains"):
                 cases.append([cmd, "--fixture", name, "--n", str(n)])
+        cases.append(["spectra", "--fixture", name, "--n", "4", "--steps", "3,3"])
+        cases.append(["distance", "--fixture", name, "--sections", "2,4,8"])
+    cases.append(["dh-check", "--fixture", "stokes_skeleton"])
+    cases.append(["dh-check", "--fixture", "poroelasticity_template"])
+    cases.append(["dh-check", "--fixture", "diag_reciprocal", "--use-companion", "--n", "16"])
     for seed in ("0", "1", "2"):
         cases.append(["--seed", seed, "simulate", "--fixture", "poroelasticity_template"])
     cases.append(["simulate", "--fixture", "shift_identity"])
