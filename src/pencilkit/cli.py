@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 verdict failure in ``examples run``, 2 input
 error, 3 internal failure (a linear-algebra kernel that did not converge or
 a quadrature that missed its tolerance).  Numeric options (``--rect``,
 ``--probes``, ``--tol``, ``--t-max``) must be finite; NaN or Inf is an input
-error.  Counts (``--samples``, ``--n-values``, ``--sections``) must be positive.
+error.  Counts (``--n``, ``--samples``, ``--n-values``, ``--sections``) must
+be positive, and ``spectra --steps`` needs at least 2 per axis.
 """
 
 from __future__ import annotations
@@ -59,9 +60,7 @@ def _seed_param(name: str, seed: int) -> dict:
 
 
 def _fixture_data(name: str, seed: int = 0) -> dict:
-    params = _seed_param(name, seed)
-    fx = fixturesmod.get_fixture(name)
-    return fx.build(**{**fx.default_params, **params})
+    return fixturesmod.get_fixture(name).build(**_seed_param(name, seed))
 
 
 def _target_data(args, seed: int = 0) -> dict:
@@ -195,6 +194,8 @@ def _cmd_spectra(args) -> int:
             raise ValueError
     except ValueError as exc:
         raise CLIError("--rect needs 4 finite reals and --steps 2 integers") from exc
+    if min(steps) < 2:
+        raise CLIError(f"--steps needs at least 2 per axis, got {args.steps!r}")
     p, notes = _target_pencil(args, args.seed)
     s = sections.section(p, args.n)
     grid = spectra.spectra_grid(s, rect, steps)
@@ -312,10 +313,8 @@ def _cmd_simulate(args) -> int:
         traj = odae.series_solution(p, data["generator"], t_grid, order=args.order)
         mild = odae.mild_residual(p, traj)
         pbe = ham = None
-    elif args.fixture == "poroelasticity_template":
-        dim = data["dim"]
-        x0 = np.cos(np.arange(dim, dtype=float) + 1.0)
-        traj = fixturesmod.integrator_trajectory(data, t_grid, x0)
+    elif "x0" in data:
+        traj = fixturesmod.integrator_trajectory(data, t_grid, data["x0"])
         mild = odae.mild_residual(p, traj, tol=1e-8)
         pbe, ham = odae.power_balance_residual(p, traj)
     else:
@@ -382,22 +381,24 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_target(sp):
-        sp.add_argument("pencil", nargs="?", help="pencil description (JSON)")
-        sp.add_argument("--fixture", help="use a named fixture instead of a JSON file")
-        sp.add_argument("--n", type=int, default=8, help="section window size (default 8)")
-        sp.add_argument("--out", help="write output to a file instead of stdout")
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("pencil", nargs="?", help="pencil description (JSON)")
+    target.add_argument("--fixture", help="use a named fixture instead of a JSON file")
+    target.add_argument("--out", help="write output to a file instead of stdout")
+    windowed = argparse.ArgumentParser(add_help=False, parents=[target])
+    windowed.add_argument(
+        "--n", type=_positive_int, default=8, help="section window size (default 8)"
+    )
 
-    sp = sub.add_parser("analyze", help="structure and classification summary")
-    add_target(sp)
+    sub.add_parser("analyze", parents=[windowed], help="structure and classification summary")
 
-    sp = sub.add_parser("spectra", help="sigma_min classification grid (CSV)")
-    add_target(sp)
+    sp = sub.add_parser("spectra", parents=[windowed], help="sigma_min classification grid (CSV)")
     sp.add_argument("--rect", default="-2,2,-2,2", help="re_min,re_max,im_min,im_max")
     sp.add_argument("--steps", default="9,9", help="n_re,n_im (>= 2 each)")
 
-    sp = sub.add_parser("chains", help="singular chain extraction report (JSON)")
-    add_target(sp)
+    sp = sub.add_parser(
+        "chains", parents=[windowed], help="singular chain extraction report (JSON)"
+    )
     sp.add_argument("--tol", type=_finite_float, default=1e-10)
 
     sp = sub.add_parser("approx", help="approximate polynomial sequence residuals (CSV)")
@@ -406,12 +407,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-values", type=_positive_int_list, default="1,2,3,4,5,6", dest="n_values")
     sp.add_argument("--out")
 
-    sp = sub.add_parser("distance", help="stacked sigma_min sweep over sections (CSV)")
-    add_target(sp)
+    sp = sub.add_parser(
+        "distance", parents=[target], help="stacked sigma_min sweep over sections (CSV)"
+    )
     sp.add_argument("--sections", type=_positive_int_list, default="2,4,8,16")
 
-    sp = sub.add_parser("dh-check", help="dissipative-Hamiltonian structure report")
-    add_target(sp)
+    sp = sub.add_parser(
+        "dh-check", parents=[windowed], help="dissipative-Hamiltonian structure report"
+    )
     sp.add_argument(
         "--use-companion",
         action="store_true",

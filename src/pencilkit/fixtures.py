@@ -1,10 +1,11 @@
 """Named example pencils with their expected verdicts and check suites.
 
-Each fixture builds a deterministic pencil (parameterized fixtures take
-explicit arguments, random ones a seed) together with companion data:
+Each fixture builds a deterministic pencil together with companion data:
 expected witnesses, closed-form singular functions, polynomial sequences,
-dH metadata, and caveat notes.  ``run_fixture`` executes the fixture's full
-check suite and reports one pass/fail line per expectation.
+dH metadata, initial states, and caveat notes.  Its parameters and their
+defaults are its builder's keyword arguments (random fixtures take a seed).
+``run_fixture`` executes the fixture's full check suite and reports one
+pass/fail line per expectation.
 
 One registry entry, ``symmetric_not_sa_note``, is caveat-only: it
 describes an operator with no faithful finite model and constructs nothing
@@ -13,8 +14,9 @@ numerical.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -69,8 +71,13 @@ class Fixture:
     description: str
     build: Callable[..., dict]
     checks: Callable[[dict], list[CheckResult]]
-    default_params: dict = field(default_factory=dict)
     caveat_only: bool = False
+
+    @property
+    def default_params(self) -> dict:
+        """The builder's keyword arguments with their defaults."""
+        params = inspect.signature(self.build).parameters.values()
+        return {p.name: p.default for p in params if p.default is not p.empty}
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +136,16 @@ def verify_singular_function(
             }
         )
     return rows
+
+
+def _tail_sum(term: Callable[[int], float], n: int, total: float = 0.0) -> float:
+    """total + sum_{j>n} term(j), stopped at a negligible term or after 500 terms."""
+    for j in range(n + 1, n + 501):
+        t = term(j)
+        total += t
+        if t < 1e-30 * max(total, 1.0):
+            break
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +315,9 @@ def _build_poroelasticity(seed: int = 0, d: int = 3, singular_pressure: bool = F
     j[2 * d :, :d] = -dd
     r = np.zeros((n, n))
     r[2 * d :, 2 * d :] = k
-    b = j - r
     pencil = _dense_dh_pencil(e, j, r)
-    out = {"pencil": pencil, "dim": n, "E_mat": e, "B_mat": b}
+    x0 = np.cos(np.arange(n, dtype=float) + 1.0)
+    out = {"pencil": pencil, "dim": n, "E_mat": e, "B_mat": j - r, "x0": x0}
     if p0 is not None:
         kv = np.zeros(n)
         kv[2 * d :] = p0
@@ -367,9 +384,7 @@ def _check_poroelasticity(data: dict) -> list[CheckResult]:
                 f"max Re eigenvalue {_fmt(worst)}",
             )
         )
-        t_grid = np.linspace(0.0, 1.0, 6)
-        x0 = np.cos(np.arange(data["dim"], dtype=float) + 1.0)
-        traj = integrator_trajectory(data, t_grid, x0)
+        traj = integrator_trajectory(data, np.linspace(0.0, 1.0, 6), data["x0"])
         res, ham = odae.power_balance_residual(p, traj, tol=1e-8)
         out.append(
             CheckResult(
@@ -448,17 +463,15 @@ def _build_shift_adjoint_sum(alphas: tuple[complex, ...] = (0.0, 0.5 + 0.5j, -1.
     blocks_a = [
         Sum([Shift(L2N, -1, constant_weight(1.0)), Scale(a, Identity(L2N))])
         for a in alphas
-    ] + [Identity(finite(1))]
-    p = Pencil(E=BlockDirectSum(blocks_e), A=BlockDirectSum(blocks_a))
-    return {"pencil": p, "alphas": tuple(complex(a) for a in alphas)}
+    ]
+    p = Pencil(E=BlockDirectSum(blocks_e), A=BlockDirectSum(blocks_a + [Identity(finite(1))]))
+    return {"pencil": p, "alphas": tuple(complex(a) for a in alphas), "blocks": blocks_a}
 
 
 def _check_shift_adjoint_sum(data: dict) -> list[CheckResult]:
     out = []
-    n = 12
-    for a in data["alphas"]:
-        block = Sum([Shift(L2N, -1, constant_weight(1.0)), Scale(a, Identity(L2N))])
-        w = sections.window_for(L2N, n)
+    w = sections.window_for(L2N, 12)
+    for a, block in zip(data["alphas"], data["blocks"]):
         mat = sections.operator_matrix(block, w, w)
         evals = linalg.standard_eigvals(mat)
         worst = float(np.max(np.abs(evals - a)))
@@ -494,14 +507,9 @@ def _build_backward_shift_diag() -> dict:
     def tail_bound(lam: complex, n: int) -> float:
         # image of the discarded tail: sum_{j>N} (|lam|^{j+1}/j! + |lam|^j/(j-1)!)
         r = abs(lam)
-        total, j = 0.0, n + 1
-        while True:
-            t = r ** (j + 1) / math.factorial(j) + r**j / math.factorial(j - 1)
-            total += t
-            j += 1
-            if t < 1e-30 * max(total, 1.0) or j > n + 500:
-                break
-        return total
+        return _tail_sum(
+            lambda j: r ** (j + 1) / math.factorial(j) + r**j / math.factorial(j - 1), n
+        )
 
     sf = SingularFunctionData(
         term=term,
@@ -551,14 +559,12 @@ def _build_bilateral_weighted() -> dict:
         r = abs(lam)
         total = 0.0
         for sign in (1, -1):
-            j = n + 1
-            while True:
-                rj = r ** (sign * j)
-                t = rj * r / math.factorial(j) + rj / math.factorial(j - 1)
-                total += t
-                j += 1
-                if t < 1e-30 * max(total, 1.0) or j > n + 500:
-                    break
+            total = _tail_sum(
+                lambda j: r ** (sign * j) * r / math.factorial(j)
+                + r ** (sign * j) / math.factorial(j - 1),
+                n,
+                total,
+            )
         return total
 
     sf = SingularFunctionData(
@@ -1091,128 +1097,113 @@ def _check_bilateral_shift(data: dict) -> list[CheckResult]:
 # registry
 
 
-def _entry(name, description, build, checks, caveat_only=False, **defaults) -> Fixture:
-    return Fixture(
-        name=name,
-        description=description,
-        build=build,
-        checks=checks,
-        default_params=defaults,
-        caveat_only=caveat_only,
-    )
-
-
 REGISTRY: dict[str, Fixture] = {
     f.name: f
     for f in [
-        _entry(
+        Fixture(
             "kronecker_L",
             "rectangular shift block: the canonical pencil with a right singular chain",
             _build_kronecker_l,
             _check_kronecker_l,
-            k=2,
         ),
-        _entry(
+        Fixture(
             "stokes_skeleton",
             "algebraic toy of the incompressible-flow block structure; "
             "constant pressure spans the common kernel",
             _build_stokes_skeleton,
             _check_stokes_skeleton,
         ),
-        _entry(
+        Fixture(
             "poroelasticity_template",
             "three-field dissipative block template with SPD or engineered-singular blocks",
             _build_poroelasticity,
             _check_poroelasticity,
-            seed=0,
-            d=3,
-            singular_pressure=False,
         ),
-        _entry(
+        Fixture(
             "mult_by_E",
             "lam*E - E with E = diag(1/j): approximate singularity without eigenvectors",
             _build_mult_by_e,
             _check_mult_by_e,
         ),
-        _entry(
+        Fixture(
             "symmetric_not_sa_note",
             "caveat-only: symmetric-not-selfadjoint operator with no faithful finite model",
             _build_symmetric_not_sa_note,
             _check_caveat_only,
             caveat_only=True,
         ),
-        _entry(
+        Fixture(
             "shift_adjoint_sum",
             "direct sum of shifted backward shifts: point singularities cover "
             "the plane yet the pencil decomposes into regular parts",
             _build_shift_adjoint_sum,
             _check_shift_adjoint_sum,
         ),
-        _entry(
+        Fixture(
             "backward_shift_diag",
             "E = diag(1/j), A backward shift; carries a closed-form singular function",
             _build_backward_shift_diag,
             _check_backward_shift_diag,
         ),
-        _entry(
+        Fixture(
             "bilateral_weighted",
             "two-sided weighted shift with a Laurent singular function away from 0",
             _build_bilateral_weighted,
             _check_bilateral_weighted,
         ),
-        _entry(
+        Fixture(
             "non4_sum",
             "direct sum pairing a pencil having a singular function with one "
             "whose reversal does",
             _build_non4_sum,
             _check_non4_sum,
         ),
-        _entry(
+        Fixture(
             "diag_reciprocal",
             "E = A = diag(1/j): joint approximate kernel, unique flow, "
             "dissipative companion for the structured checks",
             _build_diag_reciprocal,
             _check_diag_reciprocal,
         ),
-        _entry(
+        Fixture(
             "approxchain",
             "block family whose chain polynomials form a right approximate "
             "polynomial sequence with orthonormal coefficients",
             _build_approxchain,
             _check_approxchain,
         ),
-        _entry(
+        Fixture(
             "rescaled_approxchain",
             "1/n-scaled block family where constant polynomials already witness",
             _build_rescaled_approxchain,
             _check_rescaled_approxchain,
         ),
-        _entry(
+        Fixture(
             "gram_counterexample",
             "root-free polynomial with singular coefficient Gram matrix",
             _build_gram_counterexample,
             _check_gram_counterexample,
         ),
-        _entry(
+        Fixture(
             "revdegenerate",
             "p_n = e_1 + (lam^n/n!) e_2: the reversal non-vanishing condition fails",
             _build_revdegenerate,
             _check_revdegenerate,
         ),
-        _entry(
+        Fixture(
             "facfac",
             "bounded shift against an unbounded diagonal: factorial series "
             "nonuniqueness without any singular polynomial",
             _build_facfac,
             _check_facfac,
         ),
-        _entry(
+        Fixture(
             "shift_identity",
             "E backward shift, A = I: nonunique flow despite a regular point at 0",
             _build_shift_identity,
             _check_shift_identity,
         ),
-        _entry(
+        Fixture(
             "bilateral_shift",
             "unitary two-sided shift: every section is singular, the pencil is not",
             _build_bilateral_shift,
@@ -1233,8 +1224,6 @@ def get_fixture(name: str) -> Fixture:
 
 
 def run_fixture(name: str, **params) -> list[CheckResult]:
-    """Build the fixture (defaults merged with params) and run its checks."""
+    """Build the fixture with params (the builder's defaults fill the rest) and run its checks."""
     fx = get_fixture(name)
-    merged = {**fx.default_params, **params}
-    data = fx.build(**merged)
-    return fx.checks(data)
+    return fx.checks(fx.build(**params))

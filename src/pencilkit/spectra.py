@@ -72,10 +72,7 @@ def classify_point(s: SectionedPencil, lam: complex | float) -> PointClassificat
 
 @dataclass(frozen=True)
 class SpectraGrid:
-    rectangle: tuple[float, float, float, float]
-    steps: tuple[int, int]
     points: tuple[PointClassification, ...]
-    notes: tuple[str, ...] = ()
 
     def rows(self):
         for pc in self.points:
@@ -96,7 +93,7 @@ def spectra_grid(
     res = np.linspace(re_min, re_max, n_re)
     ims = np.linspace(im_min, im_max, n_im)
     points = tuple(classify_point(s, complex(re, im)) for re in res for im in ims)
-    return SpectraGrid(rect, steps, points, notes=s.notes)
+    return SpectraGrid(points)
 
 
 def regularity_disc(s: SectionedPencil, lam: complex) -> float:

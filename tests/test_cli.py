@@ -192,10 +192,18 @@ def test_non_finite_probe_is_input_error(capsys):
         (["approx", "--n-values", "0"], "--n-values: must be positive, got '0'"),
         (["approx", "--n-values", "2,-1"], "--n-values: must be positive, got '-1'"),
         (["approx", "--n-values", ","], "--n-values: empty integer list"),
+        (["analyze", "--n", "0"], "--n: must be positive, got '0'"),
+        (["spectra", "--n=-3"], "--n: must be positive, got '-3'"),
+        (["chains", "--n", "0"], "--n: must be positive, got '0'"),
+        (["dh-check", "--n=-3"], "--n: must be positive, got '-3'"),
     ],
 )
 def test_non_positive_count_is_input_error(capsys, argv, message):
-    fixture = {"simulate": "shift_identity", "approx": "approxchain"}[argv[0]]
+    fixture = {
+        "simulate": "shift_identity",
+        "approx": "approxchain",
+        "dh-check": "stokes_skeleton",
+    }.get(argv[0], "kronecker_L")
     code, out, err = _run(capsys, argv[0], "--fixture", fixture, *argv[1:])
     assert code == EXIT_INPUT and out == ""
     assert f"argument {message}" in err
@@ -206,6 +214,24 @@ def test_bad_sections_list_is_input_error(capsys, value):
     code, out, err = _run(capsys, "distance", "--fixture", "kronecker_L", f"--sections={value}")
     assert code == EXIT_INPUT and out == ""
     assert "argument --sections:" in err
+
+
+def test_distance_offers_no_window_option(capsys):
+    # distance sizes its sections with --sections; a --n would be ignored
+    code, out, err = _run(capsys, "distance", "--fixture", "kronecker_L", "--n", "4")
+    assert code == EXIT_INPUT and out == ""
+    assert "unrecognized arguments: --n" in err
+
+
+@pytest.mark.parametrize("steps", ["1,1", "2,1", "0,5"])
+def test_spectra_steps_below_two_rejected_before_section(capsys, monkeypatch, steps):
+    def no_section(*args, **kwargs):
+        raise AssertionError("section built for an invalid grid")
+
+    monkeypatch.setattr("pencilkit.cli.sections.section", no_section)
+    code, out, err = _run(capsys, "spectra", "--fixture", "kronecker_L", "--steps", steps)
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: --steps needs at least 2 per axis, got '{steps}'\n"
 
 
 def test_deeply_nested_json_is_input_error(capsys, tmp_path):

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,29 @@ def test_singular_function_truncation_drops_cancelled_entries():
     )
     assert sf.truncate(1.0, 1) == {}
     assert sf.truncate(2.0, 1) == {1: -1.0}
+
+
+# the builders that declare keyword defaults; every other builder takes none
+DEFAULT_PARAMS = {
+    "approxchain": {"alpha": None},
+    "kronecker_L": {"k": 2},
+    "poroelasticity_template": {"seed": 0, "d": 3, "singular_pressure": False},
+    "shift_adjoint_sum": {"alphas": (0.0, 0.5 + 0.5j, -1.0)},
+    "stokes_skeleton": {"m": 4, "np_": 3},
+}
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_default_params_are_the_builder_defaults(name):
+    fx = get_fixture(name)
+    assert fx.default_params == DEFAULT_PARAMS.get(name, {})
+
+    # a timing wrapper swapped in for the builder (as bench/tracer.py does) keeps them
+    @functools.wraps(fx.build)
+    def wrapper(*args, **kwargs):
+        return fx.build(*args, **kwargs)
+
+    assert dataclasses.replace(fx, build=wrapper).default_params == fx.default_params
 
 
 def test_caveat_only_fixture_builds_no_pencil():

@@ -23,7 +23,7 @@ OPTIONS = {
         "probes": "((1+0j), (2+0j), (1+1j), (1-1j), (0.01+10j))",
         "tol_ap": "None",
     },
-    "fixtures.Fixture": {"default_params": "<factory>", "caveat_only": "False"},
+    "fixtures.Fixture": {"caveat_only": "False"},
     "odae.ChainGenerator": {"n0": "1"},
     "odae.Trajectory": {"state_fn": "None", "integral_fn": "None", "residual_classical": "None"},
     "odae.UniquenessReport": {
@@ -55,7 +55,6 @@ OPTIONS = {
     "sections.section": {"notes": "()"},
     "sparsevec.basis_vec": {"c": "1.0"},
     "sparsevec.vec_iadd": {"c": "None"},
-    "spectra.SpectraGrid": {"notes": "()"},
 }
 
 
