@@ -135,16 +135,13 @@ def gram_lower_bound(seq: PolynomialSequence, n_range: Iterable[int]) -> GramRep
 def approx_kernel_sequence(
     space: Space,
     witness_rule: Callable[[int], SparseVec],
-    normalize: bool = True,
 ) -> PolynomialSequence:
-    """Constant polynomials from a joint-approximate-kernel witness family."""
+    """Constant unit-norm polynomials from a joint-approximate-kernel witness family."""
 
     def gen(n: int) -> VectorPolynomial:
         x = witness_rule(n)
         if not x:
             raise ValueError(f"witness at n={n} is zero")
-        if normalize:
-            x = vec_scale(1.0 / vec_norm(x), x)
-        return VectorPolynomial.make([x], space)
+        return VectorPolynomial.make([vec_scale(1.0 / vec_norm(x), x)], space)
 
     return PolynomialSequence(generator=gen)

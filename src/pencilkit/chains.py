@@ -14,7 +14,7 @@ they do not automatically lift to the infinite object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -208,14 +208,7 @@ def extract_left_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport | 
     rep = extract_right_chain(s.adjoint(), tol)
     if rep is None:
         return None
-    return ChainReport(
-        side="left",
-        chain=rep.chain,
-        minimal_index=rep.minimal_index,
-        residuals=rep.residuals,
-        window_indices=s.window_out.indices,
-        space=s.window_out.space,
-    )
+    return replace(rep, side="left", window_indices=s.window_out.indices, space=s.window_out.space)
 
 
 def chain_to_polynomial(report: ChainReport) -> VectorPolynomial:

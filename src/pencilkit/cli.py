@@ -55,12 +55,13 @@ def _seed_param(name: str, seed: int) -> dict:
     try:
         fx = fixturesmod.get_fixture(name)
     except KeyError as exc:
-        raise CLIError(str(exc)) from exc
+        raise CLIError(exc.args[0]) from exc
     return {"seed": seed} if "seed" in fx.default_params else {}
 
 
 def _fixture_data(name: str, seed: int = 0) -> dict:
-    return fixturesmod.get_fixture(name).build(**_seed_param(name, seed))
+    params = _seed_param(name, seed)  # first: it turns an unknown name into a CLIError
+    return fixturesmod.get_fixture(name).build(**params)
 
 
 def _target_data(args, seed: int = 0) -> dict:
@@ -198,11 +199,12 @@ def _cmd_spectra(args) -> int:
         raise CLIError(f"--steps needs at least 2 per axis, got {args.steps!r}")
     p, notes = _target_pencil(args, args.seed)
     s = sections.section(p, args.n)
-    grid = spectra.spectra_grid(s, rect, steps)
     lines = [f"# note: {n}" for n in notes]
     lines.append("re,im,sigma_min,sigma_min_adjoint,verdict")
-    for re, im, sv, sva, verdict in grid.rows():
-        lines.append(f"{_fmt(re)},{_fmt(im)},{_fmt(sv)},{_fmt(sva)},{verdict}")
+    for pc in spectra.spectra_grid(s, rect, steps):
+        lam = complex(pc.lam)
+        lines.append(f"{_fmt(lam.real)},{_fmt(lam.imag)},{_fmt(pc.sigma_min)},"
+                     f"{_fmt(pc.sigma_min_adjoint)},{pc.verdict}")
     _emit(lines, args.out)
     return EXIT_OK
 

@@ -223,7 +223,6 @@ class DHReport:
 def dh_classify(
     s: SectionedPencil,
     dh: DHStructure,
-    probes: tuple[complex, ...] = DEFAULT_HALF_PLANE_PROBES,
     tol_ap: float | None = None,
 ) -> DHReport:
     """Classify a dH section: point_singular / approx_singular_evidence / regular_candidate.
@@ -235,9 +234,6 @@ def dh_classify(
     than rank_tol, and the kernel keeps the singular values at or below
     rank_tol, so the skipped SVD would have found no kernel either.
     """
-    for lam in probes:
-        if complex(lam).real <= 0:
-            raise ValueError(f"probe {lam} not in the open right half plane")
     mats = dh_section_mats(s, dh)
     diag = verify_dh_structure(mats)
     stacked = np.vstack([mats.E, mats.BQ])
@@ -248,7 +244,7 @@ def dh_classify(
     else:
         kdim, basis = 0, np.zeros((stacked.shape[1], 0), dtype=stacked.dtype)
     probe_vals = []
-    for lam in probes:
+    for lam in DEFAULT_HALF_PLANE_PROBES:
         sv = float(linalg.svdvals(complex(lam) * mats.E - mats.BQ)[-1])
         probe_vals.append((complex(lam), sv))
     scale = max(float(linalg.norm2(mats.E)), float(linalg.norm2(mats.BQ)), 1e-300)

@@ -84,14 +84,14 @@ def smallest_right(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _padded(svals, mat.shape[1]), vh[-1].conj()
 
 
-def kernel(mat: np.ndarray, tol: float | None = None) -> np.ndarray:
+def kernel(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical nullspace, from one SVD.
 
-    The default tolerance is ``rank_tol`` with sigma_max taken from that SVD.
+    Singular values at or below ``rank_tol``, with sigma_max taken from that
+    SVD, count as zero.
     """
     svals, vh = _svals_vh(mat)
-    if tol is None:
-        tol = rank_tol(mat.shape, svals[0] if svals.size else 0.0)
+    tol = rank_tol(mat.shape, svals[0] if svals.size else 0.0)
     return vh[int(np.sum(svals > tol)):].conj().T
 
 

@@ -2,6 +2,9 @@
 solutions from singular polynomials, mild-solution and power-balance
 residuals, and uniqueness demonstrations for dissipative pencils.
 
+A trajectory is its state function; its states are that function at the
+sample times.
+
 Series and polynomial trajectories are stored in closed monomial form, so
 states, derivatives and time integrals are exact up to floating point; no
 truncation spillover occurs because every chain term is finitely supported.
@@ -145,21 +148,20 @@ def adaptive_simpson_scalar(fn, a: float, b: float, tol: float) -> float:
 
 @dataclass
 class Trajectory:
-    """Sampled solution candidate with optional closed forms and its classical residual."""
+    """Solution candidate given by its state function, sampled at ``times``.
+
+    ``states`` is ``state_fn`` at each stored time; an optional exact time
+    integral and classical residual ride along.
+    """
 
     times: np.ndarray
-    states: list[SparseVec]
-    state_fn: Callable[[float], SparseVec] | None = None
+    state_fn: Callable[[float], SparseVec]
     integral_fn: Callable[[float], SparseVec] | None = None
     residual_classical: np.ndarray | None = None
+    states: list[SparseVec] = field(init=False)
 
-    def state(self, t: float) -> SparseVec:
-        if self.state_fn is not None:
-            return self.state_fn(t)
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-12:
-            raise ValueError(f"time {t} not sampled and no closed form available")
-        return self.states[idx]
+    def __post_init__(self) -> None:
+        self.states = [self.state_fn(t) for t in self.times]
 
 
 @dataclass(frozen=True)
@@ -216,7 +218,6 @@ def _monomial_trajectory(p: Pencil, form: MonomialForm, times: np.ndarray) -> Tr
     )
     return Trajectory(
         times=times,
-        states=[form.evaluate(t) for t in times],
         state_fn=form.evaluate,
         integral_fn=form.integral().evaluate,
         residual_classical=residual,
@@ -263,23 +264,19 @@ def mild_residual(p: Pencil, traj: Trajectory, tol: float = 1e-10) -> np.ndarray
 
     Uses the exact term-wise integral when the trajectory carries one
     (cross-checked by quadrature at the final time); otherwise integrates
-    the closed-form state by adaptive Simpson.
+    the state function by adaptive Simpson.
     """
-    x0 = traj.states[0] if traj.states else (traj.state(float(traj.times[0])))
-    ex0 = p.E.apply(x0)
+    ex0 = p.E.apply(traj.states[0])
     out = []
-    for t in traj.times:
+    for t, x in zip(traj.times, traj.states):
         t = float(t)
-        x = traj.state(t)
         if traj.integral_fn is not None:
             integral = traj.integral_fn(t)
-        elif traj.state_fn is not None:
-            integral = adaptive_simpson_vec(traj.state_fn, 0.0, t, tol)
         else:
-            raise ValueError("trajectory has neither a closed form nor a state function")
+            integral = adaptive_simpson_vec(traj.state_fn, 0.0, t, tol)
         res = vec_sub(vec_sub(p.E.apply(x), p.A.apply(integral)), ex0)
         out.append(vec_norm(res))
-    if traj.integral_fn is not None and traj.state_fn is not None and len(traj.times):
+    if traj.integral_fn is not None:
         t_end = float(traj.times[-1])
         if t_end != 0.0:
             quad = adaptive_simpson_vec(traj.state_fn, 0.0, t_end, tol)
@@ -301,8 +298,6 @@ def power_balance_residual(
     """
     if p.dh is None:
         raise ValueError("pencil carries no dissipative-Hamiltonian metadata")
-    if traj.state_fn is None:
-        raise ValueError("power balance needs a closed-form or dense-output state")
     E, Q, B = p.E, p.dh.Q, p.dh.B
 
     def energy(t: float) -> float:
@@ -336,8 +331,11 @@ class UniquenessReport:
     trajectories: list[Trajectory] = field(default_factory=list)
     max_distance: float = 0.0
     mild_residuals: list[float] = field(default_factory=list)
-    unique: bool = True
     notes: tuple[str, ...] = ()
+
+    @property
+    def unique(self) -> bool:
+        return self.kernel_dim == 0
 
 
 def uniqueness_demo(
@@ -367,7 +365,6 @@ def uniqueness_demo(
             kernel_dim=0,
             margin=rep.stacked_sigma_min,
             witness=None,
-            unique=True,
             notes=("no common kernel on this window; mild solutions from equal "
                    "initial values coincide",),
         )
@@ -388,6 +385,5 @@ def uniqueness_demo(
         trajectories=[zero_traj, drift_traj],
         max_distance=float(dist),
         mild_residuals=[float(r0.max()), float(r1.max())],
-        unique=False,
         notes=("two distinct mild solutions share the initial value 0",),
     )

@@ -110,7 +110,7 @@ L2Z = Space("l2Z")
 
 @dataclass(frozen=True)
 class WeightRule:
-    """Total weight function j -> w(j), with optional shift/conjugation.
+    """Total weight function j -> w(j), with an optional index shift.
 
     Kinds: ``constant`` (c), ``reciprocal_index`` (1/max(|j|,1)),
     ``factorial_ratio`` (|j|!/|j-1|!), ``inverse_factorial`` (1/|j|!),
@@ -124,7 +124,6 @@ class WeightRule:
     start: int = 1
     default: complex = 0.0
     shift: int = 0
-    conjugate: bool = False
 
     _KINDS = (
         "constant",
@@ -168,13 +167,13 @@ class WeightRule:
         return complex(self.default)
 
     def __call__(self, j: int) -> complex:
-        w = self._base(j + self.shift)
-        return w.conjugate() if self.conjugate else w
+        return self._base(j + self.shift)
 
     def shifted(self, s: int) -> "WeightRule":
         return replace(self, shift=self.shift + s)
 
     def conjugated(self) -> "WeightRule":
+        """The complex-conjugate rule; kinds other than constant and table are real."""
         if self.kind in ("constant", "table"):
             return replace(
                 self,
@@ -182,7 +181,7 @@ class WeightRule:
                 values=tuple(complex(v).conjugate() for v in self.values),
                 default=complex(self.default).conjugate(),
             )
-        return replace(self, conjugate=not self.conjugate)
+        return self
 
 
 def constant_weight(c: complex) -> WeightRule:
@@ -437,7 +436,7 @@ class RuleOperator(StructuredOperator):
     the same for the adjoint.  Not JSON-serializable.
     """
 
-    def __init__(self, space_in, space_out, forward, adjoint_rule=None):
+    def __init__(self, space_in, space_out, forward, adjoint_rule):
         self.space_in = space_in
         self.space_out = space_out
         self._forward = forward
@@ -448,8 +447,6 @@ class RuleOperator(StructuredOperator):
         return self._forward(j)
 
     def adjoint(self) -> "RuleOperator":
-        if self._adjoint_rule is None:
-            raise NotImplementedError("no adjoint rule supplied")
         return RuleOperator(self.space_out, self.space_in, self._adjoint_rule, self._forward)
 
 

@@ -14,7 +14,7 @@ window schedule, so does the true distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,7 +163,6 @@ class StackedCertificate:
 
     value: float
     witness: np.ndarray
-    singular_values: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
 
 
 def distance_to_singularity_bound(s: SectionedPencil) -> StackedCertificate:
@@ -175,7 +174,7 @@ def distance_to_singularity_bound(s: SectionedPencil) -> StackedCertificate:
     sections tends to 0 as well.
     """
     svals, witness = linalg.smallest_right(s.stacked())
-    return StackedCertificate(value=float(svals[-1]), witness=witness, singular_values=svals)
+    return StackedCertificate(value=float(svals[-1]), witness=witness)
 
 
 # The same certificate, read as the joint-kernel defect of E and A.

@@ -92,23 +92,21 @@ def _weights_out(w: WeightRule) -> dict:
         d["default"] = _cplx_out(w.default)
     if w.shift:
         d["shift"] = w.shift
-    if w.conjugate:
-        d["conjugate"] = True
     return d
 
 
 def _weights_in(v: Any) -> WeightRule:
     if not isinstance(v, dict) or "kind" not in v:
         raise FormatError(f"not a weight rule: {v!r}")
-    return WeightRule(
+    rule = WeightRule(
         kind=v["kind"],
         value=_cplx_in(v.get("value", 1.0)),
         values=tuple(_cplx_in(x) for x in v.get("values", [])),
         start=_int_in(v.get("start", 1)),
         default=_cplx_in(v.get("default", 0.0)),
         shift=_int_in(v.get("shift", 0)),
-        conjugate=bool(v.get("conjugate", False)),
     )
+    return rule.conjugated() if v.get("conjugate", False) else rule
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .sections import SectionedPencil
 __all__ = [
     "INFINITY",
     "PointClassification",
-    "SpectraGrid",
     "classify_point",
     "spectra_grid",
     "regularity_disc",
@@ -70,21 +69,11 @@ def classify_point(s: SectionedPencil, lam: complex | float) -> PointClassificat
     return PointClassification(lam, smin, smin_adj, verdict, tp, ta)
 
 
-@dataclass(frozen=True)
-class SpectraGrid:
-    points: tuple[PointClassification, ...]
-
-    def rows(self):
-        for pc in self.points:
-            lam = complex(pc.lam)
-            yield (lam.real, lam.imag, pc.sigma_min, pc.sigma_min_adjoint, pc.verdict)
-
-
 def spectra_grid(
     s: SectionedPencil,
     rect: tuple[float, float, float, float],
     steps: tuple[int, int],
-) -> SpectraGrid:
+) -> tuple[PointClassification, ...]:
     """classify_point on an inclusive rectangular grid, row-major by re then im."""
     re_min, re_max, im_min, im_max = rect
     n_re, n_im = steps
@@ -92,8 +81,7 @@ def spectra_grid(
         raise ValueError("need at least 2 steps per axis")
     res = np.linspace(re_min, re_max, n_re)
     ims = np.linspace(im_min, im_max, n_im)
-    points = tuple(classify_point(s, complex(re, im)) for re in res for im in ims)
-    return SpectraGrid(points)
+    return tuple(classify_point(s, complex(re, im)) for re in res for im in ims)
 
 
 def regularity_disc(s: SectionedPencil, lam: complex) -> float:

@@ -227,7 +227,6 @@ def test_criterion_07_nonuniqueness_and_uniqueness():
     t_grid = np.linspace(0.0, 1.0, 5)
     flow = Trajectory(
         times=t_grid,
-        states=[{1: math.exp(float(t))} for t in t_grid],
         state_fn=lambda t: {1: math.exp(t)},
         integral_fn=lambda t: {1: math.exp(t) - 1.0} if t != 0 else {},
     )
@@ -247,8 +246,7 @@ def test_criterion_08_power_balance():
     """Three-field template: |PBE residual| <= 1e-6, Hamiltonian nonincreasing within 1e-8."""
     data = get_fixture("poroelasticity_template").build(seed=0, d=3, singular_pressure=False)
     t_grid = np.linspace(0.0, 2.0, 9)
-    x0 = np.cos(np.arange(data["dim"], dtype=float) + 1.0)
-    traj = integrator_trajectory(data, t_grid, x0)
+    traj = integrator_trajectory(data, t_grid, data["x0"])
     res, ham = power_balance_residual(data["pencil"], traj, tol=1e-8)
     max_res = float(res.max())
     max_increase = float(np.max(np.diff(ham)))

@@ -40,12 +40,12 @@ def test_residuals_match_hand_computation():
 
 
 def test_residuals_without_pencil_keep_only_the_polynomial_norms():
-    seq = approx_kernel_sequence(L2N, lambda n: {1: 3.0, n + 1: 4.0j}, normalize=False)
+    seq = approx_kernel_sequence(L2N, lambda n: {1: 3.0, n + 1: 4.0j})
     rows = sequence_residuals(None, seq, [0.0, 2.0, 1.0j], [2, 5])
     assert [(r.n, r.probe) for r in rows] == [(n, lam) for n in (2, 5) for lam in (0.0, 2.0, 1.0j)]
     for r in rows:
         assert r.forward is None and r.reverse is None
-        assert r.p_norm == vec_norm(seq(r.n).evaluate(r.probe)) == 5.0
+        assert r.p_norm == vec_norm(seq(r.n).evaluate(r.probe)) == 1.0
         assert r.revp_norm == vec_norm(seq(r.n).reversal().evaluate(r.probe))
 
 

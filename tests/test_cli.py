@@ -54,6 +54,15 @@ def test_examples_run_unknown_fixture(capsys):
     assert code == EXIT_INPUT and "unknown fixture" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("analyze", "--fixture", "nope"), ("examples", "run", "nope")]
+)
+def test_unknown_fixture_message_is_not_quoted(capsys, argv):
+    code, _, err = _run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert err.startswith("error: unknown fixture 'nope';")
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = _run(capsys, "analyze", "/does/not/exist.json")
     assert code == EXIT_INPUT and "file not found" in err

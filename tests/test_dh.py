@@ -131,12 +131,6 @@ def test_classification_branches():
     assert rep.classification == "approx_singular_evidence"
 
 
-def test_probes_must_sit_in_right_half_plane():
-    p = _random_dh(3)
-    with pytest.raises(ValueError):
-        dh_classify(section(p, 4), p.dh, probes=(-1.0 + 0j,))
-
-
 def test_report_serializes():
     p = _random_dh(4)
     rep = dh_classify(section(p, 4), p.dh)

@@ -16,7 +16,7 @@ EXPORTED = [
     "DHStructure", "DenseBlock", "Diagonal", "FORMAT_VERSION", "Fixture", "FormatError",
     "GramReport", "INFINITY", "Identity", "L2N", "L2Z", "Pencil", "PointClassification",
     "PolynomialSequence", "QuadratureError", "ResidualRow", "RuleOperator", "Scale",
-    "SectionWindow", "SectionedPencil", "Shift", "Space", "SparseVec", "SpectraGrid",
+    "SectionWindow", "SectionedPencil", "Shift", "Space", "SparseVec",
     "StackedCertificate", "StructuredOperator", "Sum", "Trajectory", "UniquenessReport",
     "VectorPolynomial", "WeightRule", "Zero", "__version__", "approx_kernel_sequence",
     "basis_vec", "chain_to_polynomial", "classify_point", "constant_weight", "dh_classify",
@@ -41,7 +41,7 @@ def _public_modules():
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTED) == 87
+    assert len(EXPORTED) == 86
     assert sorted(pencilkit.__all__) == EXPORTED
     assert len(set(pencilkit.__all__)) == len(pencilkit.__all__)
 

@@ -4,7 +4,8 @@ import functools
 import numpy as np
 import pytest
 
-from pencilkit import fixture_names, get_fixture, run_fixture, verify_singular_function
+from pencilkit import fixture_names, get_fixture, run_fixture, series_solution, verify_singular_function
+from pencilkit import fixtures
 from pencilkit.fixtures import SingularFunctionData, integrator_trajectory
 
 
@@ -93,6 +94,25 @@ def test_caveat_only_fixture_builds_no_pencil():
     assert "pencil" not in data and "caveat" in data
 
 
+def _series_trajectory(t_grid):
+    data = get_fixture("shift_identity").build()
+    return series_solution(data["pencil"], data["generator"], t_grid, order=8)
+
+
+def _integrator_trajectory(t_grid):
+    data = get_fixture("poroelasticity_template").build(seed=0, d=3)
+    return integrator_trajectory(data, t_grid, data["x0"])
+
+
+@pytest.mark.parametrize(
+    "produce", [_series_trajectory, _integrator_trajectory, fixtures._exp_trajectory]
+)
+def test_states_are_the_state_function_at_the_stored_times(produce):
+    traj = produce(np.linspace(0.0, 1.0, 7))
+    again = [traj.state_fn(t) for t in traj.times]
+    assert traj.states == again and repr(traj.states) == repr(again)
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("d", (3, 4))
 def test_integrator_trajectory_matches_dop853(seed, d):
@@ -100,12 +120,12 @@ def test_integrator_trajectory_matches_dop853(seed, d):
 
     data = get_fixture("poroelasticity_template").build(seed=seed, d=d)
     t_grid = np.linspace(0.0, 1.0, 6)
-    x0 = np.cos(np.arange(data["dim"], dtype=float) + 1.0)
+    x0 = data["x0"]
     traj = integrator_trajectory(data, t_grid, x0)
     assert traj.integral_fn is None  # mild residuals must go through quadrature
     rhs = lambda _t, x: np.linalg.solve(data["E_mat"], data["B_mat"] @ x)  # noqa: E731
     ref = solve_ivp(rhs, (0.0, 1.0), x0, t_eval=t_grid, method="DOP853", rtol=1e-12, atol=1e-12)
     for i, t in enumerate(t_grid):
-        state = traj.state(float(t))
+        state = traj.states[i]
         got = np.array([state.get(j + 1, 0.0) for j in range(data["dim"])])
         assert np.linalg.norm(got - ref.y[:, i]) <= 1e-9

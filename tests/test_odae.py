@@ -288,7 +288,6 @@ def test_polynomial_solution_rejects_non_singular_polynomial():
 def _exp_traj(rate: float, t_grid):
     return Trajectory(
         times=np.asarray(t_grid, dtype=float),
-        states=[{1: math.exp(rate * float(t))} for t in t_grid],
         state_fn=lambda t: {1: math.exp(rate * t)},
         integral_fn=lambda t: {1: (math.exp(rate * t) - 1.0) / rate},
     )
@@ -311,7 +310,6 @@ def test_mild_residual_cross_checks_inconsistent_integral():
     p = Pencil(E=Identity(L2N), A=Identity(L2N))
     traj = Trajectory(
         times=np.array([0.0, 1.0]),
-        states=[{1: 1.0}, {1: math.e}],
         state_fn=lambda t: {1: math.exp(t)},
         integral_fn=lambda t: {1: 2.0 * t},  # wrong antiderivative
     )
@@ -319,11 +317,28 @@ def test_mild_residual_cross_checks_inconsistent_integral():
         mild_residual(p, traj)
 
 
-def test_mild_residual_needs_some_state_description():
-    p = Pencil(E=Identity(L2N), A=Identity(L2N))
-    traj = Trajectory(times=np.array([0.0, 0.5]), states=[{1: 1.0}, {1: 2.0}])
-    with pytest.raises(ValueError):
-        mild_residual(p, traj)
+def test_mild_residual_calls_state_fn_only_in_the_cross_check(monkeypatch):
+    p = Pencil(E=Identity(L2N), A=Diagonal(L2N, WeightRule("reciprocal_index")))
+    traj = _exp_traj(1.0, np.linspace(0.0, 1.0, 5))
+    outside, inside = [], []  # state_fn calls made outside / inside the quadrature
+    depth = [0]
+    state_fn = traj.state_fn
+
+    def counted(t):
+        (inside if depth[0] else outside).append(t)
+        return state_fn(t)
+
+    def quadrature(fn, a, b, tol):
+        depth[0] += 1
+        try:
+            return adaptive_simpson_vec(fn, a, b, tol)
+        finally:
+            depth[0] -= 1
+
+    traj.state_fn = counted
+    monkeypatch.setattr(odae, "adaptive_simpson_vec", quadrature)
+    assert float(mild_residual(p, traj).max()) <= 1e-10
+    assert outside == [] and inside
 
 
 # --- power balance --------------------------------------------------------

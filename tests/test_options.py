@@ -15,22 +15,17 @@ import pkgutil
 import pencilkit
 
 OPTIONS = {
-    "approx.approx_kernel_sequence": {"normalize": "True"},
     "chains.extract_left_chain": {"tol": "1e-10"},
     "chains.extract_right_chain": {"tol": "1e-10"},
     "chains.verify_singular_polynomial": {"side": "'right'", "probes": "None"},
-    "dh.dh_classify": {
-        "probes": "((1+0j), (2+0j), (1+1j), (1-1j), (0.01+10j))",
-        "tol_ap": "None",
-    },
+    "dh.dh_classify": {"tol_ap": "None"},
     "fixtures.Fixture": {"caveat_only": "False"},
     "odae.ChainGenerator": {"n0": "1"},
-    "odae.Trajectory": {"state_fn": "None", "integral_fn": "None", "residual_classical": "None"},
+    "odae.Trajectory": {"integral_fn": "None", "residual_classical": "None"},
     "odae.UniquenessReport": {
         "trajectories": "<factory>",
         "max_distance": "0.0",
         "mild_residuals": "<factory>",
-        "unique": "True",
         "notes": "()",
     },
     "odae.mild_residual": {"tol": "1e-10"},
@@ -39,7 +34,6 @@ OPTIONS = {
     "operators.DHStructure": {"J": "None", "R": "None"},
     "operators.DenseBlock": {"row_start": "1", "col_start": "1"},
     "operators.Pencil": {"dh": "None"},
-    "operators.RuleOperator": {"adjoint_rule": "None"},
     "operators.Space": {"dim": "None"},
     "operators.WeightRule": {
         "value": "1.0",
@@ -47,11 +41,9 @@ OPTIONS = {
         "start": "1",
         "default": "0.0",
         "shift": "0",
-        "conjugate": "False",
     },
     "operators.Zero": {"space_out": "None"},
     "sections.SectionedPencil": {"notes": "()"},
-    "sections.StackedCertificate": {"singular_values": "None"},
     "sections.section": {"notes": "()"},
     "sparsevec.basis_vec": {"c": "1.0"},
     "sparsevec.vec_iadd": {"c": "None"},

@@ -192,7 +192,6 @@ def test_stacked_certificate_on_wide_section():
     assert s.stacked().shape == (4, 5)
     cert = distance_to_singularity_bound(s)
     assert cert.value == 0.0
-    assert len(cert.singular_values) == 5
     x = cert.witness
     assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(e @ x) ** 2 + np.linalg.norm(a @ x) ** 2 <= 1e-28

@@ -99,6 +99,25 @@ def test_adjoint_node_applied_on_load():
     assert op.apply_basis(1) == {2: -1.0j}
 
 
+def test_conjugate_key_applied_on_load():
+    def diagonal(weights):
+        return op_from_json({"node": "diagonal", "space": "l2N", "weights": weights})
+
+    const = diagonal({"kind": "constant", "value": [1, 2], "conjugate": True})
+    assert const.apply_basis(3) == {3: 1 - 2j}
+    recip = diagonal({"kind": "reciprocal_index", "conjugate": True})
+    plain = diagonal({"kind": "reciprocal_index"})
+    assert all(recip.apply_basis(j) == plain.apply_basis(j) for j in range(1, 6))
+
+
+def test_adjoint_diagonal_saved_without_conjugate_key():
+    for weights in (WeightRule("reciprocal_index"), constant_weight(1 + 2j)):
+        p = Pencil(E=Identity(L2N), A=Diagonal(L2N, weights).adjoint())
+        doc = pencil_to_json(p)
+        assert "conjugate" not in json.dumps(doc)
+        assert _same_sections(p, pencil_from_json(doc))
+
+
 def test_bare_real_scalars_accepted():
     raw = {"node": "scale", "factor": 2.5, "op": {"node": "identity", "space": "l2N"}}
     assert op_from_json(raw).apply_basis(3) == {3: 2.5}
@@ -182,6 +201,6 @@ def test_deeply_nested_operator_is_format_error():
 
 
 def test_rule_operators_are_not_serializable():
-    op = RuleOperator(L2N, L2N, lambda j: basis_vec(j))
+    op = RuleOperator(L2N, L2N, lambda j: basis_vec(j), lambda j: basis_vec(j))
     with pytest.raises(FormatError):
         op_to_json(op)

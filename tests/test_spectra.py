@@ -62,8 +62,7 @@ def test_rectangular_section_separates_sides():
 
 def test_grid_is_row_major_re_then_im():
     s = section(_diag_pencil(), 3)
-    g = spectra_grid(s, (-1.0, 1.0, -2.0, 2.0), (2, 3))
-    pts = [complex(pc.lam) for pc in g.points]
+    pts = [complex(pc.lam) for pc in spectra_grid(s, (-1.0, 1.0, -2.0, 2.0), (2, 3))]
     assert pts == [
         complex(-1, -2), complex(-1, 0), complex(-1, 2),
         complex(1, -2), complex(1, 0), complex(1, 2),
