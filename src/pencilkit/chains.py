@@ -3,13 +3,18 @@
 Extraction works on dense (possibly rectangular) sections only: a chain
 x_0..x_k with A x_0 = 0, A x_{j+1} = E x_j, E x_k = 0 is found as a null
 vector of a block-Toeplitz system T_d, scanning degrees upward so the
-returned chain has minimal length.  Two rules skip degrees that cannot carry
-a chain (details in ``extract_right_chain``): a section with at least as
-many rows as columns that has full column rank at two fixed unit-circle
-probes has no chain, so no T_d is built; and a degree whose values-only
+returned chain has minimal length.  Three rules skip degrees that cannot
+carry a chain (details in ``extract_right_chain``): a section with at least
+as many rows as columns that has full column rank at two fixed unit-circle
+probes has no chain, so no T_d is built; a degree whose values-only
 sigma_min(T_d) is clearly above the threshold is skipped without computing
-singular vectors.  Section-level verdicts are statements about the section;
-they do not automatically lift to the infinite object.
+singular vectors; and a scan that reaches HINT_DEGREE without a chain
+jumps to the minimal index eps that a staircase-style subspace recursion
+on the n-sized E and A predicts (Van Dooren 1979; Demmel and Kagstrom,
+GUPTRI, 1993), when one values-only screen of T_{eps-1} proves that the
+degrees in between would all be skipped.  Section-level verdicts are
+statements about the section; they do not automatically lift to the
+infinite object.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ ROOT_CLUSTER_TOL = 1e-8
 NEAR_ROOT_TOL = 1e-2
 # Fixed unit-circle points of the full-column-rank exit of extract_right_chain.
 RANK_PROBES = (np.exp(2j * np.pi * 0.1234567), np.exp(2j * np.pi * 0.6180339))
+# Degree at which extract_right_chain computes its minimal-index hint.
+HINT_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,70 @@ def _chain_system(E: np.ndarray, A: np.ndarray, d: int) -> np.ndarray:
     return T
 
 
+def _screen_margin(thr: float, rt: float) -> float:
+    """sigma_min(T_d) above which the values-only screen skips degree d."""
+    return max(10 * thr, thr + 2 * rt)
+
+
+def _null_basis(mat: np.ndarray, thr: float) -> np.ndarray:
+    """Orthonormal columns spanning the right singular directions with sigma <= thr."""
+    rows, cols = mat.shape
+    if rows < cols:  # zero rows give the thin SVD all cols right singular vectors
+        mat = np.vstack([mat, np.zeros((cols - rows, cols), dtype=mat.dtype)])
+    _, svals, vh = linalg.thin_svd(mat)
+    return vh[int(np.sum(svals > thr)) :].conj().T
+
+
+def _right_index_hint(E: np.ndarray, A: np.ndarray, thr: float) -> int | None:
+    """Minimal right index of the section pencil from n-sized nullspaces, or None.
+
+    S_0 = ker A and S_{j+1} = A^{-1}(E S_j) hold the vectors x_j that end a
+    chain x_0..x_j with A x_0 = 0 and A x_{i+1} = E x_i; the hint is the
+    first j with ker(E|S_j) != 0.  Rank decisions are sigma <= thr.  When
+    S_j stops growing no chain of any length exists, and the hint is None.
+    """
+    basis = _null_basis(A, thr)
+    for j in range(A.shape[1]):
+        if basis.shape[1] == 0:
+            return None
+        u, svals, _ = linalg.thin_svd(E @ basis)
+        if len(svals) < basis.shape[1] or svals[-1] <= thr:
+            return j
+        grown = _null_basis(A - u @ (u.conj().T @ A), thr)
+        if grown.shape[1] <= basis.shape[1]:
+            return None
+        basis = grown
+    return None
+
+
+def _jump_target(E: np.ndarray, A: np.ndarray, thr: float) -> int:
+    """Degree at which the scan goes on from HINT_DEGREE: the hint eps where certified.
+
+    See ``extract_right_chain`` for the certificate.  The hint is computed
+    only if k leaves room for a jump.
+    """
+    k = A.shape[1]
+    eps = _right_index_hint(E, A, thr) if k > HINT_DEGREE + 2 else None
+    if eps is None or not HINT_DEGREE + 1 < eps < k:
+        return HINT_DEGREE
+    T = _chain_system(E, A, eps - 1)
+    if T.shape[0] < T.shape[1]:
+        return HINT_DEGREE
+    screen = linalg.singular_values(T)
+    rt = linalg.rank_tol(T.shape, screen[0])
+    return eps if screen[-1] > _screen_margin(thr, rt) + 2 * rt else HINT_DEGREE
+
+
+def _scan_degrees(E: np.ndarray, A: np.ndarray, thr: float):
+    """Degrees 0..k-1 in the order the scan visits them, with one certified jump.
+
+    The jump is decided only when the scan reaches HINT_DEGREE without a chain.
+    """
+    k = A.shape[1]
+    yield from range(min(k, HINT_DEGREE))
+    yield from range(_jump_target(E, A, thr), k)
+
+
 def _link_residuals(E: np.ndarray, A: np.ndarray, chain: list[np.ndarray]) -> list[float]:
     res = [float(np.linalg.norm(A @ chain[0]))]
     for j in range(1, len(chain)):
@@ -163,6 +234,22 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
       SVD differ by less than rank_tol, so a skipped degree is one the
       vector SVD rejects too.  Otherwise the vector SVD decides, as without
       screening, and the chain vectors come from it.
+    - Certified jump: a scan that reaches degree HINT_DEGREE (6) without a
+      chain computes the hint eps of ``_right_index_hint`` once, from
+      nullspaces of n-sized matrices at the same thr.  If
+      HINT_DEGREE + 1 < eps < k and T_{eps-1} has at least as many rows as
+      columns, one values-only screen of T_{eps-1} is taken, and the scan
+      continues at degree eps when sigma_min(T_{eps-1}) exceeds the screen
+      margin plus 2 * rank_tol(T_{eps-1}).  The screen would then have
+      skipped every degree from HINT_DEGREE to eps - 1: sigma_min(T_d) is
+      nonincreasing in d, since [v; 0] carries a vector of T_d into
+      T_{d+1} with the same residual; the margin and rank_tol are
+      nondecreasing in d; and if T_{eps-1} has at least as many rows as
+      columns, so has every lower T_d.  The extra 2 * rank_tol covers the
+      rounding of both values-only SVDs, so the report is the one the full
+      scan gives.  With no hint, a smaller eps or a failed certificate the
+      scan goes on degree by degree.  Below HINT_DEGREE the hint would cost
+      more than the screens it saves.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"chain tolerance must be finite and nonnegative, got {tol!r}")
@@ -176,11 +263,11 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
         linalg.singular_values(lam * E - A)[-1] > np.sqrt(tol) * scale for lam in RANK_PROBES
     ):
         return None
-    for d in range(k):
+    for d in _scan_degrees(E, A, thr):
         T = _chain_system(E, A, d)
         if T.shape[0] >= T.shape[1]:
             screen = linalg.singular_values(T)
-            if screen[-1] > max(10 * thr, thr + 2 * linalg.rank_tol(T.shape, screen[0])):
+            if screen[-1] > _screen_margin(thr, linalg.rank_tol(T.shape, screen[0])):
                 continue
         svals, null = linalg.smallest_right(T)
         if svals[-1] > thr:
@@ -325,7 +412,7 @@ def reduce_polynomial(q: VectorPolynomial) -> VectorPolynomial:
     while changed and coords.shape[0] > 1:
         changed = False
         lead = next(i for i in range(rank) if np.abs(coords[:, i]).max() > small)
-        roots = np.roots(coords[::-1, lead])
+        roots = linalg.poly_roots(coords[::-1, lead])
         for r in roots:
             bound = max(1.0, abs(r)) ** (coords.shape[0] - 1)
             if all(

@@ -12,9 +12,16 @@ only one that names scipy: singular values and vectors, nullspaces, matrix
 - Singular vectors: ``smallest_right``, ``kernel`` and ``thin_svd`` run
   ``scipy.linalg.svd``, imported on first use.  numpy would copy U and Vh
   out of its work buffers, which raises the peak memory of the large
-  stacked certificates.  The thin SVD is taken; the full ``Vh`` only for
-  matrices with fewer rows than columns, the one case in which null
-  directions are missing from the thin factor.
+  stacked certificates.  Measured on a 2-vCPU Xeon at one BLAS thread, a
+  plain numpy swap in ``thin_svd`` and ``_svals_vh`` keeps scipy out of 5
+  of the 13 commands of the benchmark's ``cli-cold`` workload and cuts its
+  ``wall_ref_s`` from 4.88/5.12 s to 3.67/3.73 s, but raises the
+  ``dense-sweep`` ``peak_rss_mb`` from 188.7 to 207.0 MB (+9.7%): numpy's
+  ``gesdd`` allocates one work buffer of about 57 MB and copies U and Vh
+  out of it.  Freeing the stacked matrix right after its QR still peaked
+  at 207.1 MB, so the swap needs a memory plan first.  The thin SVD is
+  taken; the full ``Vh`` only for matrices with fewer rows than columns,
+  the one case in which null directions are missing from the thin factor.
 - Tall vector SVDs: ``smallest_right`` and ``kernel`` need only the
   singular values and ``Vh``.  With at least twice as many rows as columns
   they factor ``scipy.linalg.qr(mode="r")`` first and take the SVD of the
@@ -24,8 +31,9 @@ only one that names scipy: singular values and vectors, nullspaces, matrix
   both callers discard, are no longer formed.  Below two rows per column
   the answers differ in the last digits, so the threshold stays at 2.
 - ``norm2``, ``eigvalsh``, ``eigh`` and ``standard_eigvals`` pass through
-  to ``numpy.linalg``, looked up at each call, so they return exactly what
-  the numpy call returns.
+  to ``numpy.linalg``, and ``poly_roots`` to ``numpy.roots`` (an
+  eigenvalue solve of the companion matrix), looked up at each call, so
+  they return exactly what the numpy call returns.
 - ``expm``, ``solve``, generalized ``eigvals`` (QZ) and
   ``subspace_angles`` pass through to ``scipy.linalg``, imported on first
   use.
@@ -113,6 +121,11 @@ def eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def standard_eigvals(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a square matrix."""
     return np.linalg.eigvals(mat)
+
+
+def poly_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of the polynomial with coefficients ``coeffs``, highest degree first."""
+    return np.roots(coeffs)
 
 
 def expm(mat: np.ndarray) -> np.ndarray:

@@ -340,3 +340,150 @@ def test_exit_margin_boundary(chain_systems, factor, scanned):
     assert linalg.singular_values(lam0 * s.E_mat - s.A_mat)[-1] == pytest.approx(delta, rel=1e-9)
     assert extract_right_chain(s, tol) is None
     assert bool(chain_systems) == scanned
+
+
+# --- the minimal-index hint and its certified jump ------------------------
+
+
+high_indices = st.lists(st.integers(min_value=6, max_value=10), min_size=1, max_size=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(["square", "wide", "tall"]),
+    eps=high_indices,
+    etas=high_indices,
+    regular=st.integers(min_value=0, max_value=2),
+    delta=st.sampled_from([0.0, 1e-13, 1e-8, 1e-3]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_high_index_chain_extraction_matches_reference_scan(shape, eps, etas, regular, delta, seed):
+    if shape == "wide":
+        etas = []
+    elif shape == "tall":
+        eps = []
+    e, a = _kronecker_sum(np.random.default_rng(seed), eps, etas, regular, delta)
+    _assert_matches_reference(_dense_section(e, a))
+
+
+@pytest.mark.parametrize("k", [7, 10, 15])
+def test_kronecker_fixture_matches_reference_scan(k):
+    _assert_matches_reference(section(get_fixture("kronecker_L").build(k=k)["pencil"], k + 1))
+
+
+@pytest.mark.parametrize(
+    "hint",
+    [
+        lambda eps, cols: eps - 2,
+        lambda eps, cols: eps + 1,
+        lambda eps, cols: None,
+        lambda eps, cols: 0,
+        lambda eps, cols: cols + 3,
+    ],
+    ids=["eps-2", "eps+1", "none", "zero", "cols+3"],
+)
+@pytest.mark.parametrize("eps", [8, 10])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_wrong_hints_keep_reports(monkeypatch, side, eps, hint):
+    monkeypatch.setattr(chains, "_right_index_hint", lambda E, A, thr: hint(eps, A.shape[1]))
+    right, left = ([eps], []) if side == "right" else ([], [eps])
+    e, a = _kronecker_sum(np.random.default_rng(eps), right, left, 2, 0.0)
+    _assert_matches_reference(_dense_section(e, a))
+
+
+def test_right_index_hint_finds_kronecker_indices():
+    for eps in range(8):
+        e, a = _kronecker_sum(np.random.default_rng(eps), [eps, eps + 2], [1], 3, 0.0)
+        thr = 1e-10 * (np.linalg.norm(e, 2) + np.linalg.norm(a, 2))
+        assert chains._right_index_hint(e, a, thr) == eps
+        assert chains._right_index_hint(e.conj().T, a.conj().T, thr) == 1
+    rng = np.random.default_rng(0)
+    e, a = (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)) for _ in range(2))
+    assert chains._right_index_hint(e, a, 1e-10) is None
+
+
+@pytest.mark.parametrize("factor,jumped", [(0.5, False), (2.0, True)])
+def test_jump_certificate_margin_boundary(chain_systems, factor, jumped):
+    # tol puts sigma_min(T_{k-1}) at the screen margin plus factor * (2 * rank_tol)
+    k = 10
+    s = section(get_fixture("kronecker_L").build(k=k)["pencil"], k + 1)
+    E, A = s.E_mat, s.A_mat
+    scale = linalg.norm2(E) + linalg.norm2(A)
+    T = _chain_system(E, A, k - 1)
+    screen = linalg.singular_values(T)
+    rt = linalg.rank_tol(T.shape, screen[0])
+    tol = (screen[-1] - factor * 2 * rt) / (10 * scale)
+    thr = tol * scale
+    margin = max(10 * thr, thr + 2 * rt)
+    assert screen[-1] - margin == pytest.approx(factor * 2 * rt, rel=1e-2)
+    rep = extract_right_chain(s, tol)
+    _assert_same_report(rep, _reference_right_chain(s, tol))
+    assert rep.minimal_index == k
+    assert chain_systems[: chains.HINT_DEGREE] == list(range(chains.HINT_DEGREE))
+    assert set(chain_systems).isdisjoint(range(chains.HINT_DEGREE, k - 1)) == jumped
+
+
+@pytest.fixture
+def hint_calls(monkeypatch):
+    """Counts the minimal-index hints computed by chain extraction."""
+    calls = []
+    hint = chains._right_index_hint
+
+    def counted(E, A, thr):
+        calls.append(A.shape)
+        return hint(E, A, thr)
+
+    monkeypatch.setattr(chains, "_right_index_hint", counted)
+    return calls
+
+
+def test_low_index_scans_compute_no_hint(hint_calls, chain_systems):
+    for k in range(1, chains.HINT_DEGREE + 1):
+        s = section(get_fixture("kronecker_L").build(k=k)["pencil"], k + 1)
+        assert extract_right_chain(s).minimal_index == k
+        assert extract_left_chain(s) is None
+    scanned = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        eps = list(rng.integers(0, 4, size=rng.integers(1, 3)))
+        etas = list(rng.integers(0, 4, size=rng.integers(1, 3)))
+        delta = [0.0, 1e-13, 1e-8, 1e-3][seed % 4]
+        e, a = _kronecker_sum(rng, eps, etas, int(rng.integers(0, 5)), delta)
+        s = _dense_section(e, a)
+        for extract in (extract_right_chain, extract_left_chain):
+            chain_systems.clear()
+            hint_calls.clear()
+            extract(s)
+            if 0 <= max(chain_systems, default=-1) < chains.HINT_DEGREE:
+                assert hint_calls == []
+                scanned += 1
+    assert scanned >= 20
+
+
+def test_kronecker_k15_screens_below_gate_then_jumps(monkeypatch, hint_calls):
+    built, screened, vector_svds = [], [], []
+    chain_system, singular_values = _chain_system, linalg.singular_values
+    smallest_right = linalg.smallest_right
+
+    def building(E, A, d):
+        built.append(chain_system(E, A, d))
+        return built[-1]
+
+    def screening(mat):
+        if any(mat is T for T in built):
+            screened.append(mat.shape)
+        return singular_values(mat)
+
+    def vectors(mat):
+        vector_svds.append(mat.shape)
+        return smallest_right(mat)
+
+    monkeypatch.setattr(chains, "_chain_system", building)
+    monkeypatch.setattr(linalg, "singular_values", screening)
+    monkeypatch.setattr(linalg, "smallest_right", vectors)
+    k = 15
+    s = section(get_fixture("kronecker_L").build(k=k)["pencil"], k + 1)
+    assert extract_right_chain(s).minimal_index == k
+    assert len(hint_calls) == 1
+    assert len(screened) <= chains.HINT_DEGREE + 2
+    assert len(vector_svds) == 1

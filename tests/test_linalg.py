@@ -184,16 +184,20 @@ def test_tall_vector_svd_factors_only_the_triangle(monkeypatch, helper):
     assert shapes == [(6, 6)]
 
 
-NUMPY_LINALG = ("np.linalg", "numpy.linalg")
+NUMPY_LINALG = ("np", "numpy", "np.linalg", "numpy.linalg")
 NUMPY_NORMS = ("np.linalg.norm", "numpy.linalg.norm")
+# numpy functions that factorize their argument, besides the svd and eig* families
+FACTORIZING = {
+    "roots", "qr", "matrix_rank", "pinv", "lstsq", "solve", "inv", "cholesky", "det", "slogdet",
+}
 
 
 def _is_factorization(name: str) -> bool:
-    return "svd" in name or name.startswith("eig")
+    return "svd" in name or name.startswith("eig") or name in FACTORIZING
 
 
 def _factorizations(tree: ast.AST):
-    """Scipy imports and numpy SVD, eig* and matrix 2-norm uses in a module."""
+    """Scipy imports and numpy factorizations and matrix 2-norm uses in a module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found = [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
@@ -235,6 +239,18 @@ def test_only_linalg_factorizes_or_imports_scipy():
         "from numpy.linalg import eigvals",
         "n = np.linalg.norm(m, 2)",
         "n = np.linalg.norm(m, ord=-2)",
+        "r = np.roots(c)",
+        "from numpy import roots",
+        "q, r = np.linalg.qr(m)",
+        "from numpy.linalg import qr",
+        "r = numpy.linalg.matrix_rank(m)",
+        "p = np.linalg.pinv(m)",
+        "x = np.linalg.lstsq(a, b)",
+        "x = np.linalg.solve(a, b)",
+        "i = np.linalg.inv(m)",
+        "c = np.linalg.cholesky(m)",
+        "d = np.linalg.det(m)",
+        "s, logdet = np.linalg.slogdet(m)",
     ],
 )
 def test_factorization_source_check_flags(source):
@@ -244,6 +260,28 @@ def test_factorization_source_check_flags(source):
 def test_factorization_source_check_allows_linalg_layer_and_vector_norms():
     source = "s = linalg.svdvals(m)\nw = linalg.eigvalsh(m)\nn = np.linalg.norm(v)\n"
     assert list(_factorizations(ast.parse(source))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "r = linalg.poly_roots(c)",
+        "x = linalg.solve(a, b)",
+        "y = np.invert(m)",
+        "d = np.diag(m)",
+        "z = np.polyval(c, x)",
+        "from numpy import zeros, sqrt",
+        "q = np.linalg",
+    ],
+)
+def test_factorization_source_check_allows_non_factorizing_names(source):
+    assert list(_factorizations(ast.parse(source))) == []
+
+
+def test_poly_roots_is_numpy_roots():
+    rng = np.random.default_rng(0)
+    coeffs = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    assert np.array_equal(linalg.poly_roots(coeffs), np.roots(coeffs))
 
 
 def _hermitian(mat):
