@@ -6,8 +6,9 @@ deterministic ordering, so identical inputs give byte-identical output at a
 fixed BLAS thread count; across thread counts the last digits of
 near-singular results can move.  ``PENCILKIT_THREADS=1`` pins the count.
 Exit codes: 0 success, 1 verdict failure in ``examples run``, 2 input
-error, 3 internal failure (a linear-algebra kernel that did not converge or
-a quadrature that missed its tolerance).  Numeric options (``--rect``,
+error (an OS error on a pencil path or ``--out`` path among them), 3
+internal failure (a linear-algebra kernel that did not converge or a
+quadrature that missed its tolerance).  Numeric options (``--rect``,
 ``--probes``, ``--tol``, ``--t-max``) must be finite; NaN or Inf is an input
 error.  Counts (``--n``, ``--samples``, ``--n-values``, ``--sections``) must
 be positive, and ``spectra --steps`` needs at least 2 per axis.
@@ -467,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -191,33 +191,8 @@ class DHReport:
     common_kernel_dim: int
     kernel_basis: np.ndarray
     probe_sigma_min: tuple[tuple[complex, float], ...]
-    half_plane_min_sigma: float
     stacked_sigma_min: float
     classification: str
-
-    def to_json(self) -> dict:
-        d = self.diagnostics
-        return {
-            "structure_ok": d.structure_ok,
-            "margins": {
-                "qe_selfadjoint_defect": d.qe_selfadjoint_defect,
-                "qe_min_eig": d.qe_min_eig,
-                "b_sym_max_eig": d.b_sym_max_eig,
-                "q_sigma_min": d.q_sigma_min,
-                "j_skew_defect": d.j_skew_defect,
-                "r_min_eig": d.r_min_eig,
-                "bq_vs_a_defect": d.bq_vs_a_defect,
-            },
-            "common_kernel_dim": self.common_kernel_dim,
-            "half_plane_min_sigma": self.half_plane_min_sigma,
-            "stacked_sigma_min": self.stacked_sigma_min,
-            "probe_sigma_min": [
-                [[lam.real, lam.imag], sv] for lam, sv in self.probe_sigma_min
-            ],
-            "classification": self.classification,
-            "note": "maximal dissipativity is automatic in finite dimensions; "
-            "verdicts describe the section only",
-        }
 
 
 def dh_classify(
@@ -260,7 +235,6 @@ def dh_classify(
         common_kernel_dim=kdim,
         kernel_basis=basis,
         probe_sigma_min=tuple(probe_vals),
-        half_plane_min_sigma=min(v for _, v in probe_vals),
         stacked_sigma_min=stacked_smin,
         classification=classification,
     )

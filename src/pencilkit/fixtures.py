@@ -165,11 +165,12 @@ def _build_kronecker_l(k: int = 2) -> dict:
         E=DenseBlock(finite(k + 1), finite(k), e),
         A=DenseBlock(finite(k + 1), finite(k), a),
     )
-    return {"pencil": p, "k": k}
+    return {"pencil": p}
 
 
 def _check_kronecker_l(data: dict) -> list[CheckResult]:
-    p, k = data["pencil"], data["k"]
+    p = data["pencil"]
+    k = p.space_out.dim
     s = sections.section(p, k + 1)
     out = []
     rep = chains.extract_right_chain(s)
@@ -1064,13 +1065,13 @@ def _check_bilateral_shift(data: dict) -> list[CheckResult]:
     p = data["pencil"]
     out = []
     for n in (2, 5):
-        s = sections.section(p, n, notes=data["notes"])
+        s = sections.section(p, n)
         cert = sections.distance_to_singularity_bound(s)
         out.append(
             CheckResult(
                 f"stacked certificate is 0 at window n={n}",
                 cert.value <= 1e-12,
-                f"value {_fmt(cert.value)} (caveat: {s.notes[0][:20]}...)",
+                f"value {_fmt(cert.value)} (caveat: {data['notes'][0][:20]}...)",
             )
         )
     s = sections.section(p, 4)

@@ -327,11 +327,9 @@ def power_balance_residual(
 class UniquenessReport:
     kernel_dim: int
     margin: float
-    witness: SparseVec | None
     trajectories: list[Trajectory] = field(default_factory=list)
     max_distance: float = 0.0
     mild_residuals: list[float] = field(default_factory=list)
-    notes: tuple[str, ...] = ()
 
     @property
     def unique(self) -> bool:
@@ -361,13 +359,7 @@ def uniqueness_demo(
     times = np.asarray(list(t_grid), dtype=float)
     indices = s.window_in.indices
     if kdim == 0:
-        return UniquenessReport(
-            kernel_dim=0,
-            margin=rep.stacked_sigma_min,
-            witness=None,
-            notes=("no common kernel on this window; mild solutions from equal "
-                   "initial values coincide",),
-        )
+        return UniquenessReport(kernel_dim=0, margin=rep.stacked_sigma_min)
     if vec_norm(x0) > 0:
         raise ValueError("non-uniqueness demo supports x0 = 0 only")
     v = {j: complex(c) for j, c in zip(indices, rep.kernel_basis[:, 0]) if c != 0}
@@ -381,9 +373,7 @@ def uniqueness_demo(
     return UniquenessReport(
         kernel_dim=kdim,
         margin=rep.stacked_sigma_min,
-        witness=v,
         trajectories=[zero_traj, drift_traj],
         max_distance=float(dist),
         mild_residuals=[float(r0.max()), float(r1.max())],
-        notes=("two distinct mild solutions share the initial value 0",),
     )

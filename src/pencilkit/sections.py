@@ -38,7 +38,6 @@ class SectionWindow:
     """Basis window of a space, with logical indices in storage order."""
 
     space: Space
-    n: int
     indices: tuple[int, ...]
 
     @property
@@ -58,7 +57,7 @@ def window_for(space: Space, n: int) -> SectionWindow:
         idx = tuple(range(1, min(n, space.dim) + 1))  # type: ignore[arg-type]
     else:
         idx = tuple(range(1, n + 1))
-    return SectionWindow(space, n, idx)
+    return SectionWindow(space, idx)
 
 
 def operator_matrix(
@@ -108,7 +107,6 @@ class SectionedPencil:
     window_out: SectionWindow
     E_mat: np.ndarray
     A_mat: np.ndarray
-    notes: tuple[str, ...] = ()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -125,9 +123,7 @@ class SectionedPencil:
         return np.vstack([self.A_mat, self.E_mat])
 
     def reverse(self) -> "SectionedPencil":
-        return SectionedPencil(
-            self.window_in, self.window_out, self.A_mat, self.E_mat, self.notes
-        )
+        return SectionedPencil(self.window_in, self.window_out, self.A_mat, self.E_mat)
 
     def adjoint(self) -> "SectionedPencil":
         return SectionedPencil(
@@ -135,11 +131,10 @@ class SectionedPencil:
             self.window_in,
             self.E_mat.conj().T,
             self.A_mat.conj().T,
-            self.notes,
         )
 
 
-def section(p: Pencil, n: int, notes: tuple[str, ...] = ()) -> SectionedPencil:
+def section(p: Pencil, n: int) -> SectionedPencil:
     """Orthogonal compression of a pencil onto the canonical window of size n."""
     win_in = window_for(p.space_in, n)
     win_out = window_for(p.space_out, n)
@@ -148,7 +143,6 @@ def section(p: Pencil, n: int, notes: tuple[str, ...] = ()) -> SectionedPencil:
         window_out=win_out,
         E_mat=operator_matrix(p.E, win_out, win_in),
         A_mat=operator_matrix(p.A, win_out, win_in),
-        notes=notes,
     )
 
 

@@ -55,9 +55,9 @@ def _cplx_out(z: complex) -> Any:
 
 
 def _cplx_in(v: Any) -> complex:
-    if isinstance(v, (int, float)):
+    if isinstance(v, (int, float)) and type(v) is not bool:
         return complex(v)
-    if isinstance(v, list) and len(v) == 2:
+    if isinstance(v, list) and len(v) == 2 and bool not in (type(v[0]), type(v[1])):
         return complex(v[0], v[1])
     raise FormatError(f"not a complex scalar: {v!r}")
 
@@ -216,7 +216,7 @@ def pencil_from_json(v: Any) -> Pencil:
         return _pencil_from_json(v)
     except FormatError:
         raise
-    except (KeyError, ValueError, TypeError, IndexError, RecursionError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError, OverflowError, RecursionError) as exc:
         raise FormatError(f"invalid pencil ({type(exc).__name__}: {exc})") from exc
 
 
@@ -256,7 +256,7 @@ def load_pencil(path: str) -> Pencil:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError too
         raise FormatError(f"{path}: malformed JSON ({exc})") from exc
     try:
         return pencil_from_json(data)

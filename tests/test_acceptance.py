@@ -101,7 +101,7 @@ def test_criterion_03_approximate_sequence_residual_formula():
 
 
 def test_criterion_04_distance_bound_and_section_artifact():
-    """sqrt(2)/n certificate, strictly decreasing; artifact sections carry the caveat."""
+    """sqrt(2)/n certificate, strictly decreasing; the artifact fixture carries the caveat."""
     p = get_fixture("diag_reciprocal").build()["pencil"]
     vals, worst = [], 0.0
     for n in (2, 4, 8, 16, 32):
@@ -111,9 +111,8 @@ def test_criterion_04_distance_bound_and_section_artifact():
     decreasing = all(a > b for a, b in zip(vals, vals[1:]))
 
     bdata = get_fixture("bilateral_shift").build()
-    s = section(bdata["pencil"], 3, notes=bdata["notes"])
-    artifact_val = distance_to_singularity_bound(s).value
-    caveat_present = any("artifact" in note for note in s.notes)
+    artifact_val = distance_to_singularity_bound(section(bdata["pencil"], 3)).value
+    caveat_present = any("artifact" in note for note in bdata["notes"])
 
     ok = worst <= 1e-13 and decreasing and artifact_val <= 1e-12 and caveat_present
     _report(

@@ -81,17 +81,21 @@ coeff_lists = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(raw=coeff_lists)
-def test_gram_reversal_permutation_identity(raw):
+def test_gram_bounds_reversal_values_below(raw):
     coeffs = [{j: c for j, c in row if c != 0} for row in raw]
     poly = VectorPolynomial.make(coeffs, L2N)
     if poly.is_zero:
         return
     seq = PolynomialSequence(generator=lambda n: poly)
     rep = gram_lower_bound(seq, [1])
-    # the Gram spectrum is invariant under the index-reversing permutation,
-    # so the reversal polynomial inherits the same lower bound
-    scale = max(abs(rep.lambda_min[0]), 1.0)
-    assert abs(rep.lambda_min[0] - rep.lambda_min_reversed[0]) <= 1e-10 * scale
+    # lambda_min(Gram of p) <= ||rev p(lam)||^2 / sum |lam|^(2j): the Gram
+    # matrix of rev p is an index-reversed principal block of that of p
+    lm = rep.lambda_min[0]
+    slack = 1e-10 * max(1.0, float(np.trace(rep.grams[0]).real))
+    rev = poly.reversal()
+    for lam in (0.3, -1.2, 0.5 + 0.5j, 2.0j):
+        weight = sum(abs(lam) ** (2 * j) for j in range(len(rev.coeffs)))
+        assert vec_norm(rev.evaluate(lam)) ** 2 >= (lm - slack) * weight
 
 
 def test_gram_bounds_polynomial_values_below():

@@ -68,6 +68,31 @@ def test_missing_file_is_input_error(capsys):
     assert code == EXIT_INPUT and "file not found" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{tmp}"),
+        ("examples", "list", "--out", "{tmp}"),
+        ("analyze", "--fixture", "kronecker_L", "--out", "{tmp}/missing/f.txt"),
+    ],
+    ids=["analyze-directory", "out-directory", "out-missing-parent"],
+)
+def test_os_error_on_named_path_is_input_error(capsys, tmp_path, argv):
+    code, out, err = _run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: [Errno ") and str(tmp_path) in err
+
+
+def test_overflowing_literal_is_input_error(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    ident = '{"node": "identity", "space": "l2N"}'
+    path.write_text('{"format": 1, "E": ' + ident + ', "A": {"node": "scale", "factor": '
+                    + "9" * 400 + ', "op": ' + ident + "}}")
+    code, out, err = _run(capsys, "analyze", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and "OverflowError" in err
+
+
 def test_analyze_pencil_file(capsys, pencil_file):
     code, out, _ = _run(capsys, "analyze", pencil_file, "--n", "4")
     assert code == EXIT_OK

@@ -26,7 +26,6 @@ OPTIONS = {
         "trajectories": "<factory>",
         "max_distance": "0.0",
         "mild_residuals": "<factory>",
-        "notes": "()",
     },
     "odae.mild_residual": {"tol": "1e-10"},
     "odae.power_balance_residual": {"tol": "1e-08"},
@@ -43,8 +42,6 @@ OPTIONS = {
         "shift": "0",
     },
     "operators.Zero": {"space_out": "None"},
-    "sections.SectionedPencil": {"notes": "()"},
-    "sections.section": {"notes": "()"},
     "sparsevec.basis_vec": {"c": "1.0"},
     "sparsevec.vec_iadd": {"c": "None"},
 }

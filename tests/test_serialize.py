@@ -151,6 +151,12 @@ def test_errors_are_format_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(FormatError):
         load_pencil(str(bad))
+    bad.write_bytes(b'{"format": 1, "E": "\xff"}')
+    with pytest.raises(FormatError, match="malformed JSON"):
+        load_pencil(str(bad))
+    bad.write_text('{"format": ' + "1" * 5000 + "}")
+    with pytest.raises(FormatError, match="malformed JSON"):
+        load_pencil(str(bad))
 
 
 def _pencil_doc(e, a):
@@ -182,10 +188,14 @@ _IDN = {"node": "identity", "space": "l2N"}
                            "weights": {"kind": "table", "values": [1.0, float("inf")]}}),
         _pencil_doc(_IDN, {"node": "scale", "factor": [float("nan"), 0.0], "op": _IDN}),
         _pencil_doc(_IDN, {"node": "scale", "factor": float("inf"), "op": _IDN}),
+        _pencil_doc(_IDN, {"node": "scale", "factor": 10**400, "op": _IDN}),
+        _pencil_doc(_IDN, {"node": "scale", "factor": True, "op": _IDN}),
+        _pencil_doc(_IDN, {"node": "scale", "factor": [1.0, False], "op": _IDN}),
     ],
     ids=["non-integer-dim", "shift-without-offset", "mismatched-spaces",
          "unknown-weight-kind", "ragged-matrix", "negative-dim", "nan-entry",
-         "infinite-table-weight", "nan-scale-factor", "infinite-scale-factor"],
+         "infinite-table-weight", "nan-scale-factor", "infinite-scale-factor",
+         "overflowing-scale-factor", "bool-scale-factor", "bool-in-complex-pair"],
 )
 def test_malformed_documents_raise_format_error(doc):
     with pytest.raises(FormatError):
