@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .chains import VectorPolynomial
-from .operators import Pencil, Space
+from .operators import Pencil
 from .sparsevec import SparseVec, vec_inner, vec_norm, vec_scale
 
 __all__ = [
@@ -125,16 +125,13 @@ def gram_lower_bound(seq: PolynomialSequence, n_range: Iterable[int]) -> GramRep
     )
 
 
-def approx_kernel_sequence(
-    space: Space,
-    witness_rule: Callable[[int], SparseVec],
-) -> PolynomialSequence:
+def approx_kernel_sequence(witness_rule: Callable[[int], SparseVec]) -> PolynomialSequence:
     """Constant unit-norm polynomials from a joint-approximate-kernel witness family."""
 
     def gen(n: int) -> VectorPolynomial:
         x = witness_rule(n)
         if not x:
             raise ValueError(f"witness at n={n} is zero")
-        return VectorPolynomial.make([vec_scale(1.0 / vec_norm(x), x)], space)
+        return VectorPolynomial([vec_scale(1.0 / vec_norm(x), x)])
 
     return PolynomialSequence(generator=gen)

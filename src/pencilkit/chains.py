@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .operators import Pencil, Space
+from .operators import Pencil
 from .sparsevec import SparseVec, vec_iadd, vec_norm
 from .sections import SectionedPencil
 
@@ -51,19 +51,17 @@ HINT_DEGREE = 6
 class VectorPolynomial:
     """Polynomial with finitely supported vector coefficients a_0..a_k.
 
-    The trailing coefficient of a nonzero polynomial is nonzero (trimmed at
-    construction).  ``evaluate`` returns sum_j lam^j a_j as a sparse vector.
+    Coefficients are copied and trailing zeros trimmed at construction.
+    ``evaluate`` returns sum_j lam^j a_j as a sparse vector.
     """
 
     coeffs: tuple[SparseVec, ...]
-    space: Space
 
-    @staticmethod
-    def make(coeffs: list[SparseVec], space: Space) -> "VectorPolynomial":
-        trimmed = list(coeffs)
+    def __post_init__(self) -> None:
+        trimmed = list(self.coeffs)
         while trimmed and not trimmed[-1]:
             trimmed.pop()
-        return VectorPolynomial(tuple(dict(c) for c in trimmed), space)
+        object.__setattr__(self, "coeffs", tuple(dict(c) for c in trimmed))
 
     @property
     def is_zero(self) -> bool:
@@ -84,7 +82,7 @@ class VectorPolynomial:
         return out
 
     def reversal(self) -> "VectorPolynomial":
-        return VectorPolynomial.make(list(self.coeffs[::-1]), self.space)
+        return VectorPolynomial(self.coeffs[::-1])
 
     def coefficient_matrix(self) -> tuple[np.ndarray, list[int]]:
         """Dense (k+1) x |support| matrix of coefficients and the support."""
@@ -106,7 +104,6 @@ class ChainReport:
     minimal_index: int
     residuals: tuple[float, ...]
     window_indices: tuple[int, ...]
-    space: Space
 
     def to_json(self) -> dict:
         return {
@@ -285,7 +282,6 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
             minimal_index=d,
             residuals=tuple(_link_residuals(E, A, chain)),
             window_indices=s.window_in.indices,
-            space=s.window_in.space,
         )
     return None
 
@@ -295,7 +291,7 @@ def extract_left_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport | 
     rep = extract_right_chain(s.adjoint(), tol)
     if rep is None:
         return None
-    return replace(rep, side="left", window_indices=s.window_out.indices, space=s.window_out.space)
+    return replace(rep, side="left", window_indices=s.window_out.indices)
 
 
 def chain_to_polynomial(report: ChainReport) -> VectorPolynomial:
@@ -303,7 +299,7 @@ def chain_to_polynomial(report: ChainReport) -> VectorPolynomial:
     coeffs = []
     for v in report.chain:
         coeffs.append({j: complex(c) for j, c in zip(report.window_indices, v) if c != 0})
-    return VectorPolynomial.make(coeffs, report.space)
+    return VectorPolynomial(coeffs)
 
 
 def _default_probes(degree: int) -> list[complex]:
@@ -433,7 +429,7 @@ def reduce_polynomial(q: VectorPolynomial) -> VectorPolynomial:
         out_coeffs.append(
             {j: complex(c) for j, c in zip(support, row) if abs(c) > small}
         )
-    result = VectorPolynomial.make(out_coeffs, q.space)
+    result = VectorPolynomial(out_coeffs)
     if result.is_zero:  # numerically everything cancelled; keep the input
         return q
     return result

@@ -60,26 +60,28 @@ def _seed_param(name: str, seed: int) -> dict:
     return {"seed": seed} if "seed" in fx.default_params else {}
 
 
-def _fixture_data(name: str, seed: int = 0) -> dict:
-    params = _seed_param(name, seed)  # first: it turns an unknown name into a CLIError
-    return fixturesmod.get_fixture(name).build(**params)
+def _fixture_data(args) -> dict:
+    params = _seed_param(args.fixture, args.seed)  # first: it turns an unknown name into a CLIError
+    return fixturesmod.get_fixture(args.fixture).build(**params)
 
 
-def _target_data(args, seed: int = 0) -> dict:
+def _target_data(args) -> dict:
     """Fixture data from --fixture, or ``{"pencil": ...}`` from a JSON path."""
     if getattr(args, "fixture", None):
-        data = _fixture_data(args.fixture, seed=seed)
+        data = _fixture_data(args)
         if "pencil" not in data:
-            raise CLIError(f"fixture {args.fixture!r} is caveat-only and builds no pencil")
+            if fixturesmod.get_fixture(args.fixture).caveat_only:
+                raise CLIError(f"fixture {args.fixture!r} is caveat-only and builds no pencil")
+            raise CLIError(f"fixture {args.fixture!r} builds a polynomial sequence, not a pencil")
         return data
     if getattr(args, "pencil", None):
         return {"pencil": _load(args.pencil)}
     raise CLIError("either a pencil JSON path or --fixture is required")
 
 
-def _target_pencil(args, seed: int = 0):
+def _target_pencil(args):
     """Pencil from --fixture or from a JSON path, with its caveat notes."""
-    data = _target_data(args, seed)
+    data = _target_data(args)
     return data["pencil"], tuple(data.get("notes", ()))
 
 
@@ -154,7 +156,7 @@ def _emit(lines, out_path: str | None):
 
 
 def _cmd_analyze(args) -> int:
-    p, notes = _target_pencil(args, args.seed)
+    p, notes = _target_pencil(args)
     s = sections.section(p, args.n)
     lines = [
         f"window n={args.n}: {s.shape[0]}x{s.shape[1]} section "
@@ -198,7 +200,7 @@ def _cmd_spectra(args) -> int:
         raise CLIError("--rect needs 4 finite reals and --steps 2 integers") from exc
     if min(steps) < 2:
         raise CLIError(f"--steps needs at least 2 per axis, got {args.steps!r}")
-    p, notes = _target_pencil(args, args.seed)
+    p, notes = _target_pencil(args)
     s = sections.section(p, args.n)
     lines = [f"# note: {n}" for n in notes]
     lines.append("re,im,sigma_min,sigma_min_adjoint,verdict")
@@ -211,7 +213,7 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_chains(args) -> int:
-    p, notes = _target_pencil(args, args.seed)
+    p, notes = _target_pencil(args)
     s = sections.section(p, args.n)
     report: dict = {"window_n": args.n, "notes": list(notes)}
     for side, extract in (
@@ -233,7 +235,7 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    data = _fixture_data(args.fixture, seed=args.seed)
+    data = _fixture_data(args)
     if "sequence" not in data:
         raise CLIError(f"fixture {args.fixture!r} provides no polynomial sequence")
     seq = data["sequence"]
@@ -259,7 +261,7 @@ def _witness_support_center(cert, window) -> float:
 
 
 def _cmd_distance(args) -> int:
-    p, notes = _target_pencil(args, args.seed)
+    p, notes = _target_pencil(args)
     lines = [f"# note: {n}" for n in notes]
     lines.append("n,stacked_sigma_min,witness_support_center")
     for n in args.sections:
@@ -273,7 +275,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_dh_check(args) -> int:
-    data = _target_data(args, args.seed)
+    data = _target_data(args)
     notes = data.get("notes", ())
     target = data.get("dh_pencil", data["pencil"]) if args.use_companion else data["pencil"]
     if target.dh is None:
@@ -309,7 +311,7 @@ def _cmd_dh_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    data = _fixture_data(args.fixture, seed=args.seed)
+    data = _fixture_data(args)
     t_grid = np.linspace(0.0, args.t_max, args.samples)
     p = data.get("pencil")
     if "generator" in data:

@@ -38,6 +38,7 @@ from .operators import (
     WeightRule,
     Zero,
     constant_weight,
+    direct_sum,
     finite,
 )
 from .sparsevec import SparseVec, basis_vec, vec_iadd, vec_norm, vec_sub
@@ -212,7 +213,7 @@ def _dense_dh_pencil(e: np.ndarray, j: np.ndarray, r: np.ndarray) -> Pencil:
     return Pencil(E=E, A=A, dh=DHStructure(B=B, Q=Identity(sp), J=J, R=R))
 
 
-def _build_stokes_skeleton(m: int = 4, np_: int = 3) -> dict:
+def _build_stokes_skeleton() -> dict:
     """Finite algebraic toy of the incompressible-flow block structure.
 
     E keeps velocity only; J couples a discrete gradient G (row sums zero,
@@ -220,6 +221,7 @@ def _build_stokes_skeleton(m: int = 4, np_: int = 3) -> dict:
     damps velocity with an SPD matrix.  The constant-pressure direction
     spans ker E intersect ker(J - R).
     """
+    m, np_ = 4, 3  # velocity and pressure unknowns
     g = np.zeros((m, np_))
     for i in range(m):
         g[i, i % np_] = 1.0
@@ -449,13 +451,14 @@ def _check_caveat_only(data: dict) -> list[CheckResult]:
     return [CheckResult("caveat-only entry", True, data["caveat"])]
 
 
-def _build_shift_adjoint_sum(alphas: tuple[complex, ...] = (0.0, 0.5 + 0.5j, -1.0)) -> dict:
+def _build_shift_adjoint_sum() -> dict:
     """Direct sum of shifted backward-shift blocks plus a (0, 1) tail block.
 
     Each summand lam*I - (S* + alpha) has point spectrum alpha + open unit
     disc; the union over the finite alpha list stands in for the covering
     family.  The tail block makes infinity a point singularity.
     """
+    alphas = (0.0, 0.5 + 0.5j, -1.0)
     blocks_e = [Identity(L2N) for _ in alphas] + [Zero(finite(1))]
     blocks_a = [
         Sum([Shift(L2N, -1, constant_weight(1.0)), Scale(a, Identity(L2N))])
@@ -616,11 +619,8 @@ def _build_non4_sum() -> dict:
     does; neither property survives on the orthogonal sum as a whole.
     """
     a = Shift(L2Z, -1, WeightRule("factorial_ratio"))
-    p = Pencil(
-        E=BlockDirectSum([Identity(L2Z), a]),
-        A=BlockDirectSum([a, Identity(L2Z)]),
-    )
-    return {"pencil": p, "summands": (Pencil(E=Identity(L2Z), A=a), Pencil(E=a, A=Identity(L2Z)))}
+    summands = (Pencil(E=Identity(L2Z), A=a), Pencil(E=a, A=Identity(L2Z)))
+    return {"pencil": direct_sum(summands), "summands": summands}
 
 
 def _check_non4_sum(data: dict) -> list[CheckResult]:
@@ -653,9 +653,8 @@ def _build_diag_reciprocal() -> dict:
     """
     e = Diagonal(L2N, WeightRule("reciprocal_index"))
     main = Pencil(E=e, A=e)
-    q = Diagonal(L2N, WeightRule("reciprocal_index"))
     b = Scale(-1.0, Identity(L2N))
-    companion = Pencil(E=e, A=Scale(-1.0, e), dh=DHStructure(B=b, Q=q))
+    companion = Pencil(E=e, A=Scale(-1.0, e), dh=DHStructure(B=b, Q=e))
     return {"pencil": main, "dh_pencil": companion}
 
 
@@ -767,20 +766,19 @@ def _approxchain_ops(alpha: Callable[[int], float], scale: Callable[[int], float
     return e, a, glob
 
 
-def _build_approxchain(alpha: Callable[[int], float] | None = None) -> dict:
+def _build_approxchain() -> dict:
     """Orthogonal sum of (2n+1)-blocks coupling two shift chains via alpha_n.
 
     With alpha_n = 1/(n+1)! the block polynomials p_n(lam) = sum lam^j e_{j+1}
     form a right approximate polynomial sequence with orthonormal
     coefficients (Gram matrices are identities).
     """
-    if alpha is None:
-        alpha = lambda n: 1.0 / math.factorial(n + 1)
+    alpha = lambda n: 1.0 / math.factorial(n + 1)
     e, a, glob = _approxchain_ops(alpha, lambda n: 1.0)
 
     def gen(n: int) -> chains.VectorPolynomial:
         coeffs = [basis_vec(glob(n, j + 1)) for j in range(n + 1)]
-        return chains.VectorPolynomial.make(coeffs, L2N)
+        return chains.VectorPolynomial(coeffs)
 
     return {"pencil": Pencil(E=e, A=a), "alpha": alpha, "sequence": approx.PolynomialSequence(gen)}
 
@@ -825,7 +823,7 @@ def _build_rescaled_approxchain() -> dict:
     """
     e, a, glob = _approxchain_ops(lambda n: 1.0, lambda n: 1.0 / n)
     p = Pencil(E=e, A=a)
-    seq = approx.approx_kernel_sequence(L2N, lambda n: basis_vec(glob(n, 1)))
+    seq = approx.approx_kernel_sequence(lambda n: basis_vec(glob(n, 1)))
     return {"pencil": p, "sequence": seq}
 
 
@@ -857,9 +855,7 @@ def _check_rescaled_approxchain(data: dict) -> list[CheckResult]:
 
 def _build_gram_counterexample() -> dict:
     """Root-free polynomial whose coefficient Gram matrix is singular."""
-    poly = chains.VectorPolynomial.make(
-        [basis_vec(1), basis_vec(2), basis_vec(2), basis_vec(3)], finite(3)
-    )
+    poly = chains.VectorPolynomial([basis_vec(1), basis_vec(2), basis_vec(2), basis_vec(3)])
     seq = approx.PolynomialSequence(generator=lambda n: poly)
     return {"polynomial": poly, "sequence": seq}
 
@@ -895,7 +891,7 @@ def _build_revdegenerate() -> dict:
         coeffs = [basis_vec(1)] + [{} for _ in range(n - 1)] + [
             basis_vec(2, 1.0 / math.factorial(n))
         ]
-        return chains.VectorPolynomial.make(coeffs, finite(2))
+        return chains.VectorPolynomial(coeffs)
 
     return {"sequence": approx.PolynomialSequence(generator=gen)}
 

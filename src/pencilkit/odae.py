@@ -45,6 +45,9 @@ __all__ = [
 LINK_TOL = 1e-12
 POLYNOMIAL_VERIFY_TOL = 1e-8
 RADIUS_MARGIN = 0.1
+# First and last pass sizes of adaptive_simpson_vec (subintervals, even).
+SIMPSON_M0 = 8
+SIMPSON_MAX_M = 4096
 
 
 class QuadratureError(RuntimeError):
@@ -104,30 +107,24 @@ def _simpson_pass(fn, values: dict, a: float, b: float, m: int) -> SparseVec:
     return vec_scale(h / 3.0, total)
 
 
-def adaptive_simpson_vec(fn, a: float, b: float, tol: float, m0: int = 8,
-                         max_m: int = 4096) -> SparseVec:
+def adaptive_simpson_vec(fn, a: float, b: float, tol: float) -> SparseVec:
     """Dyadically refined composite Simpson; Richardson estimate < 0.1 * tol.
 
-    Starts with m0 subintervals and doubles while m <= max_m, so the last
-    pass tried has 2 * max_m at most.  The nodes a + i*h of one pass are
-    bitwise nodes of the next, so fn is called once per distinct node (the
-    final m + 1 calls in all); fn must be pure.  m0 must be even and
-    positive, max_m >= m0, and tol finite and positive: anything else is a
-    ValueError raised before fn is called.  A missed tolerance raises
-    QuadratureError.
+    Starts with SIMPSON_M0 subintervals and doubles while m <= SIMPSON_MAX_M,
+    so the last pass tried has 2 * SIMPSON_MAX_M at most.  The nodes a + i*h
+    of one pass are bitwise nodes of the next, so fn is called once per
+    distinct node (the final m + 1 calls in all); fn must be pure.  tol must
+    be finite and positive, else a ValueError is raised before fn is called.
+    A missed tolerance raises QuadratureError.
     """
-    if m0 <= 0 or m0 % 2:
-        raise ValueError(f"m0 must be even and positive, got {m0}")
-    if max_m < m0:
-        raise ValueError(f"max_m must be >= m0, got max_m={max_m} < m0={m0}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if a == b:
         return {}
     values: dict[float, SparseVec] = {}
-    m = m0
+    m = SIMPSON_M0
     prev = _simpson_pass(fn, values, a, b, m)
-    while m <= max_m:
+    while m <= SIMPSON_MAX_M:
         m *= 2
         cur = _simpson_pass(fn, values, a, b, m)
         est = vec_norm(vec_sub(cur, prev)) / 15.0

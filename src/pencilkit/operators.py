@@ -489,6 +489,11 @@ class Pencil:
     def __post_init__(self) -> None:
         if self.E.space_in != self.A.space_in or self.E.space_out != self.A.space_out:
             raise ValueError("E and A must share input and output spaces")
+        if self.dh is not None:
+            d = self.dh
+            for name, op in (("E", self.E), ("B", d.B), ("Q", d.Q), ("J", d.J), ("R", d.R)):
+                if op is not None and not op.space_in == op.space_out == self.space_in:
+                    raise ValueError(f"dH pencil: {name} must map {self.space_in} to itself")
 
     @property
     def space_in(self) -> Space:

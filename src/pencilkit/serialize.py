@@ -39,6 +39,8 @@ __all__ = ["FORMAT_VERSION", "FormatError", "pencil_to_json", "pencil_from_json"
            "save_pencil"]
 
 FORMAT_VERSION = 1
+# Weight-rule keys that only one kind reads ("shift" and "conjugate" apply to all).
+_KIND_KEYS = {"value": "constant", "values": "table", "start": "table", "default": "table"}
 
 
 class FormatError(ValueError):
@@ -98,6 +100,9 @@ def _weights_out(w: WeightRule) -> dict:
 def _weights_in(v: Any) -> WeightRule:
     if not isinstance(v, dict) or "kind" not in v:
         raise FormatError(f"not a weight rule: {v!r}")
+    stray = sorted(k for k in v if _KIND_KEYS.get(k, v["kind"]) != v["kind"])
+    if stray:
+        raise FormatError(f"weight rule {v['kind']!r} does not take {', '.join(stray)}")
     rule = WeightRule(
         kind=v["kind"],
         value=_cplx_in(v.get("value", 1.0)),

@@ -22,7 +22,7 @@ from pencilkit import (
 
 
 def test_sequence_rejects_zero_polynomials():
-    seq = PolynomialSequence(generator=lambda n: VectorPolynomial.make([{}], L2N))
+    seq = PolynomialSequence(generator=lambda n: VectorPolynomial([{}]))
     with pytest.raises(ValueError):
         seq(1)
 
@@ -31,7 +31,7 @@ def test_residuals_match_hand_computation():
     # E = I, A = diag(1/j); constant polynomial e_n gives
     # ||(lam E - A) e_n|| = |lam - 1/n| and reversal ||(lam A - E) e_n|| = |lam/n - 1|
     p = Pencil(E=Identity(L2N), A=Diagonal(L2N, WeightRule("reciprocal_index")))
-    seq = approx_kernel_sequence(L2N, lambda n: basis_vec(n))
+    seq = approx_kernel_sequence(lambda n: basis_vec(n))
     rows = sequence_residuals(p, seq, [0.0, 2.0, 1.0j], [2, 5])
     for r in rows:
         assert r.forward == pytest.approx(abs(r.probe - 1.0 / r.n), abs=1e-15)
@@ -40,7 +40,7 @@ def test_residuals_match_hand_computation():
 
 
 def test_residuals_without_pencil_keep_only_the_polynomial_norms():
-    seq = approx_kernel_sequence(L2N, lambda n: {1: 3.0, n + 1: 4.0j})
+    seq = approx_kernel_sequence(lambda n: {1: 3.0, n + 1: 4.0j})
     rows = sequence_residuals(None, seq, [0.0, 2.0, 1.0j], [2, 5])
     assert [(r.n, r.probe) for r in rows] == [(n, lam) for n in (2, 5) for lam in (0.0, 2.0, 1.0j)]
     for r in rows:
@@ -51,7 +51,7 @@ def test_residuals_without_pencil_keep_only_the_polynomial_norms():
 
 def test_gram_identity_for_orthonormal_coefficients():
     def gen(n):
-        return VectorPolynomial.make([basis_vec(j) for j in range(1, n + 2)], L2N)
+        return VectorPolynomial([basis_vec(j) for j in range(1, n + 2)])
 
     seq = PolynomialSequence(generator=gen)
     rep = gram_lower_bound(seq, range(1, 5))
@@ -60,7 +60,7 @@ def test_gram_identity_for_orthonormal_coefficients():
 
 
 def test_gram_detects_dependent_coefficients():
-    poly = VectorPolynomial.make([basis_vec(1), basis_vec(1)], L2N)
+    poly = VectorPolynomial([basis_vec(1), basis_vec(1)])
     seq = PolynomialSequence(generator=lambda n: poly)
     rep = gram_lower_bound(seq, [1])
     assert abs(rep.lambda_min[0]) <= 1e-14
@@ -83,7 +83,7 @@ coeff_lists = st.lists(
 @given(raw=coeff_lists)
 def test_gram_bounds_reversal_values_below(raw):
     coeffs = [{j: c for j, c in row if c != 0} for row in raw]
-    poly = VectorPolynomial.make(coeffs, L2N)
+    poly = VectorPolynomial(coeffs)
     if poly.is_zero:
         return
     seq = PolynomialSequence(generator=lambda n: poly)
@@ -100,7 +100,7 @@ def test_gram_bounds_reversal_values_below(raw):
 
 def test_gram_bounds_polynomial_values_below():
     # lambda_min(Gram) <= ||p(lam)||^2 / sum |lam|^(2j) at every lambda
-    poly = VectorPolynomial.make([basis_vec(1), basis_vec(2, 0.5), basis_vec(1, 0.25)], L2N)
+    poly = VectorPolynomial([basis_vec(1), basis_vec(2, 0.5), basis_vec(1, 0.25)])
     seq = PolynomialSequence(generator=lambda n: poly)
     lm = gram_lower_bound(seq, [1]).lambda_min[0]
     for lam in (0.3, -1.2, 0.5 + 0.5j):
@@ -109,8 +109,8 @@ def test_gram_bounds_polynomial_values_below():
 
 
 def test_approx_kernel_sequence_normalizes():
-    seq = approx_kernel_sequence(L2N, lambda n: basis_vec(1, 3.0 * n))
+    seq = approx_kernel_sequence(lambda n: basis_vec(1, 3.0 * n))
     assert vec_norm(seq(3).coeffs[0]) == pytest.approx(1.0, abs=1e-15)
-    bad = approx_kernel_sequence(L2N, lambda n: {})
+    bad = approx_kernel_sequence(lambda n: {})
     with pytest.raises(ValueError):
         bad(1)

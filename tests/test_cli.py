@@ -93,6 +93,18 @@ def test_overflowing_literal_is_input_error(capsys, tmp_path):
     assert err.startswith("error: ") and "OverflowError" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "dh-check"])
+def test_dh_factor_on_another_space_is_input_error(capsys, tmp_path, command):
+    id3 = {"node": "identity", "space": {"finite": 3}}
+    doc = {"format": 1, "E": id3, "A": id3,
+           "dh": {"B": {"node": "identity", "space": {"finite": 2}}, "Q": id3}}
+    path = tmp_path / "dh.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, command, str(path), "--n", "3")
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and "dH pencil: B must map" in err
+
+
 def test_analyze_pencil_file(capsys, pencil_file):
     code, out, _ = _run(capsys, "analyze", pencil_file, "--n", "4")
     assert code == EXIT_OK
@@ -103,6 +115,13 @@ def test_analyze_pencil_file(capsys, pencil_file):
 def test_analyze_caveat_only_fixture_rejected(capsys):
     code, _, err = _run(capsys, "analyze", "--fixture", "symmetric_not_sa_note")
     assert code == EXIT_INPUT and "caveat-only" in err
+
+
+@pytest.mark.parametrize("name", ["gram_counterexample", "revdegenerate"])
+def test_analyze_sequence_fixture_is_not_called_caveat_only(capsys, name):
+    code, _, err = _run(capsys, "analyze", "--fixture", name)
+    assert code == EXIT_INPUT
+    assert "caveat-only" not in err and "polynomial sequence" in err
 
 
 def test_spectra_csv(capsys, pencil_file):

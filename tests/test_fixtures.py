@@ -65,11 +65,8 @@ def test_singular_function_truncation_drops_cancelled_entries():
 
 # the builders that declare keyword defaults; every other builder takes none
 DEFAULT_PARAMS = {
-    "approxchain": {"alpha": None},
     "kronecker_L": {"k": 2},
     "poroelasticity_template": {"seed": 0, "d": 3, "singular_pressure": False},
-    "shift_adjoint_sum": {"alphas": (0.0, 0.5 + 0.5j, -1.0)},
-    "stokes_skeleton": {"m": 4, "np_": 3},
 }
 
 

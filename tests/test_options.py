@@ -1,7 +1,8 @@
-"""The settable options of the public API are pinned.
+"""The settable options of the package are pinned.
 
-Every function and class (dataclasses included) named in a module's
-``__all__`` is inspected, and each parameter that has a default is listed
+Every function and class (dataclasses included) defined at module level in
+``pencilkit``, private helpers and fixture builders as well as the names in
+``__all__``, is inspected, and each parameter that has a default is listed
 here with the ``repr`` of that default.  A new keyword, a dropped one, or a
 changed default value is then a deliberate, visible edit of this file: each
 independently settable value multiplies the configurations that must be
@@ -18,8 +19,17 @@ OPTIONS = {
     "chains.extract_left_chain": {"tol": "1e-10"},
     "chains.extract_right_chain": {"tol": "1e-10"},
     "chains.verify_singular_polynomial": {"side": "'right'", "probes": "None"},
+    "cli.main": {"argv": "None"},
     "dh.dh_classify": {"tol_ap": "None"},
     "fixtures.Fixture": {"caveat_only": "False"},
+    "fixtures.SingularFunctionData": {"excluded": "()", "excluded_note": "''"},
+    "fixtures._build_kronecker_l": {"k": "2"},
+    "fixtures._build_poroelasticity": {
+        "seed": "0",
+        "d": "3",
+        "singular_pressure": "False",
+    },
+    "fixtures._tail_sum": {"total": "0.0"},
     "odae.ChainGenerator": {"n0": "1"},
     "odae.Trajectory": {"integral_fn": "None", "residual_classical": "None"},
     "odae.UniquenessReport": {
@@ -51,12 +61,13 @@ def _defaulted_parameters():
     found = {}
     for info in pkgutil.iter_modules(pencilkit.__path__):
         module = importlib.import_module(f"pencilkit.{info.name}")
-        for name in getattr(module, "__all__", ()):
-            obj = getattr(module, name)
-            if inspect.isclass(obj) and issubclass(obj, BaseException):
-                continue  # exceptions take the message only
+        for name, obj in vars(module).items():
             if not (inspect.isfunction(obj) or inspect.isclass(obj)):
                 continue
+            if obj.__module__ != module.__name__:
+                continue  # imported, pinned where it is defined
+            if inspect.isclass(obj) and issubclass(obj, BaseException):
+                continue  # exceptions take the message only
             params = inspect.signature(obj).parameters.values()
             defaults = {p.name: repr(p.default) for p in params if p.default is not p.empty}
             if defaults:

@@ -170,6 +170,9 @@ def _dense(matrix):
 
 _ID2 = {"node": "identity", "space": {"finite": 2}}
 _IDN = {"node": "identity", "space": "l2N"}
+_ID3 = {"node": "identity", "space": {"finite": 3}}
+_DENSE32 = {"node": "denseBlock", "space_in": {"finite": 3}, "space_out": {"finite": 2},
+            "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
 
 
 @pytest.mark.parametrize(
@@ -191,11 +194,22 @@ _IDN = {"node": "identity", "space": "l2N"}
         _pencil_doc(_IDN, {"node": "scale", "factor": 10**400, "op": _IDN}),
         _pencil_doc(_IDN, {"node": "scale", "factor": True, "op": _IDN}),
         _pencil_doc(_IDN, {"node": "scale", "factor": [1.0, False], "op": _IDN}),
+        {**_pencil_doc(_ID3, _ID3), "dh": {"B": _ID2, "Q": _ID3}},
+        {**_pencil_doc(_ID3, _ID3), "dh": {"B": _ID3, "Q": _ID3, "J": _ID3, "R": _ID2}},
+        {**_pencil_doc(_DENSE32, _DENSE32), "dh": {"B": _ID3, "Q": _ID3}},
+        _pencil_doc(_IDN, {"node": "diagonal", "space": "l2N",
+                           "weights": {"kind": "reciprocal_index", "value": 5, "values": [1, 2]}}),
+        _pencil_doc(_IDN, {"node": "diagonal", "space": "l2N",
+                           "weights": {"kind": "constant", "value": 2, "default": 1}}),
+        _pencil_doc(_IDN, {"node": "diagonal", "space": "l2N",
+                           "weights": {"kind": "table", "values": [1], "value": 2}}),
     ],
     ids=["non-integer-dim", "shift-without-offset", "mismatched-spaces",
          "unknown-weight-kind", "ragged-matrix", "negative-dim", "nan-entry",
          "infinite-table-weight", "nan-scale-factor", "infinite-scale-factor",
-         "overflowing-scale-factor", "bool-scale-factor", "bool-in-complex-pair"],
+         "overflowing-scale-factor", "bool-scale-factor", "bool-in-complex-pair",
+         "dh-factor-on-other-space", "dh-split-on-other-space", "dh-on-rectangular-pencil",
+         "value-on-reciprocal-index", "table-key-on-constant", "value-on-table"],
 )
 def test_malformed_documents_raise_format_error(doc):
     with pytest.raises(FormatError):

@@ -188,7 +188,7 @@ def test_monomial_form_evaluate_matches_reference(terms, t):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(vecs(), max_size=4), SCALAR)
 def test_vector_polynomial_evaluate_matches_reference(coeffs, lam):
-    poly = VectorPolynomial(tuple(coeffs), finite(DIM))
+    poly = VectorPolynomial(coeffs)
     assert _entries(poly.evaluate(lam)) == _entries(_ref_polynomial(coeffs, lam))
 
 

@@ -32,6 +32,27 @@ def test_point_singular_at_exact_eigenvalue():
     assert pc.sigma_min <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "delta, verdict",
+    [
+        (0.5e-10, "point_singular"),
+        (2e-10, "approx_singular_only"),
+        (0.5e-6, "approx_singular_only"),
+        (2e-6, "regular"),
+    ],
+)
+def test_verdicts_at_the_stated_tolerances(delta, verdict):
+    # E = I, A = diag(1, 1, delta) at lam = 0: sigma_max = 1, sigma_min = delta
+    sp = finite(3)
+    s = section(Pencil(E=Identity(sp), A=DenseBlock(sp, sp, np.diag([1.0, 1.0, delta]))), 3)
+    pc = classify_point(s, 0.0)
+    assert pc.verdict == verdict
+    assert pc.sigma_min == pytest.approx(delta, rel=1e-12)
+    smax = np.linalg.norm(s.evaluate(0.0), 2)
+    assert smax == 1.0
+    assert pc.tol_point == 1e-10 * smax and pc.tol_ap == 1e-6 * smax
+
+
 def test_regular_away_from_spectrum():
     s = section(_diag_pencil(), 4)
     pc = classify_point(s, 2.0)
