@@ -230,7 +230,10 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
       max(10 * thr, thr + 2 * rank_tol).  The values-only and the vector
       SVD differ by less than rank_tol, so a skipped degree is one the
       vector SVD rejects too.  Otherwise the vector SVD decides, as without
-      screening, and the chain vectors come from it.
+      screening, and the chain vectors come from it.  After the first
+      screen that skips nothing, no later degree is screened:
+      sigma_min(T_d) is nonincreasing in d (see below), so the later
+      screens would mostly fail as well.
     - Certified jump: a scan that reaches degree HINT_DEGREE (6) without a
       chain computes the hint eps of ``_right_index_hint`` once, from
       nullspaces of n-sized matrices at the same thr.  If
@@ -260,12 +263,14 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
         linalg.singular_values(lam * E - A)[-1] > np.sqrt(tol) * scale for lam in RANK_PROBES
     ):
         return None
+    screening = True
     for d in _scan_degrees(E, A, thr):
         T = _chain_system(E, A, d)
-        if T.shape[0] >= T.shape[1]:
+        if screening and T.shape[0] >= T.shape[1]:
             screen = linalg.singular_values(T)
             if screen[-1] > _screen_margin(thr, linalg.rank_tol(T.shape, screen[0])):
                 continue
+            screening = False
         svals, null = linalg.smallest_right(T)
         if svals[-1] > thr:
             continue

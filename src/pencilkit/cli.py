@@ -11,7 +11,8 @@ internal failure (a linear-algebra kernel that did not converge or a
 quadrature that missed its tolerance).  Numeric options (``--rect``,
 ``--probes``, ``--tol``, ``--t-max``) must be finite; NaN or Inf is an input
 error.  Counts (``--n``, ``--samples``, ``--n-values``, ``--sections``) must
-be positive, and ``spectra --steps`` needs at least 2 per axis.
+be positive, ``simulate --order`` at least 2, and ``spectra --steps`` needs
+at least 2 per axis.
 """
 
 from __future__ import annotations
@@ -116,6 +117,14 @@ def _nonnegative_int(text: str) -> int:
     value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
+def _series_order(text: str) -> int:
+    """argparse type of ``simulate --order``: an integer >= 2."""
+    value = _int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {text!r}")
     return value
 
 
@@ -428,7 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="trajectory with residual columns (CSV)")
     sp.add_argument("--fixture", required=True)
-    sp.add_argument("--order", type=int, default=10, help="series truncation order")
+    sp.add_argument("--order", type=_series_order, default=10,
+                    help="series truncation order (>= 2)")
     sp.add_argument("--t-max", type=_finite_float, default=1.0, dest="t_max")
     sp.add_argument("--samples", type=_positive_int, default=11)
     sp.add_argument("--window", type=_nonnegative_int, default=8, help="state coordinates to print")

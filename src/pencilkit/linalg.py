@@ -5,31 +5,33 @@ only one that names scipy: singular values and vectors, nullspaces, matrix
 2-norms, eigenvalues, matrix exponentials and solves.
 
 - Values only: ``svdvals`` and ``singular_values`` run
-  ``numpy.linalg.svd`` without vectors, so a command that needs nothing
-  else never loads ``scipy.linalg`` (about 0.3 s of cold start).  They keep
-  scipy's contract: NaN or Inf input raises ``ValueError``, not
-  ``LinAlgError``, and an empty matrix has no singular values.
-- Singular vectors: ``smallest_right``, ``kernel`` and ``thin_svd`` run
-  ``scipy.linalg.svd``, imported on first use.  numpy would copy U and Vh
-  out of its work buffers, which raises the peak memory of the large
-  stacked certificates.  Measured on a 2-vCPU Xeon at one BLAS thread, a
-  plain numpy swap in ``thin_svd`` and ``_svals_vh`` keeps scipy out of 5
-  of the 13 commands of the benchmark's ``cli-cold`` workload and cuts its
-  ``wall_ref_s`` from 4.88/5.12 s to 3.67/3.73 s, but raises the
-  ``dense-sweep`` ``peak_rss_mb`` from 188.7 to 207.0 MB (+9.7%): numpy's
-  ``gesdd`` allocates one work buffer of about 57 MB and copies U and Vh
-  out of it.  Freeing the stacked matrix right after its QR still peaked
-  at 207.1 MB, so the swap needs a memory plan first.  The thin SVD is
-  taken; the full ``Vh`` only for matrices with fewer rows than columns,
-  the one case in which null directions are missing from the thin factor.
+  ``numpy.linalg.svd`` without vectors, at every size.  They keep scipy's
+  contract: NaN or Inf input raises ``ValueError``, not ``LinAlgError``,
+  and an empty matrix has no singular values.
+- Singular vectors: ``smallest_right``, ``kernel`` and ``thin_svd`` go
+  through two kernels, ``_svd`` and ``_qr_r``.  Each runs ``numpy.linalg``
+  on a matrix of at most ``NUMPY_CAP`` (2^18) entries and
+  ``scipy.linalg``, imported on first use, above it, with the same NaN and
+  Inf contract on both sides.  So a command whose matrices stay below the
+  cap never loads ``scipy.linalg`` (about 0.3 s of cold start).  The cap
+  is there for memory: numpy's ``gesdd`` allocates one work buffer and
+  copies U and Vh out of it, about 57 MB for an 800 x 800 triangle, and a
+  plain numpy swap raised the peak memory of the large stacked
+  certificates from 188.7 to 207.0 MB (measured on a 2-vCPU Xeon at one
+  BLAS thread).  Both libraries call the same LAPACK routines (``gesdd``,
+  ``geqrf``); at one BLAS thread their values and vectors were bitwise
+  equal on every shape compared, but at two threads ``Vh`` can differ in
+  the last digits.  The thin SVD is taken; the full ``Vh`` only for
+  matrices with fewer rows than columns, the one case in which null
+  directions are missing from the thin factor.
 - Tall vector SVDs: ``smallest_right`` and ``kernel`` need only the
   singular values and ``Vh``.  With at least twice as many rows as columns
-  they factor ``scipy.linalg.qr(mode="r")`` first and take the SVD of the
-  square triangle R.  On such shapes LAPACK's ``gesdd`` runs the same
-  ``geqrf`` and decomposes the same R itself (its "M much larger than N"
-  path), so the values and ``Vh`` are bitwise equal; only Q and Q·U, which
-  both callers discard, are no longer formed.  Below two rows per column
-  the answers differ in the last digits, so the threshold stays at 2.
+  they take R from a QR first and the SVD of the square triangle R.  On
+  such shapes LAPACK's ``gesdd`` runs the same ``geqrf`` and decomposes the
+  same R itself (its "M much larger than N" path), so the values and
+  ``Vh`` are bitwise equal; only Q and Q·U, which both callers discard,
+  are no longer formed.  Below two rows per column the answers differ in
+  the last digits, so the threshold stays at 2.
 - ``norm2``, ``eigvalsh``, ``eigh`` and ``standard_eigvals`` pass through
   to ``numpy.linalg``, and ``poly_roots`` to ``numpy.roots`` (an
   eigenvalue solve of the companion matrix), looked up at each call, so
@@ -44,6 +46,8 @@ from __future__ import annotations
 import numpy as np
 
 EPS = 2.0**-52
+# Vector SVDs and QRs of matrices with at most this many entries run on numpy.
+NUMPY_CAP = 2**18
 
 
 def _scipy_linalg():
@@ -62,16 +66,29 @@ def svdvals(mat: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray_chkfinite(mat), compute_uv=False)
 
 
+def _svd(mat: np.ndarray, full: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if mat.size <= NUMPY_CAP:
+        return np.linalg.svd(np.asarray_chkfinite(mat), full_matrices=full)
+    return _scipy_linalg().svd(mat, full_matrices=full)
+
+
+def _qr_r(mat: np.ndarray) -> np.ndarray:
+    """The square triangle R of a matrix with at least as many rows as columns."""
+    if mat.size <= NUMPY_CAP:
+        return np.linalg.qr(np.asarray_chkfinite(mat), mode="r")
+    return np.triu(_scipy_linalg().qr(mat, mode="r")[0][: mat.shape[1]])
+
+
 def thin_svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``U, s, Vh`` of the thin SVD."""
-    return _scipy_linalg().svd(mat, full_matrices=False)
+    return _svd(mat, False)
 
 
 def _svals_vh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = mat.shape
     if cols and rows >= 2 * cols:
-        mat = np.triu(_scipy_linalg().qr(mat, mode="r")[0][:cols])
-    _, svals, vh = _scipy_linalg().svd(mat, full_matrices=rows < cols)
+        mat = _qr_r(mat)
+    _, svals, vh = _svd(mat, rows < cols)
     return svals, vh
 
 

@@ -486,3 +486,36 @@ def test_kronecker_k15_screens_below_gate_then_jumps(monkeypatch, hint_calls):
     assert len(hint_calls) == 1
     assert len(screened) <= chains.HINT_DEGREE + 2
     assert len(vector_svds) == 1
+
+
+def test_no_screen_after_the_first_that_skips_nothing(monkeypatch):
+    # kronecker_L k=4: sigma_min(T_d) = 1, 0.618, 0.445, 0.347, 0 for d = 0..4
+    # and scale = 2, so at thr = 0.08 the screen skips degree 0; degree 1
+    # passes its screen (0.618 <= 10 * thr) but not its vector SVD, and the
+    # tall T_2 and T_3 go to the vector SVD unscreened
+    tol = 0.04
+    s = section(get_fixture("kronecker_L").build(k=4)["pencil"], 5)
+    built, events = [], []
+    chain_system, singular_values = _chain_system, linalg.singular_values
+    smallest_right = linalg.smallest_right
+
+    def building(E, A, d):
+        built.append((d, chain_system(E, A, d)))
+        return built[-1][1]
+
+    def screening(mat):
+        events.extend(("screen", d) for d, T in built if T is mat)
+        return singular_values(mat)
+
+    def vectors(mat):
+        events.extend(("vector", d) for d, T in built if T is mat)
+        return smallest_right(mat)
+
+    monkeypatch.setattr(chains, "_chain_system", building)
+    monkeypatch.setattr(linalg, "singular_values", screening)
+    monkeypatch.setattr(linalg, "smallest_right", vectors)
+    rep = extract_right_chain(s, tol)
+    monkeypatch.undo()
+    _assert_same_report(rep, _reference_right_chain(s, tol))
+    assert rep.minimal_index == 4
+    assert events == [("screen", 0), ("screen", 1)] + [("vector", d) for d in range(1, 5)]

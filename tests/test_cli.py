@@ -230,6 +230,13 @@ def test_non_finite_t_max_is_input_error(capsys):
     assert "argument --t-max: must be finite, got 'nan'" in err
 
 
+@pytest.mark.parametrize("value", ["1", "-5"])
+def test_series_order_below_two_is_argparse_error(capsys, value):
+    code, out, err = _run(capsys, "simulate", "--fixture", "shift_identity", f"--order={value}")
+    assert code == EXIT_INPUT and out == ""
+    assert f"argument --order: must be at least 2, got '{value}'" in err
+
+
 def test_non_finite_probe_is_input_error(capsys):
     code, out, err = _run(capsys, "approx", "--fixture", "approxchain", "--probes", "nan,1")
     assert code == EXIT_INPUT and out == ""
@@ -383,6 +390,37 @@ def test_values_only_commands_leave_scipy_linalg_unimported(tmp_path):
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["import False"] + [f"{c[0]} 0 False" for c in commands]
+
+
+def test_vector_svd_commands_leave_scipy_linalg_unimported(tmp_path):
+    # their matrices stay below linalg.NUMPY_CAP, so numpy takes the vector SVDs
+    rng = np.random.default_rng(0)
+    sp = finite(12)
+    regular, chained = str(tmp_path / "regular.json"), str(tmp_path / "chained.json")
+    save_pencil(Pencil(E=DenseBlock(sp, sp, rng.standard_normal((12, 12))),
+                       A=DenseBlock(sp, sp, rng.standard_normal((12, 12)))), regular)
+    save_pencil(pencilkit.get_fixture("kronecker_L").build()["pencil"], chained)
+    commands = [
+        ["analyze", chained, "--n", "7"],
+        ["analyze", regular, "--n", "12"],
+        ["chains", chained, "--n", "7"],
+        ["distance", "--fixture", "diag_reciprocal", "--sections", "4,8,16,32"],
+        ["dh-check", "--fixture", "stokes_skeleton"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import pencilkit.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = pencilkit.cli.main(argv)\n"
+        "    print(argv[0], rc, 'scipy.linalg' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(pencilkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [f"{c[0]} 0 False" for c in commands]
 
 
 @pytest.mark.skipif(

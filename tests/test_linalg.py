@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -170,16 +174,83 @@ def test_vector_svds_are_bitwise_scipy_svd_on_fixture_stacks(name, pencil):
         _assert_vector_svds_are_bitwise_scipy_svd(section(pencil, n).stacked())
 
 
+# Run at one BLAS thread: at two, Vh can differ between numpy and scipy in the
+# last digits.  Results at or below the cap are taken before scipy.linalg is
+# imported, so they come from numpy; the reference is scipy.linalg.
+_BITWISE_SCRIPT = """
+import json, sys
+import pencilkit
+import numpy as np
+from pencilkit import linalg
+
+def of_rank(rng, rows, cols, rank, dtype):
+    left, right = rng.standard_normal((rows, rank)), rng.standard_normal((rank, cols))
+    if dtype == "complex":
+        left = left + 1j * rng.standard_normal((rows, rank))
+        right = right + 1j * rng.standard_normal((rank, cols))
+    return left @ right
+
+cap = linalg.NUMPY_CAP
+# tall with a QR (>= 2 rows per column), tall and square without, and wide
+shapes = [(1, 1), (12, 5), (40, 20), (9, 7), (60, 40), (7, 7), (40, 40), (4, 10), (40, 60),
+          (1, 6)]
+shapes = [(r, c, rank, dtype) for r, c in shapes for rank in {min(r, c), max(min(r, c) - 2, 1)}
+          for dtype in ("float", "complex")]
+# at the cap, then just above it: the SVD, and the QR of a tall matrix
+shapes += [(512, 512, 512, "float"), (1024, 256, 250, "complex"), (513, 512, 512, "float"),
+           (1028, 256, 256, "float")]
+cases = []
+for i, (rows, cols, rank, dtype) in enumerate(shapes):
+    mat = of_rank(np.random.default_rng(i), rows, cols, rank, dtype)
+    cases.append((f"{rows}x{cols} rank {rank} {dtype}", mat,
+                  linalg.thin_svd(mat), linalg.smallest_right(mat), linalg.kernel(mat),
+                  linalg._qr_r(mat) if rows >= cols else None))
+    if mat.size <= cap:
+        assert "scipy.linalg" not in sys.modules, cases[-1][0]
+assert "scipy.linalg" in sys.modules
+
+import scipy.linalg
+
+differ = []
+for label, mat, thin, smallest, null, r in cases:
+    rows, cols = mat.shape
+    u, s, vh = scipy.linalg.svd(mat, full_matrices=False)
+    full_vh = scipy.linalg.svd(mat)[2]
+    svals = np.concatenate([s, np.zeros(cols - len(s))])
+    rank = int(np.sum(s > linalg.rank_tol(mat.shape, s[0])))
+    checks = {
+        "thin_svd": all(np.array_equal(a, b) for a, b in zip(thin, (u, s, vh))),
+        "smallest_right": np.array_equal(smallest[0], svals)
+        and np.array_equal(smallest[1], full_vh[-1].conj()),
+        "kernel": np.array_equal(null, full_vh[rank:].conj().T),
+        "qr_r": r is None
+        or np.array_equal(r, np.triu(scipy.linalg.qr(mat, mode="r")[0][:cols])),
+    }
+    differ += [f"{label}: {name}" for name, same in checks.items() if not same]
+print(json.dumps({"cases": len(cases), "differ": differ}))
+"""
+
+
+def test_vector_svds_are_bitwise_scipy_on_both_sides_of_the_cap():
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env.update(PYTHONPATH=str(Path(pencilkit.__file__).parents[1]), PENCILKIT_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _BITWISE_SCRIPT],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"cases": 40, "differ": []}
+
+
 @pytest.mark.parametrize("helper", [linalg.smallest_right, linalg.kernel])
 def test_tall_vector_svd_factors_only_the_triangle(monkeypatch, helper):
     shapes = []
-    svd = scipy.linalg.svd
+    svd = linalg._svd
 
-    def counting_svd(mat, *args, **kwargs):
+    def counting_svd(mat, full):
         shapes.append(mat.shape)
-        return svd(mat, *args, **kwargs)
+        return svd(mat, full)
 
-    monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
+    monkeypatch.setattr(linalg, "_svd", counting_svd)
     helper(_of_rank(np.random.default_rng(0), 12, 6, 6, complex))
     assert shapes == [(6, 6)]
 
