@@ -104,33 +104,23 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the count options: an integer >= 1."""
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
+def _int_at_least(lo: int):
+    """argparse type of the integer options: an integer >= ``lo``."""
+    words = {0: "non-negative", 1: "positive"}.get(lo, f"at least {lo}")
 
+    def parse(text: str) -> int:
+        value = _int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be {words}, got {text!r}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type of ``simulate --window``: an integer >= 0 (0 prints no coordinates)."""
-    value = _int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
-    return value
-
-
-def _series_order(text: str) -> int:
-    """argparse type of ``simulate --order``: an integer >= 2."""
-    value = _int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {text!r}")
-    return value
+    return parse
 
 
 def _positive_int_list(text: str) -> list[int]:
     """argparse type of ``--n-values`` and ``--sections``: comma-separated integers >= 1."""
-    vals = [_positive_int(s) for s in text.split(",") if s.strip()]
+    positive = _int_at_least(1)
+    vals = [positive(s) for s in text.split(",") if s.strip()]
     if not vals:
         raise argparse.ArgumentTypeError("empty integer list")
     return vals
@@ -401,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     target.add_argument("--out", help="write output to a file instead of stdout")
     windowed = argparse.ArgumentParser(add_help=False, parents=[target])
     windowed.add_argument(
-        "--n", type=_positive_int, default=8, help="section window size (default 8)"
+        "--n", type=_int_at_least(1), default=8, help="section window size (default 8)"
     )
 
     sub.add_parser("analyze", parents=[windowed], help="structure and classification summary")
@@ -437,11 +427,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="trajectory with residual columns (CSV)")
     sp.add_argument("--fixture", required=True)
-    sp.add_argument("--order", type=_series_order, default=10,
-                    help="series truncation order (>= 2)")
+    sp.add_argument("--order", type=_int_at_least(odae.MIN_SERIES_ORDER), default=10,
+                    help=f"series truncation order (>= {odae.MIN_SERIES_ORDER})")
     sp.add_argument("--t-max", type=_finite_float, default=1.0, dest="t_max")
-    sp.add_argument("--samples", type=_positive_int, default=11)
-    sp.add_argument("--window", type=_nonnegative_int, default=8, help="state coordinates to print")
+    sp.add_argument("--samples", type=_int_at_least(1), default=11)
+    sp.add_argument("--window", type=_int_at_least(0), default=8, help="state coordinates to print")
     sp.add_argument("--out")
 
     sp = sub.add_parser("examples", help="list fixtures or run their check suites")

@@ -9,19 +9,21 @@ only one that names scipy: singular values and vectors, nullspaces, matrix
   contract: NaN or Inf input raises ``ValueError``, not ``LinAlgError``,
   and an empty matrix has no singular values.
 - Singular vectors: ``smallest_right``, ``kernel`` and ``thin_svd`` go
-  through two kernels, ``_svd`` and ``_qr_r``.  Each runs ``numpy.linalg``
-  on a matrix of at most ``NUMPY_CAP`` (2^18) entries and
-  ``scipy.linalg``, imported on first use, above it, with the same NaN and
-  Inf contract on both sides.  So a command whose matrices stay below the
-  cap never loads ``scipy.linalg`` (about 0.3 s of cold start).  The cap
-  is there for memory: numpy's ``gesdd`` allocates one work buffer and
-  copies U and Vh out of it, about 57 MB for an 800 x 800 triangle, and a
-  plain numpy swap raised the peak memory of the large stacked
-  certificates from 188.7 to 207.0 MB (measured on a 2-vCPU Xeon at one
-  BLAS thread).  Both libraries call the same LAPACK routines (``gesdd``,
-  ``geqrf``); at one BLAS thread their values and vectors were bitwise
-  equal on every shape compared, but at two threads ``Vh`` can differ in
-  the last digits.  The thin SVD is taken; the full ``Vh`` only for
+  through two kernels, ``_svd`` and ``_qr_r``.  ``_qr_r`` runs
+  ``numpy.linalg.qr`` at every size.  ``_svd`` runs ``numpy.linalg`` on a
+  matrix of at most ``NUMPY_CAP`` (2^18) entries and ``scipy.linalg``,
+  imported on first use, above it.  Both keep the NaN and Inf contract.
+  So a command whose SVDs stay below the cap never loads ``scipy.linalg``
+  (about 0.3 s of cold start).  The cap is there for memory: numpy's
+  ``gesdd`` allocates one work buffer and copies U and Vh out of it, about
+  57 MB for an 800 x 800 triangle, and a plain numpy swap raised the peak
+  memory of the large stacked certificates from 188.7 to 207.0 MB
+  (measured on a 2-vCPU Xeon at one BLAS thread).  QR has no such buffer.
+  Both libraries call the same LAPACK routines (``gesdd``, ``geqrf``); at
+  one BLAS thread their values and vectors were bitwise equal on every
+  shape compared, but at two threads ``Vh`` can differ in the last digits.
+  R was bitwise equal at 2n x n for n = 200, 400 and 800, at one and two
+  threads.  The thin SVD is taken; the full ``Vh`` only for
   matrices with fewer rows than columns, the one case in which null
   directions are missing from the thin factor.
 - Tall vector SVDs: ``smallest_right`` and ``kernel`` need only the
@@ -46,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 EPS = 2.0**-52
-# Vector SVDs and QRs of matrices with at most this many entries run on numpy.
+# Vector SVDs of matrices with at most this many entries run on numpy.
 NUMPY_CAP = 2**18
 
 
@@ -74,9 +76,7 @@ def _svd(mat: np.ndarray, full: bool) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _qr_r(mat: np.ndarray) -> np.ndarray:
     """The square triangle R of a matrix with at least as many rows as columns."""
-    if mat.size <= NUMPY_CAP:
-        return np.linalg.qr(np.asarray_chkfinite(mat), mode="r")
-    return np.triu(_scipy_linalg().qr(mat, mode="r")[0][: mat.shape[1]])
+    return np.linalg.qr(np.asarray_chkfinite(mat), mode="r")
 
 
 def thin_svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -45,6 +45,8 @@ __all__ = [
 LINK_TOL = 1e-12
 POLYNOMIAL_VERIFY_TOL = 1e-8
 RADIUS_MARGIN = 0.1
+# Lowest truncation order of series_solution.
+MIN_SERIES_ORDER = 2
 # First and last pass sizes of adaptive_simpson_vec (subintervals, even).
 SIMPSON_M0 = 8
 SIMPSON_MAX_M = 4096
@@ -229,8 +231,8 @@ def series_solution(
     All grid times must lie inside the certified radius with a 10% margin;
     the classical residual uses the exact derivative of the truncation.
     """
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    if order < MIN_SERIES_ORDER:
+        raise ValueError(f"order must be >= {MIN_SERIES_ORDER}")
     limit = gen.radius * (1.0 - RADIUS_MARGIN)
     times = np.asarray(list(t_grid), dtype=float)
     if np.any(np.abs(times) > limit):
