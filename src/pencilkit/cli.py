@@ -7,8 +7,10 @@ fixed BLAS thread count; across thread counts the last digits of
 near-singular results can move.  ``PENCILKIT_THREADS=1`` pins the count.
 Exit codes: 0 success, 1 verdict failure in ``examples run``, 2 input
 error (an OS error on a pencil path or ``--out`` path among them), 3
-internal failure (a linear-algebra kernel that did not converge or a
-quadrature that missed its tolerance).  Numeric options (``--rect``,
+internal failure (a linear-algebra kernel that did not converge, a
+quadrature that missed its tolerance, or a ``KeyError``: no input reaches
+one, since unknown fixture names and malformed pencil files are reported
+as input errors first).  Numeric options (``--rect``,
 ``--probes``, ``--tol``, ``--t-max``) must be finite; NaN or Inf is an input
 error.  Counts (``--n``, ``--samples``, ``--n-values``, ``--sections``) must
 be positive, ``simulate --order`` at least 2, and ``spectra --steps`` needs
@@ -466,11 +468,11 @@ def main(argv: list[str] | None = None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (np.linalg.LinAlgError, odae.QuadratureError) as exc:
+    except (np.linalg.LinAlgError, odae.QuadratureError, KeyError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

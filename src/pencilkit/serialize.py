@@ -1,15 +1,21 @@
 """Versioned JSON description of pencils and structured operators.
 
-Top level: ``{"format": 1, "space": <space>, "E": <expr>, "A": <expr>,
-"dh": {"B": ..., "Q": ..., "J": ..., "R": ...}?}``.  Expression nodes are
-tagged unions mirroring the operator classes; ``adjoint`` nodes are applied
-structurally on load, so a loaded tree always consists of concrete
-operators.  Complex scalars are ``[re, im]`` pairs (bare reals accepted on
-input); spaces are ``"l2N"``, ``"l2Z"`` or ``{"finite": dim}``.
+Top level: ``{"format": 1, "space": <space>?, "E": <node>, "A": <node>,
+"dh": {"B": <node>, "Q": <node>, "J": <node>?, "R": <node>?} | null?}``.
+Operator nodes ``{"node": <name>, ...}`` mirror the operator classes;
+weight rules are ``{"kind": <kind>, ...}``.  The tables ``_NODES``,
+``_KINDS`` and ``_PENCIL`` hold every key, and the reader and the writer
+both loop over them.  A key is optional exactly where its constructor
+argument has a default; an unknown or a missing required key is a
+:class:`FormatError` that names it.  ``adjoint`` nodes and the weight-rule
+key ``conjugate`` are read, applied on load, and never written.  Complex
+scalars are ``[re, im]`` pairs (bare reals accepted on input); spaces are
+``"l2N"``, ``"l2Z"`` or ``{"finite": dim}``.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import numbers
 from typing import Any
@@ -39,8 +45,6 @@ __all__ = ["FORMAT_VERSION", "FormatError", "pencil_to_json", "pencil_from_json"
            "save_pencil"]
 
 FORMAT_VERSION = 1
-# Weight-rule keys that only one kind reads ("shift" and "conjugate" apply to all).
-_KIND_KEYS = {"value": "constant", "values": "table", "start": "table", "default": "table"}
 
 
 class FormatError(ValueError):
@@ -84,34 +88,93 @@ def _space_in(v: Any) -> Space:
     raise FormatError(f"not a space: {v!r}")
 
 
+def _keys_in(v: dict, what: str, allowed: Any, required: Any) -> None:
+    """Raise a FormatError naming a key of v outside allowed, or a missing required one."""
+    for key in v:
+        if key not in allowed:
+            raise FormatError(f"{what} does not take key {key!r}")
+    for key in required:
+        if key not in v:
+            raise FormatError(f"{what} needs key {key!r}")
+
+
+# Codecs: a (reader, writer) pair for the value of one key.
+_INT = (_int_in, int)
+_SPACE = (_space_in, _space_out)
+_CPLX = (_cplx_in, _cplx_out)
+_CPLXS = (lambda v: tuple(_cplx_in(z) for z in v), lambda zs: [_cplx_out(z) for z in zs])
+_MATRIX = (
+    lambda v: np.array([[_cplx_in(z) for z in row] for row in v], dtype=complex),
+    lambda m: [[_cplx_out(z) for z in row] for row in m],
+)
+
+
+# ---------------------------------------------------------------------------
+# weight rules
+
+# Weight-rule kind -> the keys that kind reads, each the WeightRule argument of that name,
+# with its codec.  Every kind also reads the _COMMON keys and, on input only, "conjugate"
+# (true conjugates the rule on load).
+_KINDS = {
+    "constant": {"value": _CPLX},
+    "reciprocal_index": {},
+    "factorial_ratio": {},
+    "inverse_factorial": {},
+    "index_plus_one": {},
+    "table": {"values": _CPLXS, "start": _INT, "default": _CPLX},
+}
+_COMMON = {"shift": _INT}
+
+
 def _weights_out(w: WeightRule) -> dict:
-    d: dict[str, Any] = {"kind": w.kind}
-    if w.kind == "constant":
-        d["value"] = _cplx_out(w.value)
-    elif w.kind == "table":
-        d["values"] = [_cplx_out(v) for v in w.values]
-        d["start"] = w.start
-        d["default"] = _cplx_out(w.default)
-    if w.shift:
-        d["shift"] = w.shift
-    return d
+    keys = {**_KINDS[w.kind], **_COMMON}
+    return {"kind": w.kind, **{key: write(getattr(w, key)) for key, (_, write) in keys.items()}}
 
 
 def _weights_in(v: Any) -> WeightRule:
-    if not isinstance(v, dict) or "kind" not in v:
+    if not isinstance(v, dict) or v.get("kind") not in _KINDS:
         raise FormatError(f"not a weight rule: {v!r}")
-    stray = sorted(k for k in v if _KIND_KEYS.get(k, v["kind"]) != v["kind"])
-    if stray:
-        raise FormatError(f"weight rule {v['kind']!r} does not take {', '.join(stray)}")
-    rule = WeightRule(
-        kind=v["kind"],
-        value=_cplx_in(v.get("value", 1.0)),
-        values=tuple(_cplx_in(x) for x in v.get("values", [])),
-        start=_int_in(v.get("start", 1)),
-        default=_cplx_in(v.get("default", 0.0)),
-        shift=_int_in(v.get("shift", 0)),
-    )
+    keys = {**_KINDS[v["kind"]], **_COMMON}
+    _keys_in(v, f"weight rule {v['kind']!r}", ("kind", "conjugate", *keys), ())
+    args = {key: read(v[key]) for key, (read, _) in keys.items() if key in v}
+    rule = WeightRule(v["kind"], **args)
     return rule.conjugated() if v.get("conjugate", False) else rule
+
+
+# ---------------------------------------------------------------------------
+# objects built from a table row
+
+
+def _row(tag: Any, build: Any, *fields: tuple) -> tuple:
+    """A table row: builder, fields, the keys allowed (the tag among them) and those required.
+
+    A field is (key, builder argument, attribute the writer reads, codec).  A key is required
+    exactly where its argument has no default.  A key without an argument is derived: the
+    writer writes it, and the reader checks it against the built object.
+    """
+    params = inspect.signature(build).parameters
+    required = tuple(key for key, arg, _, _ in fields
+                     if arg and params[arg].default is params[arg].empty)
+    return build, fields, frozenset((tag, *(field[0] for field in fields))), required
+
+
+def _read(v: Any, what: str, row: tuple) -> Any:
+    build, fields, allowed, required = row
+    if not isinstance(v, dict):
+        raise FormatError(f"{what} must be an object, not {v!r}")
+    _keys_in(v, what, allowed, required)
+    obj = build(**{arg: read(v[key]) for key, arg, _, (read, _) in fields if arg and key in v})
+    for key, arg, attr, (read, write) in fields:
+        if not arg and key in v and read(v[key]) != getattr(obj, attr):
+            built = write(getattr(obj, attr))
+            raise FormatError(f"{what}: {key} {v[key]!r} does not match {built!r}")
+    return obj
+
+
+def _fields_out(obj: Any, fields: tuple) -> dict:
+    """The written keys of obj; a None attribute is left out."""
+    values = ((key, write, getattr(obj, attr)) for key, _, attr, (_, write) in fields)
+    return {key: write(value) for key, write, value in values if value is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -119,142 +182,73 @@ def _weights_in(v: Any) -> WeightRule:
 
 
 def op_to_json(op: StructuredOperator) -> dict:
-    if isinstance(op, Diagonal):
-        return {
-            "node": "diagonal",
-            "space": _space_out(op.space_in),
-            "weights": _weights_out(op.weights),
-        }
-    if isinstance(op, Shift):
-        return {
-            "node": "shift",
-            "space": _space_out(op.space_in),
-            "offset": op.offset,
-            "weights": _weights_out(op.weights),
-        }
-    if isinstance(op, DenseBlock):
-        return {
-            "node": "denseBlock",
-            "space_in": _space_out(op.space_in),
-            "space_out": _space_out(op.space_out),
-            "row_start": op.row_start,
-            "col_start": op.col_start,
-            "matrix": [[_cplx_out(z) for z in row] for row in op.matrix],
-        }
-    if isinstance(op, Identity):
-        return {"node": "identity", "space": _space_out(op.space_in)}
-    if isinstance(op, Zero):
-        return {
-            "node": "zero",
-            "space_in": _space_out(op.space_in),
-            "space_out": _space_out(op.space_out),
-        }
-    if isinstance(op, Scale):
-        return {"node": "scale", "factor": _cplx_out(op.factor), "op": op_to_json(op.op)}
-    if isinstance(op, Sum):
-        return {"node": "sum", "terms": [op_to_json(t) for t in op.terms]}
-    if isinstance(op, BlockDirectSum):
-        return {"node": "blockDirectSum", "summands": [op_to_json(t) for t in op.ops]}
-    raise FormatError(f"operator {type(op).__name__} has no JSON form")
+    name = _NODE_NAMES.get(type(op))
+    if name is None:
+        raise FormatError(f"operator {type(op).__name__} has no JSON form")
+    return {"node": name, **_fields_out(op, _NODES[name][1])}
 
 
 def op_from_json(v: Any) -> StructuredOperator:
-    if not isinstance(v, dict) or "node" not in v:
+    if not isinstance(v, dict) or v.get("node") not in _NODES:
         raise FormatError(f"not an operator node: {v!r}")
-    node = v["node"]
-    if node == "diagonal":
-        return Diagonal(_space_in(v["space"]), _weights_in(v["weights"]))
-    if node == "shift":
-        return Shift(_space_in(v["space"]), _int_in(v["offset"]), _weights_in(v["weights"]))
-    if node == "denseBlock":
-        mat = np.array(
-            [[_cplx_in(z) for z in row] for row in v["matrix"]], dtype=complex
-        )
-        return DenseBlock(
-            _space_in(v["space_in"]),
-            _space_in(v["space_out"]),
-            mat,
-            row_start=_int_in(v.get("row_start", 1)),
-            col_start=_int_in(v.get("col_start", 1)),
-        )
-    if node == "identity":
-        return Identity(_space_in(v["space"]))
-    if node == "zero":
-        si = _space_in(v["space_in"])
-        so = _space_in(v["space_out"]) if "space_out" in v else si
-        return Zero(si, so)
-    if node == "scale":
-        return Scale(_cplx_in(v["factor"]), op_from_json(v["op"]))
-    if node == "sum":
-        return Sum([op_from_json(t) for t in v["terms"]])
-    if node == "blockDirectSum":
-        return BlockDirectSum([op_from_json(t) for t in v["summands"]])
-    if node == "adjoint":
-        return op_from_json(v["op"]).adjoint()
-    raise FormatError(f"unknown operator node {node!r}")
+    return _read(v, f"node {v['node']!r}", _NODES[v["node"]])
+
+
+_OP = (op_from_json, op_to_json)
+_OPS = (lambda v: [op_from_json(t) for t in v], lambda ops: [op_to_json(t) for t in ops])
+_WEIGHTS = (_weights_in, _weights_out)
+
+# Operator node name -> row.  The "adjoint" node is read only: it is applied on load.
+_NODES = {name: _row("node", *spec) for name, spec in {
+    "diagonal": (Diagonal, ("space", "space", "space_in", _SPACE),
+                 ("weights", "weights", "weights", _WEIGHTS)),
+    "shift": (Shift, ("space", "space", "space_in", _SPACE), ("offset", "offset", "offset", _INT),
+              ("weights", "weights", "weights", _WEIGHTS)),
+    "denseBlock": (DenseBlock, ("space_in", "space_in", "space_in", _SPACE),
+                   ("space_out", "space_out", "space_out", _SPACE),
+                   ("row_start", "row_start", "row_start", _INT),
+                   ("col_start", "col_start", "col_start", _INT),
+                   ("matrix", "matrix", "matrix", _MATRIX)),
+    "identity": (Identity, ("space", "space", "space_in", _SPACE)),
+    "zero": (Zero, ("space_in", "space_in", "space_in", _SPACE),
+             ("space_out", "space_out", "space_out", _SPACE)),
+    "scale": (Scale, ("factor", "factor", "factor", _CPLX), ("op", "op", "op", _OP)),
+    "sum": (Sum, ("terms", "terms", "terms", _OPS)),
+    "blockDirectSum": (BlockDirectSum, ("summands", "ops", "ops", _OPS)),
+    "adjoint": (lambda op: op.adjoint(), ("op", "op", None, _OP)),
+}.items()}
+_NODE_NAMES = {row[0]: name for name, row in _NODES.items()}
 
 
 # ---------------------------------------------------------------------------
 # pencils
 
+# The pencil level, tagged by "format", and the dH metadata inside it.  "space" is
+# derived from E; "dh" may be null.
+_DH = _row(None, DHStructure, ("B", "B", "B", _OP), ("Q", "Q", "Q", _OP),
+           ("J", "J", "J", _OP), ("R", "R", "R", _OP))
+_PENCIL = _row("format", Pencil, ("space", None, "space_in", _SPACE),
+               ("E", "E", "E", _OP), ("A", "A", "A", _OP),
+               ("dh", "dh", "dh", (lambda v: None if v is None else _read(v, "dh", _DH),
+                                   lambda d: _fields_out(d, _DH[1]))))
+
 
 def pencil_to_json(p: Pencil) -> dict:
-    out = {
-        "format": FORMAT_VERSION,
-        "space": _space_out(p.space_in),
-        "E": op_to_json(p.E),
-        "A": op_to_json(p.A),
-    }
-    if p.dh is not None:
-        dh = {"B": op_to_json(p.dh.B), "Q": op_to_json(p.dh.Q)}
-        if p.dh.J is not None:
-            dh["J"] = op_to_json(p.dh.J)
-        if p.dh.R is not None:
-            dh["R"] = op_to_json(p.dh.R)
-        out["dh"] = dh
-    return out
+    return {"format": FORMAT_VERSION, **_fields_out(p, _PENCIL[1])}
 
 
 def pencil_from_json(v: Any) -> Pencil:
     """Build a pencil from its JSON form; any malformed input raises FormatError."""
+    if isinstance(v, dict) and v.get("format") != FORMAT_VERSION:
+        raise FormatError(
+            f"unsupported format {v.get('format')!r}; this build reads format {FORMAT_VERSION}"
+        )
     try:
-        return _pencil_from_json(v)
+        return _read(v, "pencil", _PENCIL)
     except FormatError:
         raise
     except (KeyError, ValueError, TypeError, IndexError, OverflowError, RecursionError) as exc:
         raise FormatError(f"invalid pencil ({type(exc).__name__}: {exc})") from exc
-
-
-def _pencil_from_json(v: Any) -> Pencil:
-    if not isinstance(v, dict):
-        raise FormatError("top level must be an object")
-    if v.get("format") != FORMAT_VERSION:
-        raise FormatError(
-            f"unsupported format {v.get('format')!r}; this build reads format {FORMAT_VERSION}"
-        )
-    for key in ("E", "A"):
-        if key not in v:
-            raise FormatError(f"missing operator {key!r}")
-    e = op_from_json(v["E"])
-    a = op_from_json(v["A"])
-    if "space" in v:
-        declared = _space_in(v["space"])
-        if e.space_in != declared:
-            raise FormatError(
-                f"declared space {v['space']!r} does not match E's input space"
-            )
-    dh = None
-    if "dh" in v and v["dh"] is not None:
-        d = v["dh"]
-        if "B" not in d or "Q" not in d:
-            raise FormatError("dh metadata needs both B and Q")
-        dh = DHStructure(
-            B=op_from_json(d["B"]),
-            Q=op_from_json(d["Q"]),
-            J=op_from_json(d["J"]) if "J" in d else None,
-            R=op_from_json(d["R"]) if "R" in d else None,
-        )
-    return Pencil(E=e, A=a, dh=dh)
 
 
 def load_pencil(path: str) -> Pencil:

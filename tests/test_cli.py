@@ -19,7 +19,7 @@ from pencilkit import (
     finite,
     save_pencil,
 )
-from pencilkit import linalg, odae
+from pencilkit import cli, linalg, odae
 from pencilkit.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 
 
@@ -332,6 +332,29 @@ def test_quadrature_failure_is_internal_error(capsys, monkeypatch):
     )
     assert code == EXIT_INTERNAL
     assert err == "internal error: quadrature estimate above tolerance\n"
+
+
+def test_misspelled_pencil_key_is_input_error(capsys, tmp_path):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({
+        "format": 1,
+        "E": {"node": "identity", "space": "l2N"},
+        "A": {"node": "diagonal", "space": "l2N", "weights": {"kind": "constant", "valu": 2}},
+    }))
+    code, out, err = _run(capsys, "analyze", str(path), "--n", "4")
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(f"error: {path}: ") and "'valu'" in err
+    assert err.count("\n") == 1
+
+
+def test_key_error_is_internal_error(capsys, monkeypatch):
+    def lookup_fault(args):
+        raise KeyError("missing")
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", lookup_fault)
+    code, out, err = _run(capsys, "analyze", "--fixture", "kronecker_L")
+    assert code == EXIT_INTERNAL and out == ""
+    assert err == "internal error: 'missing'\n"
 
 
 def test_output_file_option(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilkit import (
     BlockDirectSum,
@@ -22,12 +25,15 @@ from pencilkit import (
     basis_vec,
     constant_weight,
     finite,
+    fixture_names,
+    get_fixture,
     load_pencil,
     pencil_from_json,
     pencil_to_json,
     save_pencil,
     section,
 )
+from pencilkit.sections import operator_matrix, window_for
 from pencilkit.serialize import op_from_json, op_to_json
 
 
@@ -50,6 +56,10 @@ ROUNDTRIP_PENCILS = [
     Pencil(
         E=DenseBlock(finite(3), finite(2), np.array([[1.0, 2.0j, 0.0], [0.0, 1.0, -1.0]])),
         A=DenseBlock(finite(3), finite(2), np.eye(2, 3)),
+    ),
+    Pencil(
+        E=Identity(L2N),
+        A=DenseBlock(L2N, L2N, np.array([[1.0, 2.0], [3.0, 4.0]]), row_start=3, col_start=2),
     ),
 ]
 
@@ -203,13 +213,22 @@ _DENSE32 = {"node": "denseBlock", "space_in": {"finite": 3}, "space_out": {"fini
                            "weights": {"kind": "constant", "value": 2, "default": 1}}),
         _pencil_doc(_IDN, {"node": "diagonal", "space": "l2N",
                            "weights": {"kind": "table", "values": [1], "value": 2}}),
+        _pencil_doc(_IDN, {"node": "diagonal", "space": "l2N",
+                           "weights": {"kind": "constant", "valu": 2}}),
+        _pencil_doc(_IDN, {"node": "scale", "factor": 2.0, "factr": 3.0, "op": _IDN}),
+        {**_pencil_doc(_IDN, _IDN), "dh_": {"B": _IDN, "Q": _IDN}},
+        {**_pencil_doc(_IDN, _IDN), "dh": {"B": _IDN, "Q": _IDN, "S": _IDN}},
+        _pencil_doc(_IDN, {"node": "adjoint", "op": _IDN, "space": "l2N"}),
+        _pencil_doc(_IDN, {"node": "identity"}),
     ],
     ids=["non-integer-dim", "shift-without-offset", "mismatched-spaces",
          "unknown-weight-kind", "ragged-matrix", "negative-dim", "nan-entry",
          "infinite-table-weight", "nan-scale-factor", "infinite-scale-factor",
          "overflowing-scale-factor", "bool-scale-factor", "bool-in-complex-pair",
          "dh-factor-on-other-space", "dh-split-on-other-space", "dh-on-rectangular-pencil",
-         "value-on-reciprocal-index", "table-key-on-constant", "value-on-table"],
+         "value-on-reciprocal-index", "table-key-on-constant", "value-on-table",
+         "misspelled-weight-value", "misspelled-scale-factor", "misspelled-dh",
+         "stray-key-in-dh", "stray-key-on-adjoint", "identity-without-space"],
 )
 def test_malformed_documents_raise_format_error(doc):
     with pytest.raises(FormatError):
@@ -228,3 +247,92 @@ def test_rule_operators_are_not_serializable():
     op = RuleOperator(L2N, L2N, lambda j: basis_vec(j), lambda j: basis_vec(j))
     with pytest.raises(FormatError):
         op_to_json(op)
+
+
+# Fixtures whose pencils hold RuleOperators, which have no JSON form.
+RULE_FIXTURES = ("approxchain", "rescaled_approxchain")
+
+
+@functools.cache
+def _fixture_pencils():
+    """(id, pencil) for each fixture's pencil and dh_pencil."""
+    out = []
+    for name in fixture_names():
+        data = get_fixture(name).build()
+        out += [(f"{name}.{key}", data[key]) for key in ("pencil", "dh_pencil") if key in data]
+    return tuple(out)
+
+
+def _fixture_docs():
+    """A fresh document for each fixture pencil that has a JSON form."""
+    return {key: pencil_to_json(p) for key, p in _fixture_pencils()
+            if key.split(".")[0] not in RULE_FIXTURES}
+
+
+def _factor_matrices(p, n):
+    if p.dh is None:
+        return []
+    win = window_for(p.space_in, n)
+    return [None if op is None else operator_matrix(op, win, win)
+            for op in (p.dh.B, p.dh.Q, p.dh.J, p.dh.R)]
+
+
+@pytest.mark.parametrize("key,p", [pytest.param(key, p, id=key) for key, p in _fixture_pencils()])
+def test_fixture_pencil_survives_json_roundtrip(key, p):
+    if key.split(".")[0] in RULE_FIXTURES:
+        with pytest.raises(FormatError):
+            pencil_to_json(p)
+        return
+    q = pencil_from_json(json.loads(json.dumps(pencil_to_json(p))))
+    assert (p.dh is None) == (q.dh is None)
+    for n in (3, 8):
+        s, t = section(p, n), section(q, n)
+        assert np.array_equal(s.E_mat, t.E_mat) and np.array_equal(s.A_mat, t.A_mat)
+        for a, b in zip(_factor_matrices(p, n), _factor_matrices(q, n), strict=True):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+# Keys that select how an object is read; a document without one is reported as a whole.
+_TAGS = ("format", "node", "kind", "finite")
+# Keys that a reader of the named node may do without.
+_OPTIONAL = {"zero": {"space_out"}, "denseBlock": {"row_start", "col_start"}}
+
+
+def _objects(v, parent, out):
+    """Append each JSON object under v with the keys its reader requires."""
+    if isinstance(v, list):
+        for item in v:
+            _objects(item, parent, out)
+    elif isinstance(v, dict):
+        if parent is None:
+            required = {"format", "E", "A"}
+        elif parent == "dh":
+            required = {"B", "Q"}
+        elif "node" in v:
+            required = set(v) - _OPTIONAL.get(v["node"], set())
+        elif "kind" in v:
+            required = {"kind"}
+        else:  # a finite space
+            required = set(v)
+        out.append((v, sorted(required)))
+        for key, item in v.items():
+            _objects(item, key, out)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_fixture_documents_raise_format_error(data):
+    docs = _fixture_docs()
+    doc = docs[data.draw(st.sampled_from(sorted(docs)))]
+    obj, required = data.draw(st.sampled_from(_objects(doc, None, [])))
+    if required and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(required))
+        del obj[key]
+    else:
+        key = "x_" + data.draw(st.text(max_size=3))
+        obj[key] = data.draw(st.sampled_from([0, "l2N", {}]))
+    with pytest.raises(FormatError) as caught:
+        pencil_from_json(doc)
+    if key not in _TAGS:
+        assert repr(key) in str(caught.value)
