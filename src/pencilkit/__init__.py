@@ -6,9 +6,19 @@ dissipative-Hamiltonian structure checks, trajectories of E x' = A x with
 residual certificates, a registry of worked example pencils, and a JSON
 interchange format.
 
+Importing the package imports none of its modules.  ``__getattr__`` (PEP
+562) imports a module on first access, as ``pencilkit.<module>`` or through
+a name in its ``__all__``, and binds that name in the package.  The command
+line imports inside each command, so a cold start compiles only what the
+command runs: ``examples list`` loads ``fixtures``, ``operators`` and
+``sparsevec``; ``spectra FILE`` loads ``serialize``, ``operators``,
+``sparsevec``, ``sections``, ``linalg`` and ``spectra``; ``chains``,
+``distance``, ``dh-check`` and ``analyze`` swap ``spectra`` for the modules
+they call (README, "Command line", lists them all).
+
 Setting ``PENCILKIT_THREADS`` caps BLAS parallelism.  BLAS reads its thread
 count once, when numpy first loads it, so the cap only takes effect when
-pencilkit is imported before numpy.  Importing the package loads numpy's
+pencilkit is imported before numpy.  The package's modules load numpy's
 BLAS only; ``scipy.linalg``, with a BLAS of its own, is imported on first
 use by the computations that need singular vectors, ``expm``, QZ or
 subspace angles (see ``pencilkit.linalg``), so most commands run on a
@@ -21,14 +31,29 @@ if _os.environ.get("PENCILKIT_THREADS"):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["PENCILKIT_THREADS"])
 
-from . import approx, chains, dh, fixtures, odae, operators, sections, serialize, sparsevec, spectra
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
-# Each module's ``__all__`` is its public API; the package re-exports them all.
-__all__ = ["__version__"]
-_MODULES = (operators, sparsevec, sections, spectra, chains, approx, dh, odae, fixtures, serialize)
-for _module in _MODULES:
-    globals().update((_name, getattr(_module, _name)) for _name in _module.__all__)
-    __all__ += _module.__all__
-del _module
+# Modules whose ``__all__`` is their public API, in the order ``__getattr__`` searches them.
+_PUBLIC = ("operators", "sparsevec", "sections", "spectra", "chains", "approx", "dh", "odae",
+           "fixtures", "serialize")
+
+
+def __getattr__(name: str):
+    """Import a submodule, or the module that exports ``name``, on first access (PEP 562).
+
+    ``__all__`` is every module's ``__all__``, so the package re-exports them
+    all.  A public name is bound here once found, and later lookups of it
+    never reach this function.
+    """
+    if name in _PUBLIC or name in ("cli", "linalg"):
+        return _importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        return ["__version__"] + [n for m in _PUBLIC for n in __getattr__(m).__all__]
+    for modname in _PUBLIC:
+        module = __getattr__(modname)
+        if name in module.__all__:
+            globals()[name] = value = getattr(module, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

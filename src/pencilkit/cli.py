@@ -28,13 +28,6 @@ import sys
 
 import numpy as np
 
-from . import approx as approxmod
-from . import chains as chainsmod
-from . import dh as dhmod
-from . import fixtures as fixturesmod
-from . import odae, sections, serialize, spectra
-from .fixtures import _fmt
-
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_INPUT = 2
@@ -46,6 +39,7 @@ class CLIError(Exception):
 
 
 def _load(path: str):
+    from . import serialize
     if not os.path.exists(path):
         raise CLIError(f"{path}: file not found")
     try:
@@ -56,24 +50,27 @@ def _load(path: str):
 
 def _seed_param(name: str, seed: int) -> dict:
     """--seed as a build parameter of the fixtures that take one."""
+    from . import fixtures
     try:
-        fx = fixturesmod.get_fixture(name)
+        fx = fixtures.get_fixture(name)
     except KeyError as exc:
         raise CLIError(exc.args[0]) from exc
     return {"seed": seed} if "seed" in fx.default_params else {}
 
 
 def _fixture_data(args) -> dict:
+    from . import fixtures
     params = _seed_param(args.fixture, args.seed)  # first: it turns an unknown name into a CLIError
-    return fixturesmod.get_fixture(args.fixture).build(**params)
+    return fixtures.get_fixture(args.fixture).build(**params)
 
 
 def _target_data(args) -> dict:
     """Fixture data from --fixture, or ``{"pencil": ...}`` from a JSON path."""
     if getattr(args, "fixture", None):
+        from . import fixtures
         data = _fixture_data(args)
         if "pencil" not in data:
-            if fixturesmod.get_fixture(args.fixture).caveat_only:
+            if fixtures.get_fixture(args.fixture).caveat_only:
                 raise CLIError(f"fixture {args.fixture!r} is caveat-only and builds no pencil")
             raise CLIError(f"fixture {args.fixture!r} builds a polynomial sequence, not a pencil")
         return data
@@ -119,6 +116,12 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _series_order(text: str) -> int:
+    """argparse type of ``simulate --order``: an integer >= ``odae.MIN_SERIES_ORDER``."""
+    from .odae import MIN_SERIES_ORDER
+    return _int_at_least(MIN_SERIES_ORDER)(text)
+
+
 def _positive_int_list(text: str) -> list[int]:
     """argparse type of ``--n-values`` and ``--sections``: comma-separated integers >= 1."""
     positive = _int_at_least(1)
@@ -157,6 +160,8 @@ def _emit(lines, out_path: str | None):
 
 
 def _cmd_analyze(args) -> int:
+    from . import chains, sections, spectra
+    from .sparsevec import _fmt
     p, notes = _target_pencil(args)
     s = sections.section(p, args.n)
     lines = [
@@ -173,13 +178,14 @@ def _cmd_analyze(args) -> int:
         )
     cert = sections.distance_to_singularity_bound(s)
     lines.append(f"stacked sigma_min certificate: {_fmt(cert.value)}")
-    rep = chainsmod.extract_right_chain(s)
+    rep = chains.extract_right_chain(s)
     if rep is None:
         lines.append("right singular chain: none (section is regular)")
     else:
         lines.append(f"right singular chain: minimal index {rep.minimal_index}")
     if p.dh is not None:
-        drep = dhmod.dh_classify(s, p.dh)
+        from . import dh
+        drep = dh.dh_classify(s, p.dh)
         lines.append(
             "dh: structure "
             + ("ok" if drep.diagnostics.structure_ok else "VIOLATED")
@@ -192,6 +198,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
+    from . import sections, spectra
+    from .sparsevec import _fmt
     try:
         rect = tuple(float(x) for x in args.rect.split(","))
         steps = tuple(int(x) for x in args.steps.split(","))
@@ -214,20 +222,21 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_chains(args) -> int:
+    from . import chains, sections
     p, notes = _target_pencil(args)
     s = sections.section(p, args.n)
     report: dict = {"window_n": args.n, "notes": list(notes)}
     for side, extract in (
-        ("right", chainsmod.extract_right_chain),
-        ("left", chainsmod.extract_left_chain),
+        ("right", chains.extract_right_chain),
+        ("left", chains.extract_left_chain),
     ):
         rep = extract(s, args.tol)
         if rep is None:
             report[side] = None
             continue
         entry = rep.to_json()
-        poly = chainsmod.chain_to_polynomial(rep)
-        entry["verify_residual"] = chainsmod.verify_singular_polynomial(
+        poly = chains.chain_to_polynomial(rep)
+        entry["verify_residual"] = chains.verify_singular_polynomial(
             s, poly, side=side
         )
         report[side] = entry
@@ -236,15 +245,17 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    from . import approx
+    from .sparsevec import _fmt
     data = _fixture_data(args)
     if "sequence" not in data:
         raise CLIError(f"fixture {args.fixture!r} provides no polynomial sequence")
     seq = data["sequence"]
     probes = _parse_complex_list(args.probes)
-    gram = approxmod.gram_lower_bound(seq, args.n_values)
+    gram = approx.gram_lower_bound(seq, args.n_values)
     lmin = dict(zip(gram.n_values, gram.lambda_min))
     lines = ["n,probe_re,probe_im,fwd_residual,rev_residual,p_norm,revp_norm,gram_lambda_min"]
-    for r in approxmod.sequence_residuals(data.get("pencil"), seq, probes, args.n_values):
+    for r in approx.sequence_residuals(data.get("pencil"), seq, probes, args.n_values):
         residuals = ["", ""] if r.forward is None else [_fmt(r.forward), _fmt(r.reverse)]
         lines.append(",".join([str(r.n), _fmt(r.probe.real), _fmt(r.probe.imag), *residuals,
                                _fmt(r.p_norm), _fmt(r.revp_norm), _fmt(lmin[r.n])]))
@@ -262,6 +273,8 @@ def _witness_support_center(cert, window) -> float:
 
 
 def _cmd_distance(args) -> int:
+    from . import sections
+    from .sparsevec import _fmt
     p, notes = _target_pencil(args)
     lines = [f"# note: {n}" for n in notes]
     lines.append("n,stacked_sigma_min,witness_support_center")
@@ -276,13 +289,15 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_dh_check(args) -> int:
+    from . import dh, sections
+    from .sparsevec import _fmt
     data = _target_data(args)
     notes = data.get("notes", ())
     target = data.get("dh_pencil", data["pencil"]) if args.use_companion else data["pencil"]
     if target.dh is None:
         raise CLIError("pencil carries no dissipative-Hamiltonian metadata")
     s = sections.section(target, args.n)
-    rep = dhmod.dh_classify(s, target.dh)
+    rep = dh.dh_classify(s, target.dh)
     lines = [f"note: {n}" for n in notes]
     d = rep.diagnostics
     lines += [
@@ -301,7 +316,7 @@ def _cmd_dh_check(args) -> int:
         f"stacked sigma_min      : {_fmt(rep.stacked_sigma_min)}",
         "probe sigma_min:",
     ]
-    for lam, sv in rep.probe_sigma_min:
+    for lam, sv in dh.probe_sigma_min(dh.dh_section_mats(s, target.dh)):
         lines.append(f"  {_fmt(lam.real)}{lam.imag:+.17g}i : {_fmt(sv)}")
     lines += [
         f"classification: {rep.classification}",
@@ -312,6 +327,8 @@ def _cmd_dh_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import fixtures, odae
+    from .sparsevec import _fmt
     data = _fixture_data(args)
     t_grid = np.linspace(0.0, args.t_max, args.samples)
     p = data.get("pencil")
@@ -320,7 +337,7 @@ def _cmd_simulate(args) -> int:
         mild = odae.mild_residual(p, traj)
         pbe = ham = None
     elif "x0" in data:
-        traj = fixturesmod.integrator_trajectory(data, t_grid, data["x0"])
+        traj = fixtures.integrator_trajectory(data, t_grid, data["x0"])
         mild = odae.mild_residual(p, traj, tol=1e-8)
         pbe, ham = odae.power_balance_residual(p, traj)
     else:
@@ -346,17 +363,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    from . import fixtures
     if args.action == "list":
         lines = []
-        for name in fixturesmod.fixture_names():
-            fx = fixturesmod.get_fixture(name)
+        for name in fixtures.fixture_names():
+            fx = fixtures.get_fixture(name)
             tag = " (caveat-only)" if fx.caveat_only else ""
             lines.append(f"{name}{tag}: {fx.description}")
         _emit(lines, args.out)
         return EXIT_OK
     # run
     if args.all:
-        names = fixturesmod.fixture_names()
+        names = fixtures.fixture_names()
     elif args.name:
         names = [args.name]
     else:
@@ -365,7 +383,7 @@ def _cmd_examples(args) -> int:
     any_failed = False
     for name in names:
         lines.append(f"== {name} ==")
-        results = fixturesmod.run_fixture(name, **_seed_param(name, args.seed))
+        results = fixtures.run_fixture(name, **_seed_param(name, args.seed))
         for res in results:
             status = "pass" if res.passed else "FAIL"
             any_failed = any_failed or not res.passed
@@ -429,8 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="trajectory with residual columns (CSV)")
     sp.add_argument("--fixture", required=True)
-    sp.add_argument("--order", type=_int_at_least(odae.MIN_SERIES_ORDER), default=10,
-                    help=f"series truncation order (>= {odae.MIN_SERIES_ORDER})")
+    sp.add_argument("--order", type=_series_order, default=10,
+                    help="series truncation order (>= 2)")
     sp.add_argument("--t-max", type=_finite_float, default=1.0, dest="t_max")
     sp.add_argument("--samples", type=_int_at_least(1), default=11)
     sp.add_argument("--window", type=_int_at_least(0), default=8, help="state coordinates to print")
@@ -457,6 +475,12 @@ _COMMANDS = {
 }
 
 
+def _quadrature_error() -> tuple:
+    """``odae.QuadratureError`` once odae is loaded; until then nothing can raise it."""
+    odae = sys.modules.get(f"{__package__}.odae")
+    return (odae.QuadratureError,) if odae else ()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -468,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (np.linalg.LinAlgError, odae.QuadratureError, KeyError) as exc:
+    except (np.linalg.LinAlgError, KeyError, *_quadrature_error()) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -9,8 +9,10 @@ is therefore reported, not tested.
 
 Classification at section level: a nontrivial common kernel of E and BQ is
 equivalent to a constant right singular polynomial and to
-sigma_min(lam E - BQ) = 0 at every right-half-plane probe; a small stacked
-sigma_min without an exact kernel is evidence of approximate singularity.
+sigma_min(lam E - BQ) = 0 at every right-half-plane probe
+(``probe_sigma_min`` reports them; ``dh_classify`` reads only the kernel);
+a small stacked sigma_min without an exact kernel is evidence of
+approximate singularity.
 Structure margins are judged against STRUCTURE_TOL = 1e-10 (reported as
 ``DHDiagnostics.tol``); kernels keep singular values at or below ``linalg.rank_tol``.
 """
@@ -185,12 +187,23 @@ def dh_kernel_EJR(s: SectionedPencil, dh: DHStructure) -> tuple[int, np.ndarray]
     return kdim, basis
 
 
+def probe_sigma_min(mats: DHSectionMats) -> tuple[tuple[complex, float], ...]:
+    """sigma_min(lam E - BQ) at each of DEFAULT_HALF_PLANE_PROBES, one values-only SVD each.
+
+    A common kernel of E and BQ makes every value zero; the classification
+    does not read them.
+    """
+    return tuple(
+        (complex(lam), float(linalg.svdvals(complex(lam) * mats.E - mats.BQ)[-1]))
+        for lam in DEFAULT_HALF_PLANE_PROBES
+    )
+
+
 @dataclass(frozen=True)
 class DHReport:
     diagnostics: DHDiagnostics
     common_kernel_dim: int
     kernel_basis: np.ndarray
-    probe_sigma_min: tuple[tuple[complex, float], ...]
     stacked_sigma_min: float
     classification: str
 
@@ -218,10 +231,6 @@ def dh_classify(
         kdim, basis = dh_common_kernel(mats)
     else:
         kdim, basis = 0, np.zeros((stacked.shape[1], 0), dtype=stacked.dtype)
-    probe_vals = []
-    for lam in DEFAULT_HALF_PLANE_PROBES:
-        sv = float(linalg.svdvals(complex(lam) * mats.E - mats.BQ)[-1])
-        probe_vals.append((complex(lam), sv))
     scale = max(float(linalg.norm2(mats.E)), float(linalg.norm2(mats.BQ)), 1e-300)
     ta = tol_ap if tol_ap is not None else 1e-6 * scale
     if kdim >= 1:
@@ -234,7 +243,6 @@ def dh_classify(
         diagnostics=diag,
         common_kernel_dim=kdim,
         kernel_basis=basis,
-        probe_sigma_min=tuple(probe_vals),
         stacked_sigma_min=stacked_smin,
         classification=classification,
     )

@@ -24,10 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chains import verify_singular_polynomial
-from .dh import dh_classify
 from .operators import Pencil
-from .sections import SectionedPencil, section
 from .sparsevec import SparseVec, vec_iadd, vec_inner, vec_norm, vec_scale, vec_sub
 
 __all__ = [
@@ -247,6 +244,7 @@ def series_solution(
 
 def polynomial_solution(p: Pencil, sp, t_grid: Sequence[float]) -> Trajectory:
     """Trajectory f(t) = t * p(t) from a right singular polynomial (residual <= 1e-8)."""
+    from .chains import verify_singular_polynomial
     res = verify_singular_polynomial(p, sp, side="right")
     if res > POLYNOMIAL_VERIFY_TOL:
         raise ValueError(
@@ -352,6 +350,8 @@ def uniqueness_demo(
             "not a dissipative-Hamiltonian pencil; use series_solution to "
             "exhibit non-uniqueness for unstructured pencils"
         )
+    from .dh import dh_classify
+    from .sections import section
     s = section(p, n)
     rep = dh_classify(s, p.dh)
     kdim = rep.common_kernel_dim

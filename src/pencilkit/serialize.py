@@ -8,7 +8,8 @@ weight rules are ``{"kind": <kind>, ...}``.  The tables ``_NODES``,
 both loop over them.  A key is optional exactly where its constructor
 argument has a default; an unknown or a missing required key is a
 :class:`FormatError` that names it.  ``adjoint`` nodes and the weight-rule
-key ``conjugate`` are read, applied on load, and never written.  Complex
+key ``conjugate`` (a JSON boolean) are read, applied on load, and never
+written; ``format`` must be the JSON integer 1.  Complex
 scalars are ``[re, im]`` pairs (bare reals accepted on input); spaces are
 ``"l2N"``, ``"l2Z"`` or ``{"finite": dim}``.
 """
@@ -114,7 +115,7 @@ _MATRIX = (
 
 # Weight-rule kind -> the keys that kind reads, each the WeightRule argument of that name,
 # with its codec.  Every kind also reads the _COMMON keys and, on input only, "conjugate"
-# (true conjugates the rule on load).
+# (a JSON boolean; true conjugates the rule on load).
 _KINDS = {
     "constant": {"value": _CPLX},
     "reciprocal_index": {},
@@ -136,9 +137,13 @@ def _weights_in(v: Any) -> WeightRule:
         raise FormatError(f"not a weight rule: {v!r}")
     keys = {**_KINDS[v["kind"]], **_COMMON}
     _keys_in(v, f"weight rule {v['kind']!r}", ("kind", "conjugate", *keys), ())
+    conjugate = v.get("conjugate", False)
+    if type(conjugate) is not bool:
+        raise FormatError(f"weight rule {v['kind']!r}: conjugate must be true or false, "
+                          f"not {conjugate!r}")
     args = {key: read(v[key]) for key, (read, _) in keys.items() if key in v}
     rule = WeightRule(v["kind"], **args)
-    return rule.conjugated() if v.get("conjugate", False) else rule
+    return rule.conjugated() if conjugate else rule
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +244,7 @@ def pencil_to_json(p: Pencil) -> dict:
 
 def pencil_from_json(v: Any) -> Pencil:
     """Build a pencil from its JSON form; any malformed input raises FormatError."""
-    if isinstance(v, dict) and v.get("format") != FORMAT_VERSION:
+    if isinstance(v, dict) and not (type(v.get("format")) is int and v["format"] == FORMAT_VERSION):
         raise FormatError(
             f"unsupported format {v.get('format')!r}; this build reads format {FORMAT_VERSION}"
         )

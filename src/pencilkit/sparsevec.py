@@ -74,3 +74,12 @@ def vec_inner(a: SparseVec, b: SparseVec) -> complex:
 
 def vec_norm(v: SparseVec) -> float:
     return math.sqrt(sum(abs(c) ** 2 for c in v.values()))
+
+
+def _fmt(x: float) -> str:
+    """x with 17 significant digits, enough to round-trip a double.
+
+    The number format of the CLI and of the fixture check details; it is
+    defined here because every command that prints numbers loads this module.
+    """
+    return f"{float(x):.17g}"

@@ -22,6 +22,7 @@ from pencilkit import (
     chain_to_polynomial,
     dh_classify,
     dh_kernel_EJR,
+    dh_section_mats,
     distance_to_singularity_bound,
     extract_right_chain,
     finite,
@@ -38,6 +39,7 @@ from pencilkit import (
     verify_singular_function,
     verify_singular_polynomial,
 )
+from pencilkit.dh import probe_sigma_min
 from pencilkit.fixtures import integrator_trajectory
 
 
@@ -161,11 +163,12 @@ def test_criterion_05_dh_classification_on_random_instances():
         p = _seeded_dh(seed, 10, engineered_kernel=True)
         s = section(p, 10)
         rep = dh_classify(s, p.dh)
+        probes = probe_sigma_min(dh_section_mats(s, p.dh))
         worst_probe_sigma = max(
-            worst_probe_sigma, max(sv for _, sv in rep.probe_sigma_min)
+            worst_probe_sigma, max(sv for _, sv in probes)
         )
         if rep.classification != "point_singular" or any(
-            sv > 1e-10 for _, sv in rep.probe_sigma_min
+            sv > 1e-10 for _, sv in probes
         ):
             bad.append(("singular", seed))
     for seed in range(100):

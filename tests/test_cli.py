@@ -237,6 +237,12 @@ def test_series_order_below_two_is_argparse_error(capsys, value):
     assert f"argument --order: must be at least 2, got '{value}'" in err
 
 
+def test_series_order_help_states_the_bound(capsys):
+    code, out, _ = _run(capsys, "simulate", "--help")
+    assert code == EXIT_OK
+    assert f"series truncation order (>= {odae.MIN_SERIES_ORDER})" in " ".join(out.split())
+
+
 def test_non_finite_probe_is_input_error(capsys):
     code, out, err = _run(capsys, "approx", "--fixture", "approxchain", "--probes", "nan,1")
     assert code == EXIT_INPUT and out == ""
@@ -288,7 +294,7 @@ def test_spectra_steps_below_two_rejected_before_section(capsys, monkeypatch, st
     def no_section(*args, **kwargs):
         raise AssertionError("section built for an invalid grid")
 
-    monkeypatch.setattr("pencilkit.cli.sections.section", no_section)
+    monkeypatch.setattr("pencilkit.sections.section", no_section)
     code, out, err = _run(capsys, "spectra", "--fixture", "kronecker_L", "--steps", steps)
     assert code == EXIT_INPUT and out == ""
     assert err == f"error: --steps needs at least 2 per axis, got '{steps}'\n"
@@ -444,6 +450,40 @@ def test_vector_svd_commands_leave_scipy_linalg_unimported(tmp_path):
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [f"{c[0]} 0 False" for c in commands]
+
+
+def test_commands_load_only_the_pencilkit_modules_they_run(tmp_path):
+    rng = np.random.default_rng(0)
+    sp = finite(6)
+    regular = str(tmp_path / "regular.json")
+    save_pencil(Pencil(E=DenseBlock(sp, sp, rng.standard_normal((6, 6))),
+                       A=DenseBlock(sp, sp, rng.standard_normal((6, 6)))), regular)
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import pencilkit.cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert pencilkit.cli.main(argv) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('pencilkit.')]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(pencilkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def loaded(*argv):
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        return {m.removeprefix("pencilkit.") for m in json.loads(out.stdout)}
+
+    assert loaded() == {"cli"}
+    assert loaded("examples", "list") == {"cli", "fixtures", "operators", "sparsevec"}
+    spectra = loaded("spectra", regular, "--n", "6", "--steps", "3,3")
+    assert "spectra" in spectra
+    assert not spectra & {"fixtures", "chains", "dh", "odae", "approx"}
+    chains = loaded("chains", regular, "--n", "6")
+    assert "chains" in chains
+    assert not chains & {"fixtures", "odae", "approx", "spectra"}
 
 
 @pytest.mark.skipif(

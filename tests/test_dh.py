@@ -117,9 +117,11 @@ def test_kernel_EJR_preconditions():
 
 def test_classification_branches():
     singular = _random_dh(11, engineered_kernel=True)
-    rep = dh_classify(section(singular, 4), singular.dh)
+    s = section(singular, 4)
+    rep = dh_classify(s, singular.dh)
     assert rep.classification == "point_singular"
-    assert min(v for _, v in rep.probe_sigma_min) <= 1e-10
+    probes = pencilkit.dh.probe_sigma_min(dh_section_mats(s, singular.dh))
+    assert min(v for _, v in probes) <= 1e-10
 
     regular = _random_dh(11)
     rep = dh_classify(section(regular, 4), regular.dh)

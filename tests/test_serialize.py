@@ -220,6 +220,10 @@ _DENSE32 = {"node": "denseBlock", "space_in": {"finite": 3}, "space_out": {"fini
         {**_pencil_doc(_IDN, _IDN), "dh": {"B": _IDN, "Q": _IDN, "S": _IDN}},
         _pencil_doc(_IDN, {"node": "adjoint", "op": _IDN, "space": "l2N"}),
         _pencil_doc(_IDN, {"node": "identity"}),
+        {**_pencil_doc(_IDN, _IDN), "format": True},
+        {**_pencil_doc(_IDN, _IDN), "format": 1.0},
+        _pencil_doc(_IDN, {"node": "diagonal", "space": "l2N",
+                           "weights": {"kind": "constant", "value": [0, 1], "conjugate": "no"}}),
     ],
     ids=["non-integer-dim", "shift-without-offset", "mismatched-spaces",
          "unknown-weight-kind", "ragged-matrix", "negative-dim", "nan-entry",
@@ -228,7 +232,8 @@ _DENSE32 = {"node": "denseBlock", "space_in": {"finite": 3}, "space_out": {"fini
          "dh-factor-on-other-space", "dh-split-on-other-space", "dh-on-rectangular-pencil",
          "value-on-reciprocal-index", "table-key-on-constant", "value-on-table",
          "misspelled-weight-value", "misspelled-scale-factor", "misspelled-dh",
-         "stray-key-in-dh", "stray-key-on-adjoint", "identity-without-space"],
+         "stray-key-in-dh", "stray-key-on-adjoint", "identity-without-space",
+         "bool-format", "float-format", "string-conjugate"],
 )
 def test_malformed_documents_raise_format_error(doc):
     with pytest.raises(FormatError):
