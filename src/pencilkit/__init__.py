@@ -6,15 +6,18 @@ dissipative-Hamiltonian structure checks, trajectories of E x' = A x with
 residual certificates, a registry of worked example pencils, and a JSON
 interchange format.
 
-Importing the package imports none of its modules.  ``__getattr__`` (PEP
-562) imports a module on first access, as ``pencilkit.<module>`` or through
-a name in its ``__all__``, and binds that name in the package.  The command
-line imports inside each command, so a cold start compiles only what the
-command runs: ``examples list`` loads ``fixtures``, ``operators`` and
-``sparsevec``; ``spectra FILE`` loads ``serialize``, ``operators``,
-``sparsevec``, ``sections``, ``linalg`` and ``spectra``; ``chains``,
-``distance``, ``dh-check`` and ``analyze`` swap ``spectra`` for the modules
-they call (README, "Command line", lists them all).
+Importing the package runs none of its modules.  It registers each one
+(all but ``cli``) in ``sys.modules`` and as ``pencilkit.<module>`` through
+``importlib.util.LazyLoader``: the module's code runs on its first attribute
+access, after which it is an ordinary module.  ``__getattr__`` (PEP 562)
+reads a name from the module whose ``__all__`` holds it.  The command line
+imports inside each command, so a cold start compiles only what the command
+runs: ``examples list`` runs ``fixtures``, ``operators`` and ``sparsevec``;
+``spectra FILE`` runs ``serialize``, ``operators``, ``sparsevec``,
+``sections``, ``linalg`` and ``spectra``; ``chains``, ``distance``,
+``dh-check`` and ``analyze`` swap ``spectra`` for the modules they call
+(README, "Command line", lists them all).  Tools that walk ``sys.modules``
+find every module there, and touching one runs it.
 
 Setting ``PENCILKIT_THREADS`` caps BLAS parallelism.  BLAS reads its thread
 count once, when numpy first loads it, so the cap only takes effect when
@@ -31,7 +34,8 @@ if _os.environ.get("PENCILKIT_THREADS"):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["PENCILKIT_THREADS"])
 
-import importlib as _importlib
+import importlib.util as _util
+import sys as _sys
 
 __version__ = "0.1.0"
 
@@ -40,20 +44,33 @@ _PUBLIC = ("operators", "sparsevec", "sections", "spectra", "chains", "approx", 
            "fixtures", "serialize")
 
 
+def _register(name: str):
+    """Bind ``pencilkit.<name>`` unexecuted; its code runs on first attribute access."""
+    spec = _util.find_spec(f"{__name__}.{name}")
+    spec.loader = _util.LazyLoader(spec.loader)
+    module = _util.module_from_spec(spec)
+    _sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in _PUBLIC + ("linalg",):
+    globals()[_name] = _register(_name)
+del _name
+
+
 def __getattr__(name: str):
-    """Import a submodule, or the module that exports ``name``, on first access (PEP 562).
+    """Read ``name`` from the module that exports it (PEP 562).
 
     ``__all__`` is every module's ``__all__``, so the package re-exports them
-    all.  A public name is bound here once found, and later lookups of it
-    never reach this function.
+    all.  Nothing is bound here: each lookup reads the module's current
+    binding, so a patch of a module shows through the package and is undone
+    with it.
     """
-    if name in _PUBLIC or name in ("cli", "linalg"):
-        return _importlib.import_module(f"{__name__}.{name}")
     if name == "__all__":
-        return ["__version__"] + [n for m in _PUBLIC for n in __getattr__(m).__all__]
-    for modname in _PUBLIC:
-        module = __getattr__(modname)
+        return ["__version__"] + [n for m in _PUBLIC for n in globals()[m].__all__]
+    for m in _PUBLIC:
+        module = globals()[m]
         if name in module.__all__:
-            globals()[name] = value = getattr(module, name)
-            return value
+            return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -296,8 +296,8 @@ def _cmd_dh_check(args) -> int:
     target = data.get("dh_pencil", data["pencil"]) if args.use_companion else data["pencil"]
     if target.dh is None:
         raise CLIError("pencil carries no dissipative-Hamiltonian metadata")
-    s = sections.section(target, args.n)
-    rep = dh.dh_classify(s, target.dh)
+    mats = dh.dh_section_mats(sections.section(target, args.n), target.dh)
+    rep = dh.classify_mats(mats, None)
     lines = [f"note: {n}" for n in notes]
     d = rep.diagnostics
     lines += [
@@ -316,7 +316,7 @@ def _cmd_dh_check(args) -> int:
         f"stacked sigma_min      : {_fmt(rep.stacked_sigma_min)}",
         "probe sigma_min:",
     ]
-    for lam, sv in dh.probe_sigma_min(dh.dh_section_mats(s, target.dh)):
+    for lam, sv in dh.probe_sigma_min(mats):
         lines.append(f"  {_fmt(lam.real)}{lam.imag:+.17g}i : {_fmt(sv)}")
     lines += [
         f"classification: {rep.classification}",
@@ -475,13 +475,8 @@ _COMMANDS = {
 }
 
 
-def _quadrature_error() -> tuple:
-    """``odae.QuadratureError`` once odae is loaded; until then nothing can raise it."""
-    odae = sys.modules.get(f"{__package__}.odae")
-    return (odae.QuadratureError,) if odae else ()
-
-
 def main(argv: list[str] | None = None) -> int:
+    from . import odae  # its code runs only if an error reaches the QuadratureError clause
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -492,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (np.linalg.LinAlgError, KeyError, *_quadrature_error()) as exc:
+    except (np.linalg.LinAlgError, KeyError, odae.QuadratureError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -222,7 +222,11 @@ def dh_classify(
     than rank_tol, and the kernel keeps the singular values at or below
     rank_tol, so the skipped SVD would have found no kernel either.
     """
-    mats = dh_section_mats(s, dh)
+    return classify_mats(dh_section_mats(s, dh), tol_ap)
+
+
+def classify_mats(mats: DHSectionMats, tol_ap: float | None) -> DHReport:
+    """``dh_classify`` on sections already compressed by ``dh_section_mats``."""
     diag = verify_dh_structure(mats)
     stacked = np.vstack([mats.E, mats.BQ])
     svals = linalg.svdvals(stacked)

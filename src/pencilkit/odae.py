@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import Pencil
+from .sections import section
 from .sparsevec import SparseVec, vec_iadd, vec_inner, vec_norm, vec_scale, vec_sub
 
 __all__ = [
@@ -351,7 +352,6 @@ def uniqueness_demo(
             "exhibit non-uniqueness for unstructured pencils"
         )
     from .dh import dh_classify
-    from .sections import section
     s = section(p, n)
     rep = dh_classify(s, p.dh)
     kdim = rep.common_kernel_dim

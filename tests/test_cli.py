@@ -183,6 +183,20 @@ def test_dh_check_table(capsys):
     assert "classification: point_singular" in out
 
 
+def test_dh_check_compresses_the_section_once(capsys, monkeypatch):
+    calls = []
+    compress = pencilkit.dh.dh_section_mats
+
+    def counting(*args):
+        calls.append(args)
+        return compress(*args)
+
+    monkeypatch.setattr(pencilkit.dh, "dh_section_mats", counting)
+    code, out, _ = _run(capsys, "dh-check", "--fixture", "stokes_skeleton")
+    assert code == EXIT_OK and "probe sigma_min:" in out
+    assert len(calls) == 1
+
+
 def test_dh_check_requires_metadata(capsys, pencil_file):
     code, _, err = _run(capsys, "dh-check", pencil_file)
     assert code == EXIT_INPUT and "no dissipative-Hamiltonian metadata" in err
@@ -458,6 +472,8 @@ def test_commands_load_only_the_pencilkit_modules_they_run(tmp_path):
     regular = str(tmp_path / "regular.json")
     save_pencil(Pencil(E=DenseBlock(sp, sp, rng.standard_normal((6, 6))),
                        A=DenseBlock(sp, sp, rng.standard_normal((6, 6)))), regular)
+    # Every module sits in sys.modules from the package import on; one whose
+    # code has not run yet still has LazyLoader's module type.
     code = (
         "import contextlib, io, json, sys\n"
         "import pencilkit.cli\n"
@@ -465,7 +481,8 @@ def test_commands_load_only_the_pencilkit_modules_they_run(tmp_path):
         "if argv:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert pencilkit.cli.main(argv) == 0\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('pencilkit.')]))\n"
+        "print(json.dumps([m for m, mod in sys.modules.items()\n"
+        "                  if m.startswith('pencilkit.') and type(mod) is type(sys)]))\n"
     )
     src = os.path.dirname(os.path.dirname(pencilkit.__file__))
     env = {**os.environ, "PYTHONPATH": src}

@@ -1,0 +1,38 @@
+"""How the package exposes its modules: registered on import, run on first use."""
+
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pencilkit
+
+
+def test_import_registers_every_module_but_cli_without_running_it():
+    code = (
+        "import json, sys\n"
+        "import pencilkit\n"
+        "mods = {m: v for m, v in sys.modules.items() if m.startswith('pencilkit.')}\n"
+        "print(json.dumps([sorted(mods), [m for m, v in mods.items() if type(v) is type(sys)]]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(pencilkit.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    registered, run = json.loads(out.stdout)
+    every = {f"pencilkit.{info.name}" for info in pkgutil.iter_modules(pencilkit.__path__)}
+    assert set(registered) == every - {"pencilkit.cli"}
+    assert run == []
+
+
+def test_package_names_follow_patches_of_their_module(monkeypatch):
+    original = pencilkit.sections.section
+
+    def fake(*args):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(pencilkit.sections, "section", fake)
+    assert pencilkit.section is fake
+    monkeypatch.undo()
+    assert pencilkit.section is original
