@@ -37,7 +37,10 @@ only one that names scipy: singular values and vectors, nullspaces, matrix
 - ``norm2``, ``eigvalsh``, ``eigh`` and ``standard_eigvals`` pass through
   to ``numpy.linalg``, and ``poly_roots`` to ``numpy.roots`` (an
   eigenvalue solve of the companion matrix), looked up at each call, so
-  they return exactly what the numpy call returns.
+  they return exactly what the numpy call returns.  The one exception:
+  ``norm2`` of a nonempty matrix whose entries are all zero, such as a
+  structure defect of an exactly structured dH section, is 0 without an
+  SVD.
 - ``expm``, ``solve``, generalized ``eigvals`` (QZ) and
   ``subspace_angles`` pass through to ``scipy.linalg``, imported on first
   use.
@@ -121,7 +124,9 @@ def kernel(mat: np.ndarray) -> np.ndarray:
 
 
 def norm2(mat: np.ndarray) -> float:
-    """Spectral norm, the largest singular value."""
+    """Spectral norm, the largest singular value; 0 without an SVD for a nonempty zero matrix."""
+    if mat.size and not mat.any():
+        return np.float64(0.0)
     return np.linalg.norm(mat, 2)
 
 

@@ -7,6 +7,15 @@ is all the rest of the package needs (finite sections, residual evaluation,
 series solutions).  Unboundedness is implicit in weight growth; no domain
 bookkeeping is done beyond the linear span of the basis.
 
+``apply`` remembers each basis image it uses: the first application to a
+vector with ``e_j`` in its support stores ``apply_basis(j)`` on the operator,
+and later applications read it, accumulating with the same ``vec_iadd``
+calls in the same order, so results are bitwise those of a fresh operator.
+So operators must not change after construction (``DenseBlock`` keeps a
+read-only copy of its matrix; ``Sum`` and ``BlockDirectSum`` hold tuples), and
+the store grows with the distinct indices an operator is applied to.
+``apply_basis`` and section assembly neither read nor fill it.
+
 Index conventions: ``l2N`` and ``finite(d)`` spaces are indexed 1, 2, ...;
 ``l2Z`` is indexed over all integers.  A shift ``offset k`` maps
 ``e_j -> w(j) e_{j+k}``, dropping targets that fall outside the index set.
@@ -207,9 +216,16 @@ class StructuredOperator(ABC):
         """Structural adjoint (conjugate weights, reflected shifts, ...)."""
 
     def apply(self, v: SparseVec) -> SparseVec:
+        try:
+            images = self._images
+        except AttributeError:
+            images = self._images = {}
         out: SparseVec = {}
         for j, c in v.items():
-            vec_iadd(out, self.apply_basis(j), c)
+            img = images.get(j)
+            if img is None:
+                img = images[j] = self.apply_basis(j)
+            vec_iadd(out, img, c)
         return out
 
     def _check_index(self, j: int) -> None:
@@ -268,7 +284,8 @@ class DenseBlock(StructuredOperator):
     ):
         self.space_in = space_in
         self.space_out = space_out
-        self.matrix = np.asarray(matrix, dtype=complex)
+        self.matrix = np.array(matrix, dtype=complex)
+        self.matrix.flags.writeable = False
         if self.matrix.ndim != 2:
             raise ValueError("matrix must be 2-dimensional")
         if not np.isfinite(self.matrix).all():
@@ -350,7 +367,7 @@ class Sum(StructuredOperator):
         for t in terms[1:]:
             if t.space_in != first.space_in or t.space_out != first.space_out:
                 raise ValueError("sum terms must share spaces")
-        self.terms = list(terms)
+        self.terms = tuple(terms)
         self.space_in = first.space_in
         self.space_out = first.space_out
 
@@ -413,7 +430,7 @@ class BlockDirectSum(StructuredOperator):
     def __init__(self, ops: list[StructuredOperator]):
         if not ops:
             raise ValueError("direct sum needs at least one summand")
-        self.ops = list(ops)
+        self.ops = tuple(ops)
         self.map_in = _SumIndexMap([o.space_in for o in ops])
         self.map_out = _SumIndexMap([o.space_out for o in ops])
         self.space_in = self.map_in.combined

@@ -349,6 +349,41 @@ def test_factorization_source_check_allows_non_factorizing_names(source):
     assert list(_factorizations(ast.parse(source))) == []
 
 
+def _outcome(fn, mat):
+    try:
+        value = fn(mat)
+    except Exception as exc:  # the error type is the outcome
+        return type(exc)
+    return type(value), repr(value)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.zeros((3, 3)),
+        np.zeros((4, 2), dtype=complex),
+        np.full((2, 3), -0.0),
+        np.zeros(5),
+        np.zeros((0, 3)),
+        np.zeros((3, 0)),
+        np.zeros((0, 0)),
+        np.array([[0.0, np.nan], [0.0, 0.0]]),
+        np.array([[0.0, complex(0.0, np.nan)]]),
+        np.eye(3) * 1e-300,
+    ],
+)
+def test_norm2_is_numpy_norm_on_zero_empty_and_nan_matrices(mat):
+    assert _outcome(linalg.norm2, mat) == _outcome(lambda m: np.linalg.norm(m, 2), mat)
+
+
+def test_norm2_of_zero_matrix_takes_no_svd(monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.linalg, "norm", lambda mat, ord: calls.append(mat.shape) or 1.0)
+    assert linalg.norm2(np.zeros((6, 6), dtype=complex)) == 0.0
+    assert calls == []
+    assert linalg.norm2(np.eye(2)) == 1.0 and calls == [(2, 2)]
+
+
 def test_poly_roots_is_numpy_roots():
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal(7) + 1j * rng.standard_normal(7)

@@ -381,6 +381,26 @@ def test_power_balance_computes_energy_once_per_sample(monkeypatch):
     assert len(outside) == len(traj.times)
 
 
+def test_power_balance_builds_each_basis_image_once():
+    from collections import Counter
+
+    from pencilkit.fixtures import get_fixture, integrator_trajectory
+
+    data = get_fixture("poroelasticity_template").build(seed=0, d=3)
+    p = data["pencil"]
+    calls = Counter()
+    for op in {id(op): op for op in (p.E, p.dh.Q, p.dh.B)}.values():
+        def counted(j, op=op, apply_basis=op.apply_basis):
+            calls[id(op), j] += 1
+            return apply_basis(j)
+
+        op.apply_basis = counted
+    traj = integrator_trajectory(data, np.linspace(0.0, 1.0, 6), data["x0"])
+    power_balance_residual(p, traj)
+    assert len(calls) == 3 * data["dim"]
+    assert set(calls.values()) == {1}
+
+
 def test_power_balance_requires_dh():
     p = Pencil(E=Identity(L2N), A=Identity(L2N))
     with pytest.raises(ValueError):

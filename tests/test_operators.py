@@ -108,6 +108,21 @@ def test_dense_block_placement():
     assert b.apply_basis(2) == {}
 
 
+def test_dense_block_keeps_a_read_only_copy_of_its_matrix():
+    m = np.array([[1.0, 2.0j], [0.5, -1.0]])  # complex: np.asarray would alias it
+    b = DenseBlock(L2N, L2N, m)
+    with pytest.raises(ValueError):
+        b.matrix[0, 0] = 7.0
+    m[0, 0] = 7.0
+    assert m.flags.writeable and b.apply_basis(1) == {1: 1.0, 2: 0.5}
+
+
+def test_composite_operators_hold_tuples():
+    s = Sum([Identity(L2N), Identity(L2N)])
+    d = BlockDirectSum([Identity(finite(2)), Identity(L2N)])
+    assert isinstance(s.terms, tuple) and isinstance(d.ops, tuple)
+
+
 def test_sum_requires_matching_spaces():
     with pytest.raises(ValueError):
         Sum([Identity(L2N), Identity(L2Z)])

@@ -166,9 +166,12 @@ def test_vec_iadd_matches_scaled_merge(start, v, c):
 
 
 @settings(max_examples=200, deadline=None)
-@given(operators(), vecs())
-def test_apply_matches_reference(op, v):
-    assert _entries(op.apply(v)) == _entries(_ref_apply(op, v))
+@given(operators(), vecs(), vecs())
+def test_apply_matches_reference(op, u, v):
+    # the second call reads the basis images that the first one stored
+    first, second = op.apply(u), op.apply(v)
+    assert _entries(first) == _entries(_ref_apply(op, u))
+    assert _entries(second) == _entries(_ref_apply(op, v))
 
 
 @settings(max_examples=100, deadline=None)
