@@ -10,14 +10,16 @@ Importing the package runs none of its modules.  It registers each one
 (all but ``cli``) in ``sys.modules`` and as ``pencilkit.<module>`` through
 ``importlib.util.LazyLoader``: the module's code runs on its first attribute
 access, after which it is an ordinary module.  ``__getattr__`` (PEP 562)
-reads a name from the module whose ``__all__`` holds it.  The command line
-imports inside each command, so a cold start compiles only what the command
-runs: ``examples list`` runs ``fixtures``, ``operators`` and ``sparsevec``;
-``spectra FILE`` runs ``serialize``, ``operators``, ``sparsevec``,
-``sections``, ``linalg`` and ``spectra``; ``chains``, ``distance``,
-``dh-check`` and ``analyze`` swap ``spectra`` for the modules they call
-(README, "Command line", lists them all).  Tools that walk ``sys.modules``
-find every module there, and touching one runs it.
+reads a name from the module whose ``__all__`` holds it.  A top-level
+``from . import x`` binds the registered ``x`` without running it, so each
+module imports its siblings at the top, and a cold start of the command line
+still compiles only what the command runs: ``examples list`` runs
+``fixtures``, ``operators`` and ``sparsevec``; ``spectra FILE`` runs
+``serialize``, ``operators``, ``sparsevec``, ``sections``, ``linalg`` and
+``spectra``; ``chains``, ``distance``, ``dh-check`` and ``analyze`` swap
+``spectra`` for the modules they call (README, "Command line", lists them
+all).  Tools that walk ``sys.modules`` find every module there, and
+touching one runs it.
 
 Setting ``PENCILKIT_THREADS`` caps BLAS parallelism.  BLAS reads its thread
 count once, when numpy first loads it, so the cap only takes effect when

@@ -28,6 +28,8 @@ import sys
 
 import numpy as np
 
+from . import approx, chains, dh, fixtures, odae, sections, serialize, sparsevec, spectra
+
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_INPUT = 2
@@ -39,7 +41,6 @@ class CLIError(Exception):
 
 
 def _load(path: str):
-    from . import serialize
     if not os.path.exists(path):
         raise CLIError(f"{path}: file not found")
     try:
@@ -50,7 +51,6 @@ def _load(path: str):
 
 def _seed_param(name: str, seed: int) -> dict:
     """--seed as a build parameter of the fixtures that take one."""
-    from . import fixtures
     try:
         fx = fixtures.get_fixture(name)
     except KeyError as exc:
@@ -59,7 +59,6 @@ def _seed_param(name: str, seed: int) -> dict:
 
 
 def _fixture_data(args) -> dict:
-    from . import fixtures
     params = _seed_param(args.fixture, args.seed)  # first: it turns an unknown name into a CLIError
     return fixtures.get_fixture(args.fixture).build(**params)
 
@@ -67,7 +66,6 @@ def _fixture_data(args) -> dict:
 def _target_data(args) -> dict:
     """Fixture data from --fixture, or ``{"pencil": ...}`` from a JSON path."""
     if getattr(args, "fixture", None):
-        from . import fixtures
         data = _fixture_data(args)
         if "pencil" not in data:
             if fixtures.get_fixture(args.fixture).caveat_only:
@@ -117,9 +115,11 @@ def _int_at_least(lo: int):
 
 
 def _series_order(text: str) -> int:
-    """argparse type of ``simulate --order``: an integer >= ``odae.MIN_SERIES_ORDER``."""
-    from .odae import MIN_SERIES_ORDER
-    return _int_at_least(MIN_SERIES_ORDER)(text)
+    """argparse type of ``simulate --order``: an integer >= ``odae.MIN_SERIES_ORDER``.
+
+    The bound is read when argparse calls this, so building the parser runs no ``odae``.
+    """
+    return _int_at_least(odae.MIN_SERIES_ORDER)(text)
 
 
 def _positive_int_list(text: str) -> list[int]:
@@ -160,8 +160,6 @@ def _emit(lines, out_path: str | None):
 
 
 def _cmd_analyze(args) -> int:
-    from . import chains, sections, spectra
-    from .sparsevec import _fmt
     p, notes = _target_pencil(args)
     s = sections.section(p, args.n)
     lines = [
@@ -174,17 +172,16 @@ def _cmd_analyze(args) -> int:
         pc = spectra.classify_point(s, lam)
         label = "inf" if lam == spectra.INFINITY else f"{complex(lam).real:g}{complex(lam).imag:+g}i"
         lines.append(
-            f"lambda={label}: sigma_min={_fmt(pc.sigma_min)} verdict={pc.verdict}"
+            f"lambda={label}: sigma_min={sparsevec._fmt(pc.sigma_min)} verdict={pc.verdict}"
         )
     cert = sections.distance_to_singularity_bound(s)
-    lines.append(f"stacked sigma_min certificate: {_fmt(cert.value)}")
+    lines.append(f"stacked sigma_min certificate: {sparsevec._fmt(cert.value)}")
     rep = chains.extract_right_chain(s)
     if rep is None:
         lines.append("right singular chain: none (section is regular)")
     else:
         lines.append(f"right singular chain: minimal index {rep.minimal_index}")
     if p.dh is not None:
-        from . import dh
         drep = dh.dh_classify(s, p.dh)
         lines.append(
             "dh: structure "
@@ -198,8 +195,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
-    from . import sections, spectra
-    from .sparsevec import _fmt
     try:
         rect = tuple(float(x) for x in args.rect.split(","))
         steps = tuple(int(x) for x in args.steps.split(","))
@@ -215,14 +210,14 @@ def _cmd_spectra(args) -> int:
     lines.append("re,im,sigma_min,sigma_min_adjoint,verdict")
     for pc in spectra.spectra_grid(s, rect, steps):
         lam = complex(pc.lam)
-        lines.append(f"{_fmt(lam.real)},{_fmt(lam.imag)},{_fmt(pc.sigma_min)},"
-                     f"{_fmt(pc.sigma_min_adjoint)},{pc.verdict}")
+        lines.append(f"{sparsevec._fmt(lam.real)},{sparsevec._fmt(lam.imag)},"
+                     f"{sparsevec._fmt(pc.sigma_min)},{sparsevec._fmt(pc.sigma_min_adjoint)},"
+                     f"{pc.verdict}")
     _emit(lines, args.out)
     return EXIT_OK
 
 
 def _cmd_chains(args) -> int:
-    from . import chains, sections
     p, notes = _target_pencil(args)
     s = sections.section(p, args.n)
     report: dict = {"window_n": args.n, "notes": list(notes)}
@@ -245,8 +240,6 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    from . import approx
-    from .sparsevec import _fmt
     data = _fixture_data(args)
     if "sequence" not in data:
         raise CLIError(f"fixture {args.fixture!r} provides no polynomial sequence")
@@ -256,9 +249,12 @@ def _cmd_approx(args) -> int:
     lmin = dict(zip(gram.n_values, gram.lambda_min))
     lines = ["n,probe_re,probe_im,fwd_residual,rev_residual,p_norm,revp_norm,gram_lambda_min"]
     for r in approx.sequence_residuals(data.get("pencil"), seq, probes, args.n_values):
-        residuals = ["", ""] if r.forward is None else [_fmt(r.forward), _fmt(r.reverse)]
-        lines.append(",".join([str(r.n), _fmt(r.probe.real), _fmt(r.probe.imag), *residuals,
-                               _fmt(r.p_norm), _fmt(r.revp_norm), _fmt(lmin[r.n])]))
+        residuals = (["", ""] if r.forward is None
+                     else [sparsevec._fmt(r.forward), sparsevec._fmt(r.reverse)])
+        lines.append(",".join([str(r.n), sparsevec._fmt(r.probe.real),
+                               sparsevec._fmt(r.probe.imag), *residuals,
+                               sparsevec._fmt(r.p_norm), sparsevec._fmt(r.revp_norm),
+                               sparsevec._fmt(lmin[r.n])]))
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -273,24 +269,19 @@ def _witness_support_center(cert, window) -> float:
 
 
 def _cmd_distance(args) -> int:
-    from . import sections
-    from .sparsevec import _fmt
     p, notes = _target_pencil(args)
     lines = [f"# note: {n}" for n in notes]
     lines.append("n,stacked_sigma_min,witness_support_center")
     for n in args.sections:
         s = sections.section(p, n)
         cert = sections.distance_to_singularity_bound(s)
-        lines.append(
-            f"{n},{_fmt(cert.value)},{_fmt(_witness_support_center(cert, s.window_in))}"
-        )
+        center = _witness_support_center(cert, s.window_in)
+        lines.append(f"{n},{sparsevec._fmt(cert.value)},{sparsevec._fmt(center)}")
     _emit(lines, args.out)
     return EXIT_OK
 
 
 def _cmd_dh_check(args) -> int:
-    from . import dh, sections
-    from .sparsevec import _fmt
     data = _target_data(args)
     notes = data.get("notes", ())
     target = data.get("dh_pencil", data["pencil"]) if args.use_companion else data["pencil"]
@@ -302,22 +293,22 @@ def _cmd_dh_check(args) -> int:
     d = rep.diagnostics
     lines += [
         f"structure: {'ok' if d.structure_ok else 'VIOLATED'}",
-        f"  Q*E selfadjoint defect : {_fmt(d.qe_selfadjoint_defect)}",
-        f"  Q*E smallest eigenvalue: {_fmt(d.qe_min_eig)}",
-        f"  sym(B) largest eigenvalue: {_fmt(d.b_sym_max_eig)}",
-        f"  sigma_min(Q)           : {_fmt(d.q_sigma_min)}",
+        f"  Q*E selfadjoint defect : {sparsevec._fmt(d.qe_selfadjoint_defect)}",
+        f"  Q*E smallest eigenvalue: {sparsevec._fmt(d.qe_min_eig)}",
+        f"  sym(B) largest eigenvalue: {sparsevec._fmt(d.b_sym_max_eig)}",
+        f"  sigma_min(Q)           : {sparsevec._fmt(d.q_sigma_min)}",
     ]
     if d.j_skew_defect is not None:
-        lines.append(f"  J skew defect          : {_fmt(d.j_skew_defect)}")
+        lines.append(f"  J skew defect          : {sparsevec._fmt(d.j_skew_defect)}")
     if d.r_min_eig is not None:
-        lines.append(f"  R smallest eigenvalue  : {_fmt(d.r_min_eig)}")
+        lines.append(f"  R smallest eigenvalue  : {sparsevec._fmt(d.r_min_eig)}")
     lines += [
         f"common kernel dimension: {rep.common_kernel_dim}",
-        f"stacked sigma_min      : {_fmt(rep.stacked_sigma_min)}",
+        f"stacked sigma_min      : {sparsevec._fmt(rep.stacked_sigma_min)}",
         "probe sigma_min:",
     ]
     for lam, sv in dh.probe_sigma_min(mats):
-        lines.append(f"  {_fmt(lam.real)}{lam.imag:+.17g}i : {_fmt(sv)}")
+        lines.append(f"  {sparsevec._fmt(lam.real)}{lam.imag:+.17g}i : {sparsevec._fmt(sv)}")
     lines += [
         f"classification: {rep.classification}",
         "maximal dissipativity is automatic in finite dimensions (reported, not tested)",
@@ -327,8 +318,6 @@ def _cmd_dh_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from . import fixtures, odae
-    from .sparsevec import _fmt
     data = _fixture_data(args)
     t_grid = np.linspace(0.0, args.t_max, args.samples)
     p = data.get("pencil")
@@ -349,22 +338,23 @@ def _cmd_simulate(args) -> int:
     lines = [",".join(header)]
     for i, t in enumerate(traj.times):
         state = traj.states[i]
-        row = [_fmt(float(t))]
-        row += [_fmt(complex(state.get(j, 0.0)).real) for j in range(1, w + 1)]
-        row += [_fmt(complex(state.get(j, 0.0)).imag) for j in range(1, w + 1)]
+        row = [sparsevec._fmt(float(t))]
+        row += [sparsevec._fmt(complex(state.get(j, 0.0)).real) for j in range(1, w + 1)]
+        row += [sparsevec._fmt(complex(state.get(j, 0.0)).imag) for j in range(1, w + 1)]
         rc = traj.residual_classical[i] if traj.residual_classical is not None else float("nan")
-        row.append(_fmt(float(rc)))
-        row.append(_fmt(float(mild[i])))
-        row.append(_fmt(float(pbe[i])) if pbe is not None else "nan")
-        row.append(_fmt(float(ham[i])) if ham is not None else "nan")
+        row.append(sparsevec._fmt(float(rc)))
+        row.append(sparsevec._fmt(float(mild[i])))
+        row.append(sparsevec._fmt(float(pbe[i])) if pbe is not None else "nan")
+        row.append(sparsevec._fmt(float(ham[i])) if ham is not None else "nan")
         lines.append(",".join(row))
     _emit(lines, args.out)
     return EXIT_OK
 
 
 def _cmd_examples(args) -> int:
-    from . import fixtures
     if args.action == "list":
+        if args.name is not None or args.all:
+            raise CLIError("examples list takes no fixture name or --all")
         lines = []
         for name in fixtures.fixture_names():
             fx = fixtures.get_fixture(name)
@@ -374,6 +364,8 @@ def _cmd_examples(args) -> int:
         return EXIT_OK
     # run
     if args.all:
+        if args.name is not None:
+            raise CLIError(f"examples run takes {args.name!r} or --all, not both")
         names = fixtures.fixture_names()
     elif args.name:
         names = [args.name]
@@ -476,7 +468,6 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    from . import odae  # its code runs only if an error reaches the QuadratureError clause
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -488,7 +479,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (np.linalg.LinAlgError, KeyError, odae.QuadratureError) as exc:
-        # LinAlgError subclasses ValueError, so it must be caught first
+        # LinAlgError subclasses ValueError, so it must be caught first; odae's code runs
+        # only when an exception reaches this clause
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, OSError) as exc:

@@ -17,10 +17,11 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
+from . import approx, chains, dh, linalg, odae, sections, spectra
 from .operators import (
     BlockDirectSum,
     DenseBlock,
@@ -42,8 +43,6 @@ from .operators import (
 )
 from .sparsevec import SparseVec, _fmt, basis_vec, vec_iadd, vec_norm, vec_sub
 
-if TYPE_CHECKING:
-    from . import dh, odae
 __all__ = [
     "CheckResult",
     "Fixture",
@@ -167,7 +166,6 @@ def _build_kronecker_l(k: int = 2) -> dict:
 
 
 def _check_kronecker_l(data: dict) -> list[CheckResult]:
-    from . import chains, sections, spectra
     p = data["pencil"]
     k = p.space_out.dim
     s = sections.section(p, k + 1)
@@ -250,7 +248,6 @@ def _structure_check(diag: dh.DHDiagnostics) -> CheckResult:
 
 
 def _check_stokes_skeleton(data: dict) -> list[CheckResult]:
-    from . import dh, sections
     p = data["pencil"]
     rep = dh.dh_classify(sections.section(p, data["dim"]), p.dh)
     out = [_structure_check(rep.diagnostics)]
@@ -333,7 +330,6 @@ def integrator_trajectory(data: dict, t_grid: np.ndarray, x0: np.ndarray) -> oda
     The trajectory carries a state function but no term-wise integral, so
     mild residuals of it are computed by adaptive Simpson quadrature.
     """
-    from . import linalg, odae
     gen = linalg.solve(data["E_mat"], data["B_mat"])
     t0 = float(t_grid[0])
 
@@ -345,7 +341,6 @@ def integrator_trajectory(data: dict, t_grid: np.ndarray, x0: np.ndarray) -> oda
 
 
 def _check_poroelasticity(data: dict) -> list[CheckResult]:
-    from . import chains, dh, linalg, odae, sections
     p = data["pencil"]
     s = sections.section(p, data["dim"])
     if "kernel_vector" in data:
@@ -411,7 +406,6 @@ def _build_mult_by_e() -> dict:
 
 
 def _check_mult_by_e(data: dict) -> list[CheckResult]:
-    from . import sections, spectra
     p = data["pencil"]
     out = []
     vals = []
@@ -471,7 +465,6 @@ def _build_shift_adjoint_sum() -> dict:
 
 
 def _check_shift_adjoint_sum(data: dict) -> list[CheckResult]:
-    from . import linalg, sections, spectra
     out = []
     w = sections.window_for(L2N, 12)
     for a, block in zip(data["alphas"], data["blocks"]):
@@ -627,7 +620,6 @@ def _build_non4_sum() -> dict:
 
 
 def _check_non4_sum(data: dict) -> list[CheckResult]:
-    from . import linalg, sections
     s1 = sections.section(data["summands"][0], 5)
     s2 = sections.section(data["summands"][1], 5)
     sv1 = float(linalg.svdvals(s1.evaluate(0.0))[-1])
@@ -664,7 +656,6 @@ def _build_diag_reciprocal() -> dict:
 
 def _exp_trajectory(t_grid: np.ndarray) -> odae.Trajectory:
     """Closed form x(t) = e^t e_1 with its exact time integral."""
-    from . import odae
     return odae.Trajectory(
         times=np.asarray(t_grid, dtype=float),
         state_fn=lambda t: {1: math.exp(t)},
@@ -673,7 +664,6 @@ def _exp_trajectory(t_grid: np.ndarray) -> odae.Trajectory:
 
 
 def _check_diag_reciprocal(data: dict) -> list[CheckResult]:
-    from . import dh, odae, sections
     p = data["pencil"]
     out = []
     s3 = sections.section(p, 3)
@@ -779,7 +769,6 @@ def _build_approxchain() -> dict:
     form a right approximate polynomial sequence with orthonormal
     coefficients (Gram matrices are identities).
     """
-    from . import approx, chains
     alpha = lambda n: 1.0 / math.factorial(n + 1)
     e, a, glob = _approxchain_ops(alpha, lambda n: 1.0)
 
@@ -791,7 +780,6 @@ def _build_approxchain() -> dict:
 
 
 def _check_approxchain(data: dict) -> list[CheckResult]:
-    from . import approx
     p, alpha, seq = data["pencil"], data["alpha"], data["sequence"]
     probes = [0.0, 1.0, -1.0, 1.0 + 1.0j]
     rows = approx.sequence_residuals(p, seq, probes, range(1, 7))
@@ -829,7 +817,6 @@ def _build_rescaled_approxchain() -> dict:
     polynomials e_1^(n) form a right approximate polynomial sequence of
     degree zero - chain length is not intrinsic.
     """
-    from . import approx
     e, a, glob = _approxchain_ops(lambda n: 1.0, lambda n: 1.0 / n)
     p = Pencil(E=e, A=a)
     seq = approx.approx_kernel_sequence(lambda n: basis_vec(glob(n, 1)))
@@ -837,7 +824,6 @@ def _build_rescaled_approxchain() -> dict:
 
 
 def _check_rescaled_approxchain(data: dict) -> list[CheckResult]:
-    from . import approx
     p, seq = data["pencil"], data["sequence"]
     probes = [0.0, 1.0, 2.0j]
     rows = approx.sequence_residuals(p, seq, probes, [4, 8, 16, 32])
@@ -865,14 +851,12 @@ def _check_rescaled_approxchain(data: dict) -> list[CheckResult]:
 
 def _build_gram_counterexample() -> dict:
     """Root-free polynomial whose coefficient Gram matrix is singular."""
-    from . import approx, chains
     poly = chains.VectorPolynomial([basis_vec(1), basis_vec(2), basis_vec(2), basis_vec(3)])
     seq = approx.PolynomialSequence(generator=lambda n: poly)
     return {"polynomial": poly, "sequence": seq}
 
 
 def _check_gram_counterexample(data: dict) -> list[CheckResult]:
-    from . import approx, chains
     g = approx.gram_lower_bound(data["sequence"], [1])
     lmin = g.lambda_min[0]
     grid = [np.exp(2j * np.pi * k / 64) for k in range(64)]
@@ -898,7 +882,6 @@ def _check_gram_counterexample(data: dict) -> list[CheckResult]:
 
 def _build_revdegenerate() -> dict:
     """p_n = e_1 + (lam^n/n!) e_2: values stay away from 0, reversals do not."""
-    from . import approx, chains
 
     def gen(n: int) -> chains.VectorPolynomial:
         coeffs = [basis_vec(1)] + [{} for _ in range(n - 1)] + [
@@ -910,7 +893,6 @@ def _build_revdegenerate() -> dict:
 
 
 def _check_revdegenerate(data: dict) -> list[CheckResult]:
-    from . import chains
     seq = data["sequence"]
     p8 = seq(8)
     grid = [np.exp(2j * np.pi * k / 32) for k in range(32)] + [0.5]
@@ -943,7 +925,6 @@ def _build_facfac() -> dict:
     A is invertible, so the pencil has no singular polynomials at all - yet
     the homogeneous equation has the nonzero factorial-series solution.
     """
-    from . import odae
     p = Pencil(
         E=Shift(L2N, -1, constant_weight(1.0)),
         A=Diagonal(L2N, WeightRule("index_plus_one")),
@@ -955,7 +936,6 @@ def _build_facfac() -> dict:
 
 
 def _check_facfac(data: dict) -> list[CheckResult]:
-    from . import chains, odae, sections
     p, gen = data["pencil"], data["generator"]
     out = []
     try:
@@ -1003,7 +983,6 @@ def _build_shift_identity() -> dict:
     covering t = 1.  The inhomogeneous initial value g(0) = e_1 also admits
     solutions, each shiftable by multiples of the homogeneous series.
     """
-    from . import odae
     p = Pencil(E=Shift(L2N, -1, constant_weight(1.0)), A=Identity(L2N))
     gen = odae.ChainGenerator(rule=lambda k: basis_vec(k), c=0.1, n0=1)
     return {
@@ -1018,7 +997,6 @@ def _build_shift_identity() -> dict:
 
 
 def _check_shift_identity(data: dict) -> list[CheckResult]:
-    from . import odae
     p, gen = data["pencil"], data["generator"]
     out = []
     for m, t in ((10, 1.0), (15, 1.0)):
@@ -1076,7 +1054,6 @@ def _build_bilateral_shift() -> dict:
 
 
 def _check_bilateral_shift(data: dict) -> list[CheckResult]:
-    from . import sections
     p = data["pencil"]
     out = []
     for n in (2, 5):

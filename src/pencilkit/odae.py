@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import chains, dh
 from .operators import Pencil
 from .sections import section
 from .sparsevec import SparseVec, vec_iadd, vec_inner, vec_norm, vec_scale, vec_sub
@@ -245,8 +246,7 @@ def series_solution(
 
 def polynomial_solution(p: Pencil, sp, t_grid: Sequence[float]) -> Trajectory:
     """Trajectory f(t) = t * p(t) from a right singular polynomial (residual <= 1e-8)."""
-    from .chains import verify_singular_polynomial
-    res = verify_singular_polynomial(p, sp, side="right")
+    res = chains.verify_singular_polynomial(p, sp, side="right")
     if res > POLYNOMIAL_VERIFY_TOL:
         raise ValueError(
             "polynomial fails singularity verification: "
@@ -351,9 +351,8 @@ def uniqueness_demo(
             "not a dissipative-Hamiltonian pencil; use series_solution to "
             "exhibit non-uniqueness for unstructured pencils"
         )
-    from .dh import dh_classify
     s = section(p, n)
-    rep = dh_classify(s, p.dh)
+    rep = dh.dh_classify(s, p.dh)
     kdim = rep.common_kernel_dim
     times = np.asarray(list(t_grid), dtype=float)
     indices = s.window_in.indices

@@ -21,8 +21,6 @@ import json
 import numbers
 from typing import Any
 
-import numpy as np
-
 from .operators import (
     BlockDirectSum,
     DenseBlock,
@@ -104,8 +102,9 @@ _INT = (_int_in, int)
 _SPACE = (_space_in, _space_out)
 _CPLX = (_cplx_in, _cplx_out)
 _CPLXS = (lambda v: tuple(_cplx_in(z) for z in v), lambda zs: [_cplx_out(z) for z in zs])
+# The matrix reader returns nested lists: DenseBlock builds the only array from them.
 _MATRIX = (
-    lambda v: np.array([[_cplx_in(z) for z in row] for row in v], dtype=complex),
+    lambda v: [[_cplx_in(z) for z in row] for row in v],
     lambda m: [[_cplx_out(z) for z in row] for row in m],
 )
 

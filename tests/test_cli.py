@@ -49,6 +49,19 @@ def test_examples_run_single(capsys):
     assert "overall: pass" in out and "[pass]" in out
 
 
+@pytest.mark.parametrize("stray", ["kronecker_L", "--all"])
+def test_examples_list_rejects_a_fixture_name(capsys, stray):
+    code, out, err = _run(capsys, "examples", "list", stray)
+    assert code == EXIT_INPUT and out == ""
+    assert "examples list takes no fixture name or --all" in err
+
+
+def test_examples_run_rejects_a_name_with_all(capsys):
+    code, out, err = _run(capsys, "examples", "run", "bogus", "--all")
+    assert code == EXIT_INPUT and out == ""
+    assert "'bogus' or --all, not both" in err
+
+
 def test_examples_run_unknown_fixture(capsys):
     code, _, err = _run(capsys, "examples", "run", "nope")
     assert code == EXIT_INPUT and "unknown fixture" in err
@@ -493,14 +506,23 @@ def test_commands_load_only_the_pencilkit_modules_they_run(tmp_path):
         assert out.returncode == 0, out.stderr
         return {m.removeprefix("pencilkit.") for m in json.loads(out.stdout)}
 
-    assert loaded() == {"cli"}
-    assert loaded("examples", "list") == {"cli", "fixtures", "operators", "sparsevec"}
-    spectra = loaded("spectra", regular, "--n", "6", "--steps", "3,3")
-    assert "spectra" in spectra
-    assert not spectra & {"fixtures", "chains", "dh", "odae", "approx"}
-    chains = loaded("chains", regular, "--n", "6")
-    assert "chains" in chains
-    assert not chains & {"fixtures", "odae", "approx", "spectra"}
+    from_file = {"serialize", "operators", "sparsevec", "sections", "linalg"}
+    from_fixture = {"fixtures", "operators", "sparsevec", "sections", "linalg"}
+    simulate = {"fixtures", "operators", "sparsevec", "odae", "sections"}
+    expected = [
+        ((), set()),
+        (("examples", "list"), {"fixtures", "operators", "sparsevec"}),
+        (("spectra", regular, "--n", "6", "--steps", "3,3"), from_file | {"spectra"}),
+        (("chains", regular, "--n", "6"), from_file | {"chains"}),
+        (("analyze", regular, "--n", "6"), from_file | {"spectra", "chains"}),
+        (("distance", "--fixture", "diag_reciprocal"), from_fixture),
+        (("dh-check", "--fixture", "stokes_skeleton"), from_fixture | {"dh"}),
+        (("approx", "--fixture", "approxchain"), from_fixture | {"approx", "chains"}),
+        (("simulate", "--fixture", "shift_identity"), simulate),
+        (("simulate", "--fixture", "poroelasticity_template"), simulate | {"linalg"}),
+    ]
+    for argv, modules in expected:
+        assert loaded(*argv) == {"cli"} | modules, argv
 
 
 @pytest.mark.skipif(

@@ -1,5 +1,6 @@
 """How the package exposes its modules: registered on import, run on first use."""
 
+import ast
 import json
 import os
 import pkgutil
@@ -36,3 +37,20 @@ def test_package_names_follow_patches_of_their_module(monkeypatch):
     assert pencilkit.section is fake
     monkeypatch.undo()
     assert pencilkit.section is original
+
+
+def test_no_function_imports_a_sibling_module():
+    # A top-level ``from . import x`` binds the registered module without running it, so
+    # importing inside a function only duplicates the registration.
+    folder = os.path.dirname(pencilkit.__file__)
+    hits = set()
+    for name in sorted(os.listdir(folder)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(folder, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                hits |= {f"{name}:{node.lineno}" for node in ast.walk(fn)
+                         if isinstance(node, ast.ImportFrom) and node.level >= 1}
+    assert sorted(hits) == []

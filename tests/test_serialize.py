@@ -194,6 +194,10 @@ _DENSE32 = {"node": "denseBlock", "space_in": {"finite": 3}, "space_out": {"fini
         _pencil_doc(_IDN, {"node": "identity", "space": "l2Z"}),
         _pencil_doc(_IDN, {"node": "diagonal", "space": "l2N", "weights": {"kind": "mystery"}}),
         _pencil_doc(_ID2, _dense([[1.0, 2.0], [3.0]])),
+        _pencil_doc(_ID2, _dense(1.0)),
+        _pencil_doc(_ID2, _dense([1.0, 2.0])),
+        _pencil_doc(_ID2, _dense([])),
+        _pencil_doc(_ID2, _dense([[]])),
         _pencil_doc({"node": "identity", "space": {"finite": -1}},
                     {"node": "identity", "space": {"finite": -1}}),
         _pencil_doc(_ID2, _dense([[1.0, float("nan")], [0.0, 1.0]])),
@@ -226,7 +230,8 @@ _DENSE32 = {"node": "denseBlock", "space_in": {"finite": 3}, "space_out": {"fini
                            "weights": {"kind": "constant", "value": [0, 1], "conjugate": "no"}}),
     ],
     ids=["non-integer-dim", "shift-without-offset", "mismatched-spaces",
-         "unknown-weight-kind", "ragged-matrix", "negative-dim", "nan-entry",
+         "unknown-weight-kind", "ragged-matrix", "scalar-matrix", "one-dimensional-matrix",
+         "empty-matrix", "empty-matrix-row", "negative-dim", "nan-entry",
          "infinite-table-weight", "nan-scale-factor", "infinite-scale-factor",
          "overflowing-scale-factor", "bool-scale-factor", "bool-in-complex-pair",
          "dh-factor-on-other-space", "dh-split-on-other-space", "dh-on-rectangular-pencil",
