@@ -138,10 +138,7 @@ def _screen_margin(thr: float, rt: float) -> float:
 
 def _null_basis(mat: np.ndarray, thr: float) -> np.ndarray:
     """Orthonormal columns spanning the right singular directions with sigma <= thr."""
-    rows, cols = mat.shape
-    if rows < cols:  # zero rows give the thin SVD all cols right singular vectors
-        mat = np.vstack([mat, np.zeros((cols - rows, cols), dtype=mat.dtype)])
-    _, svals, vh = linalg.thin_svd(mat)
+    svals, vh = linalg.svals_vh(mat)
     return vh[int(np.sum(svals > thr)) :].conj().T
 
 
@@ -209,10 +206,10 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
     Returns None for regular sections.  Link residuals are bounded by
     tol * (||E|| + ||A||); chain vectors are checked for linear
     independence at the same scale.  ``tol`` must be finite and
-    nonnegative (ValueError otherwise).
+    nonnegative, and the scale and thr finite (ValueError otherwise).
 
     Degree d is accepted when sigma_min(T_d) <= thr = tol * scale, with
-    scale = ||E||_2 + ||A||_2.  Two rules skip degrees that cannot be:
+    scale = ||E||_2 + ||A||_2 (or 1 if 0).  Two rules skip degrees that cannot be:
 
     - Full-column-rank exit, for m >= k (rows >= columns): if
       sigma_k(lam0 E - A) > sqrt(tol) * scale at both ``RANK_PROBES``, the
@@ -255,10 +252,8 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
         raise ValueError(f"chain tolerance must be finite and nonnegative, got {tol!r}")
     E, A = s.E_mat, s.A_mat
     m, k = A.shape
-    scale = linalg.norm2(E) + linalg.norm2(A)
-    if scale == 0:
-        scale = 1.0
-    thr = tol * scale
+    scale = s.scale or 1.0
+    thr = linalg.finite_scale("tol * (||E||_2 + ||A||_2)", tol * scale)
     if 0 < k <= m and all(
         linalg.singular_values(lam * E - A)[-1] > np.sqrt(tol) * scale for lam in RANK_PROBES
     ):
@@ -292,7 +287,7 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
 
 
 def extract_left_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport | None:
-    """Right chain of the adjoint section, reported as a left chain."""
+    """Right chain of the adjoint section (same norms, so same thr), reported as a left chain."""
     rep = extract_right_chain(s.adjoint(), tol)
     if rep is None:
         return None

@@ -235,7 +235,7 @@ def _cmd_chains(args) -> int:
             s, poly, side=side
         )
         report[side] = entry
-    _emit([json.dumps(report, sort_keys=True)], args.out)
+    _emit([json.dumps(report, sort_keys=True, allow_nan=False)], args.out)
     return EXIT_OK
 
 
@@ -474,9 +474,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(over="raise", invalid="raise"):
+            return _COMMANDS[args.command](args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except FloatingPointError as exc:  # raised by the errstate: finite input, out-of-range result
+        print(f"error: {exc}: the input is too large for double precision", file=sys.stderr)
         return EXIT_INPUT
     except (np.linalg.LinAlgError, KeyError, odae.QuadratureError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first; odae's code runs

@@ -46,8 +46,7 @@ DEFAULT_HALF_PLANE_PROBES = (1.0 + 0.0j, 2.0 + 0.0j, 1.0 + 1.0j, 1.0 - 1.0j, 0.0
 
 @dataclass(frozen=True)
 class DHSectionMats:
-    E: np.ndarray
-    A: np.ndarray
+    section: SectionedPencil  # E and A are its E_mat and A_mat
     B: np.ndarray
     Q: np.ndarray
     BQ: np.ndarray
@@ -72,7 +71,7 @@ def dh_section_mats(s: SectionedPencil, dh: DHStructure) -> DHSectionMats:
     Q = operator_matrix(dh.Q, w, w)
     J = operator_matrix(dh.J, w, w) if dh.J is not None else None
     R = operator_matrix(dh.R, w, w) if dh.R is not None else None
-    return DHSectionMats(E=s.E_mat, A=s.A_mat, B=B, Q=Q, BQ=B @ Q, J=J, R=R)
+    return DHSectionMats(section=s, B=B, Q=Q, BQ=B @ Q, J=J, R=R)
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ def _herm(m: np.ndarray) -> np.ndarray:
 
 def verify_dh_structure(mats: DHSectionMats) -> DHDiagnostics:
     """Margins of the structure conditions on one compressed section, judged at STRUCTURE_TOL."""
-    qe = mats.Q.conj().T @ mats.E
+    qe = mats.Q.conj().T @ mats.section.E_mat
     qe_defect = float(linalg.norm2(qe - qe.conj().T))
     qe_min = float(linalg.eigvalsh(_herm(qe))[0])
     b_sym_max = float(linalg.eigvalsh(_herm(mats.B))[-1])
@@ -129,7 +128,7 @@ def verify_dh_structure(mats: DHSectionMats) -> DHDiagnostics:
     if mats.R is not None:
         r_defect = float(linalg.norm2(mats.R - mats.R.conj().T))
         r_min = float(linalg.eigvalsh(_herm(mats.R))[0])
-    bq_defect = float(linalg.norm2(mats.BQ - mats.A))
+    bq_defect = float(linalg.norm2(mats.BQ - mats.section.A_mat))
     return DHDiagnostics(
         qe_selfadjoint_defect=qe_defect,
         qe_min_eig=qe_min,
@@ -145,7 +144,7 @@ def verify_dh_structure(mats: DHSectionMats) -> DHDiagnostics:
 
 def dh_common_kernel(mats: DHSectionMats) -> tuple[int, np.ndarray]:
     """Orthonormal basis of ker E intersect ker(BQ), via the stacked matrix."""
-    basis = linalg.kernel(np.vstack([mats.E, mats.BQ]))
+    basis = linalg.kernel(np.vstack([mats.section.E_mat, mats.BQ]))
     return basis.shape[1], basis
 
 
@@ -171,17 +170,17 @@ def dh_kernel_EJR(s: SectionedPencil, dh: DHStructure) -> tuple[int, np.ndarray]
         raise ValueError("requires the split B = J - R")
     mats = dh_section_mats(s, dh)
     diag = verify_dh_structure(mats)
-    e_defect = float(linalg.norm2(mats.E - mats.E.conj().T))
-    e_min = float(linalg.eigvalsh(_herm(mats.E))[0])
+    e_defect = float(linalg.norm2(s.E_mat - s.E_mat.conj().T))
+    e_min = float(linalg.eigvalsh(_herm(s.E_mat))[0])
     if diag.failures() or e_defect > diag.tol or e_min < -diag.tol:
         raise ValueError("structure preconditions fail: " + "; ".join(diag.failures() or ["E not selfadjoint nonnegative"]))
-    m = mats.E @ mats.E + mats.R @ mats.R - mats.J @ mats.J
+    m = s.E_mat @ s.E_mat + mats.R @ mats.R - mats.J @ mats.J
     m = _herm(m)
     evals, evecs = linalg.eigh(m)
     thr = linalg.rank_tol(m.shape, max(abs(evals[0]), evals[-1], 1e-300))
     kdim = int(np.sum(evals <= thr))
     basis = evecs[:, :kdim]
-    stacked = linalg.kernel(np.vstack([mats.E, mats.J, mats.R]))
+    stacked = linalg.kernel(np.vstack([s.E_mat, mats.J, mats.R]))
     if basis.shape[1] != stacked.shape[1] or subspace_angle(basis, stacked) > 1e-8:
         raise ValueError("E^2+R^2-J^2 kernel disagrees with ker E ∩ ker J ∩ ker R")
     return kdim, basis
@@ -194,7 +193,7 @@ def probe_sigma_min(mats: DHSectionMats) -> tuple[tuple[complex, float], ...]:
     does not read them.
     """
     return tuple(
-        (complex(lam), float(linalg.svdvals(complex(lam) * mats.E - mats.BQ)[-1]))
+        (complex(lam), float(linalg.svdvals(complex(lam) * mats.section.E_mat - mats.BQ)[-1]))
         for lam in DEFAULT_HALF_PLANE_PROBES
     )
 
@@ -228,14 +227,16 @@ def dh_classify(
 def classify_mats(mats: DHSectionMats, tol_ap: float | None) -> DHReport:
     """``dh_classify`` on sections already compressed by ``dh_section_mats``."""
     diag = verify_dh_structure(mats)
-    stacked = np.vstack([mats.E, mats.BQ])
+    stacked = np.vstack([mats.section.E_mat, mats.BQ])
     svals = linalg.svdvals(stacked)
     stacked_smin = float(svals[-1])
-    if stacked_smin <= 10 * linalg.rank_tol(stacked.shape, svals[0]):
+    # sigma_max of the stack bounds ||E||_2 and ||BQ||_2: if it is finite, so is the scale below
+    smax = linalg.finite_scale("dH sigma_max([E; BQ])", float(svals[0]))
+    if stacked_smin <= 10 * linalg.rank_tol(stacked.shape, smax):
         kdim, basis = dh_common_kernel(mats)
     else:
         kdim, basis = 0, np.zeros((stacked.shape[1], 0), dtype=stacked.dtype)
-    scale = max(float(linalg.norm2(mats.E)), float(linalg.norm2(mats.BQ)), 1e-300)
+    scale = max(mats.section.norm("E"), float(linalg.norm2(mats.BQ)), 1e-300)
     ta = tol_ap if tol_ap is not None else 1e-6 * scale
     if kdim >= 1:
         classification = "point_singular"

@@ -8,10 +8,10 @@ only one that names scipy: singular values and vectors, nullspaces, matrix
   ``numpy.linalg.svd`` without vectors, at every size.  They keep scipy's
   contract: NaN or Inf input raises ``ValueError``, not ``LinAlgError``,
   and an empty matrix has no singular values.
-- Singular vectors: ``smallest_right``, ``kernel`` and ``thin_svd`` go
-  through two kernels, ``_svd`` and ``_qr_r``.  ``_qr_r`` runs
-  ``numpy.linalg.qr`` at every size.  ``_svd`` runs ``numpy.linalg`` on a
-  matrix of at most ``NUMPY_CAP`` (2^18) entries and ``scipy.linalg``,
+- Singular vectors: ``svals_vh``, ``smallest_right``, ``kernel`` and
+  ``thin_svd`` go through two kernels, ``_svd`` and ``_qr_r``.  ``_qr_r``
+  runs ``numpy.linalg.qr`` at every size.  ``_svd`` runs ``numpy.linalg``
+  on a matrix of at most ``NUMPY_CAP`` (2^18) entries and ``scipy.linalg``,
   imported on first use, above it.  Both keep the NaN and Inf contract.
   So a command whose SVDs stay below the cap never loads ``scipy.linalg``
   (about 0.3 s of cold start).  The cap is there for memory: numpy's
@@ -26,14 +26,14 @@ only one that names scipy: singular values and vectors, nullspaces, matrix
   threads.  The thin SVD is taken; the full ``Vh`` only for
   matrices with fewer rows than columns, the one case in which null
   directions are missing from the thin factor.
-- Tall vector SVDs: ``smallest_right`` and ``kernel`` need only the
-  singular values and ``Vh``.  With at least twice as many rows as columns
-  they take R from a QR first and the SVD of the square triangle R.  On
-  such shapes LAPACK's ``gesdd`` runs the same ``geqrf`` and decomposes the
-  same R itself (its "M much larger than N" path), so the values and
-  ``Vh`` are bitwise equal; only Q and Q·U, which both callers discard,
-  are no longer formed.  Below two rows per column the answers differ in
-  the last digits, so the threshold stays at 2.
+- Tall vector SVDs: ``svals_vh``, and so ``smallest_right`` and ``kernel``,
+  return only the singular values and ``Vh``.  With at least twice as many
+  rows as columns they take R from a QR first and the SVD of the square
+  triangle R.  On such shapes LAPACK's ``gesdd`` runs the same ``geqrf``
+  and decomposes the same R itself (its "M much larger than N" path), so
+  the values and ``Vh`` are bitwise equal; only Q and Q·U, which nothing
+  reads, are no longer formed.  Below two rows per column the answers
+  differ in the last digits, so the threshold stays at 2.
 - ``norm2``, ``eigvalsh``, ``eigh`` and ``standard_eigvals`` pass through
   to ``numpy.linalg``, and ``poly_roots`` to ``numpy.roots`` (an
   eigenvalue solve of the companion matrix), looked up at each call, so
@@ -62,8 +62,18 @@ def _scipy_linalg():
 
 
 def rank_tol(shape: tuple[int, ...], smax: float) -> float:
-    """Default rank tolerance: max(shape) * sigma_max * 2^-52."""
-    return max(shape) * smax * EPS
+    """Default rank tolerance sigma_max * 2^-52 * max(shape), in an order that cannot overflow."""
+    return smax * EPS * max(shape)
+
+
+def finite_scale(name: str, value: float) -> float:
+    """``value``, or a ValueError naming the scale ``name`` when it is not finite.
+
+    A threshold formed from an infinite scale would call everything small.
+    """
+    if not np.isfinite(value):
+        raise ValueError(f"scale {name} = {value} is not finite: the input is too large")
+    return value
 
 
 def svdvals(mat: np.ndarray) -> np.ndarray:
@@ -87,7 +97,8 @@ def thin_svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _svd(mat, False)
 
 
-def _svals_vh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def svals_vh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and all right singular vectors (the rows of ``Vh``), from one SVD."""
     rows, cols = mat.shape
     if cols and rows >= 2 * cols:
         mat = _qr_r(mat)
@@ -108,7 +119,7 @@ def singular_values(mat: np.ndarray) -> np.ndarray:
 
 def smallest_right(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values zero-padded to the column count, and the last right singular vector."""
-    svals, vh = _svals_vh(mat)
+    svals, vh = svals_vh(mat)
     return _padded(svals, mat.shape[1]), vh[-1].conj()
 
 
@@ -118,7 +129,7 @@ def kernel(mat: np.ndarray) -> np.ndarray:
     Singular values at or below ``rank_tol``, with sigma_max taken from that
     SVD, count as zero.
     """
-    svals, vh = _svals_vh(mat)
+    svals, vh = svals_vh(mat)
     tol = rank_tol(mat.shape, svals[0] if svals.size else 0.0)
     return vh[int(np.sum(svals > tol)):].conj().T
 

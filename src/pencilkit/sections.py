@@ -6,6 +6,13 @@ for l2Z.  l2Z windows are stored in the interleaved order 0, -1, 1, -2, 2,
 ... so that nested windows are storage prefixes of one another; the window
 object records both storage and logical orderings.
 
+A section owns its scale: ``norm`` computes ||E||_2 or ||A||_2 on first use,
+keeps it and shares it with the adjoint, and ``scale`` is their sum, read by
+``chains``; ``dh`` and ``spectra.regularity_disc`` read ||E||_2 and a
+``fixtures`` check ||A||_2.  Lazy, because pointwise verdicts and stacked
+certificates (sweeps up to n = 800) read neither.  A scale that is not
+finite is refused (ValueError).
+
 The distance-to-singularity certificate is the smallest singular value of
 the stacked matrix [A; E].  The Frobenius-nearest singular pencil itself is
 not computed (NP-hard in general); if the certificate tends to zero along a
@@ -14,7 +21,7 @@ window schedule, so does the true distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,6 +114,18 @@ class SectionedPencil:
     window_out: SectionWindow
     E_mat: np.ndarray
     A_mat: np.ndarray
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def norm(self, name: str) -> float:
+        """||E||_2 or ||A||_2 for ``name`` "E" or "A"."""
+        if name not in self._norms:
+            mat = {"E": self.E_mat, "A": self.A_mat}[name]
+            self._norms[name] = linalg.finite_scale(f"||{name}||_2", float(linalg.norm2(mat)))
+        return self._norms[name]
+
+    @property
+    def scale(self) -> float:
+        return linalg.finite_scale("||E||_2 + ||A||_2", self.norm("E") + self.norm("A"))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -126,12 +145,10 @@ class SectionedPencil:
         return SectionedPencil(self.window_in, self.window_out, self.A_mat, self.E_mat)
 
     def adjoint(self) -> "SectionedPencil":
-        return SectionedPencil(
-            self.window_out,
-            self.window_in,
-            self.E_mat.conj().T,
-            self.A_mat.conj().T,
-        )
+        adj = SectionedPencil(self.window_out, self.window_in,
+                              self.E_mat.conj().T, self.A_mat.conj().T)
+        object.__setattr__(adj, "_norms", self._norms)  # ||M*||_2 = ||M||_2
+        return adj
 
 
 def section(p: Pencil, n: int) -> SectionedPencil:

@@ -46,6 +46,7 @@ def classify_point(s: SectionedPencil, lam: complex | float) -> PointClassificat
     """Classify a point (or infinity, via the reversal) for one section.
 
     The thresholds are DEFAULT_TOL_*_FACTOR times sigma_max; the report states both.
+    A sigma_max that is not finite is refused (ValueError).
     """
     if lam == INFINITY:
         inner = classify_point(s.reverse(), 0.0)
@@ -53,6 +54,7 @@ def classify_point(s: SectionedPencil, lam: complex | float) -> PointClassificat
     mat = s.evaluate(complex(lam))
     svals = linalg.svdvals(mat)
     smax = float(svals[0]) if svals.size else 0.0
+    linalg.finite_scale(f"sigma_max(lam E - A) at lam={lam}", smax)
     rows, cols = mat.shape
     smin = float(svals[-1]) if svals.size == cols else 0.0
     smin_adj = float(svals[-1]) if svals.size == rows else 0.0
@@ -88,16 +90,10 @@ def regularity_disc(s: SectionedPencil, lam: complex) -> float:
     """Radius sigma_min(lam E - A) / ||E|| of guaranteed section regularity around lam.
 
     Every point strictly inside the disc is regular for the same section.
-    A section with sigma_min <= DEFAULT_TOL_AP_FACTOR * sigma_max is refused.
+    A section whose ``classify_point`` verdict at lam is not ``regular`` is
+    refused, and so is every non-square section, which is never ``regular``.
     """
-    if not s.is_square:
-        raise ValueError("regularity disc needs a square section")
-    mat = s.evaluate(lam)
-    svals = linalg.svdvals(mat)
-    smin = float(svals[-1])
-    if smin <= DEFAULT_TOL_AP_FACTOR * float(svals[0]):
+    pc = classify_point(s, lam)
+    if pc.verdict != "regular":
         raise ValueError(f"section not invertible at {lam}")
-    e_norm = float(linalg.norm2(s.E_mat))
-    if e_norm == 0.0:
-        return math.inf
-    return smin / e_norm
+    return math.inf if s.norm("E") == 0.0 else pc.sigma_min / s.norm("E")

@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pencilkit
 from pencilkit import (
     DenseBlock,
     Diagonal,
@@ -195,3 +198,18 @@ def test_stacked_certificate_on_wide_section():
     x = cert.witness
     assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(e @ x) ** 2 + np.linalg.norm(a @ x) ** 2 <= 1e-28
+
+
+def test_only_sections_takes_the_norm_of_a_section_matrix():
+    # every other module reads ||E||_2 and ||A||_2 from the section that owns them
+    offenders = []
+    for path in sorted(Path(pencilkit.__file__).parent.glob("*.py")):
+        if path.name == "sections.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("norm2")
+                    and any(isinstance(a, (ast.Name, ast.Attribute))
+                            and ast.unparse(a).split(".")[-1] in ("E", "A", "E_mat", "A_mat")
+                            for a in node.args)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
