@@ -14,7 +14,7 @@ on the n-sized E and A predicts (Van Dooren 1979; Demmel and Kagstrom,
 GUPTRI, 1993), when one values-only screen of T_{eps-1} proves that the
 degrees in between would all be skipped.  Section-level verdicts are
 statements about the section; they do not automatically lift to the
-infinite object.
+infinite object.  The tolerance factors sit in the verdict table of ``linalg``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ __all__ = [
     "polynomial_roots_check",
 ]
 
-ROOT_CLUSTER_TOL = 1e-8
-NEAR_ROOT_TOL = 1e-2
 # Fixed unit-circle points of the full-column-rank exit of extract_right_chain.
 RANK_PROBES = (np.exp(2j * np.pi * 0.1234567), np.exp(2j * np.pi * 0.6180339))
 # Degree at which extract_right_chain computes its minimal-index hint.
@@ -131,11 +129,6 @@ def _chain_system(E: np.ndarray, A: np.ndarray, d: int) -> np.ndarray:
     return T
 
 
-def _screen_margin(thr: float, rt: float) -> float:
-    """sigma_min(T_d) above which the values-only screen skips degree d."""
-    return max(10 * thr, thr + 2 * rt)
-
-
 def _null_basis(mat: np.ndarray, thr: float) -> np.ndarray:
     """Orthonormal columns spanning the right singular directions with sigma <= thr."""
     svals, vh = linalg.svals_vh(mat)
@@ -179,7 +172,7 @@ def _jump_target(E: np.ndarray, A: np.ndarray, thr: float) -> int:
         return HINT_DEGREE
     screen = linalg.singular_values(T)
     rt = linalg.rank_tol(T.shape, screen[0])
-    return eps if screen[-1] > _screen_margin(thr, rt) + 2 * rt else HINT_DEGREE
+    return eps if screen[-1] > linalg.screen_margin(thr, rt) + 2 * rt else HINT_DEGREE
 
 
 def _scan_degrees(E: np.ndarray, A: np.ndarray, thr: float):
@@ -200,7 +193,7 @@ def _link_residuals(E: np.ndarray, A: np.ndarray, chain: list[np.ndarray]) -> li
     return res
 
 
-def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport | None:
+def extract_right_chain(s: SectionedPencil, tol: float = linalg.TOL_CHAIN) -> ChainReport | None:
     """Minimal-length right singular chain of a dense section, if one exists.
 
     Returns None for regular sections.  Link residuals are bounded by
@@ -223,12 +216,10 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
       below the margin, every degree is scanned.
     - Values-only screening: where T_d has at least as many rows as
       columns, its singular values are computed first, without vectors, and
-      the degree is skipped when sigma_min(T_d) exceeds
-      max(10 * thr, thr + 2 * rank_tol).  The values-only and the vector
-      SVD differ by less than rank_tol, so a skipped degree is one the
-      vector SVD rejects too.  Otherwise the vector SVD decides, as without
-      screening, and the chain vectors come from it.  After the first
-      screen that skips nothing, no later degree is screened:
+      the degree is skipped, as one the vector SVD rejects too, when
+      sigma_min(T_d) exceeds ``linalg.screen_margin(thr, rank_tol)``.
+      Otherwise the vector SVD decides and gives the chain vectors.  After
+      the first screen that skips nothing, no later degree is screened:
       sigma_min(T_d) is nonincreasing in d (see below), so the later
       screens would mostly fail as well.
     - Certified jump: a scan that reaches degree HINT_DEGREE (6) without a
@@ -263,7 +254,7 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
         T = _chain_system(E, A, d)
         if screening and T.shape[0] >= T.shape[1]:
             screen = linalg.singular_values(T)
-            if screen[-1] > _screen_margin(thr, linalg.rank_tol(T.shape, screen[0])):
+            if screen[-1] > linalg.screen_margin(thr, linalg.rank_tol(T.shape, screen[0])):
                 continue
             screening = False
         svals, null = linalg.smallest_right(T)
@@ -286,7 +277,7 @@ def extract_right_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport |
     return None
 
 
-def extract_left_chain(s: SectionedPencil, tol: float = 1e-10) -> ChainReport | None:
+def extract_left_chain(s: SectionedPencil, tol: float = linalg.TOL_CHAIN) -> ChainReport | None:
     """Right chain of the adjoint section (same norms, so same thr), reported as a left chain."""
     rep = extract_right_chain(s.adjoint(), tol)
     if rep is None:
@@ -315,7 +306,7 @@ def _default_probes(degree: int) -> list[complex]:
 def verify_singular_polynomial(
     target: Pencil | SectionedPencil,
     q: VectorPolynomial,
-    side: str = "right",
+    side: str,
     probes: list[complex] | None = None,
 ) -> float:
     """Max over probes of ||(lam E - A) q(lam)|| (or the adjoint pencil for side left).
@@ -376,7 +367,7 @@ def reduce_polynomial(q: VectorPolynomial) -> VectorPolynomial:
     """Divide out the scalar GCD of the coordinate polynomials.
 
     Coordinates are taken in an orthonormal frame of the coefficient span;
-    common roots are matched numerically with clustering tolerance 1e-8 and
+    common roots are matched numerically at ``linalg.TOL_ROOT_CLUSTER`` and
     removed by deflation, together with common lambda factors and trailing
     zero coefficients.  The result and its reversal are root-free, and the
     operation is idempotent.
@@ -392,7 +383,7 @@ def reduce_polynomial(q: VectorPolynomial) -> VectorPolynomial:
     frame = vh[:rank]
 
     scale = np.abs(coords).max()
-    small = 1e-12 * scale
+    small = linalg.TOL_NEGLIGIBLE * scale
 
     def trim(c: np.ndarray) -> np.ndarray:
         while c.shape[0] > 1 and np.all(np.abs(c[-1]) <= small):
@@ -413,7 +404,7 @@ def reduce_polynomial(q: VectorPolynomial) -> VectorPolynomial:
             bound = max(1.0, abs(r)) ** (coords.shape[0] - 1)
             if all(
                 abs(_poly_eval_scalar(coords[:, i], r))
-                <= ROOT_CLUSTER_TOL * max(np.abs(coords[:, i]).max(), small) * bound
+                <= linalg.TOL_ROOT_CLUSTER * max(np.abs(coords[:, i]).max(), small) * bound
                 for i in range(rank)
             ):
                 coords = np.column_stack([_deflate(coords[:, i], r) for i in range(rank)])
@@ -436,12 +427,12 @@ def reduce_polynomial(q: VectorPolynomial) -> VectorPolynomial:
 
 
 def polynomial_roots_check(q: VectorPolynomial, grid: list[complex]) -> bool:
-    """Falsification probe: True iff ||q|| and ||rev q|| exceed NEAR_ROOT_TOL on the grid.
+    """Falsification probe: True iff ||q|| and ||rev q|| exceed TOL_NEAR_ROOT on the grid.
 
-    The threshold is the fixed absolute 1e-2.  Not a proof of root-freeness;
+    The threshold is the absolute ``linalg.TOL_NEAR_ROOT``.  Not a proof of root-freeness;
     a False verdict exhibits a near-root.
     """
-    rev, tol = q.reversal(), NEAR_ROOT_TOL
+    rev, tol = q.reversal(), linalg.TOL_NEAR_ROOT
     for lam in grid:
         if vec_norm(q.evaluate(lam)) <= tol or vec_norm(rev.evaluate(lam)) <= tol:
             return False

@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import approx, chains, dh, fixtures, odae, sections, serialize, sparsevec, spectra
+from . import approx, chains, dh, fixtures, linalg, odae, sections, serialize, sparsevec, spectra
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -225,7 +225,7 @@ def _cmd_chains(args) -> int:
         ("right", chains.extract_right_chain),
         ("left", chains.extract_left_chain),
     ):
-        rep = extract(s, args.tol)
+        rep = extract(s, linalg.TOL_CHAIN if args.tol is None else args.tol)
         if rep is None:
             report[side] = None
             continue
@@ -415,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "chains", parents=[windowed], help="singular chain extraction report (JSON)"
     )
-    sp.add_argument("--tol", type=_finite_float, default=1e-10)
+    sp.add_argument("--tol", type=_finite_float)
 
     sp = sub.add_parser("approx", help="approximate polynomial sequence residuals (CSV)")
     sp.add_argument("--fixture", required=True)

@@ -13,8 +13,8 @@ sigma_min(lam E - BQ) = 0 at every right-half-plane probe
 (``probe_sigma_min`` reports them; ``dh_classify`` reads only the kernel);
 a small stacked sigma_min without an exact kernel is evidence of
 approximate singularity.
-Structure margins are judged against STRUCTURE_TOL = 1e-10 (reported as
-``DHDiagnostics.tol``); kernels keep singular values at or below ``linalg.rank_tol``.
+Structure margins are judged against ``linalg.TOL_STRUCTURE`` times max(||E||_2, ||BQ||_2),
+sigma_min(Q) against it times sigma_max(Q); every factor and ``rank_tol`` come from ``linalg``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "subspace_angle",
 ]
 
-STRUCTURE_TOL = 1e-10
 DEFAULT_HALF_PLANE_PROBES = (1.0 + 0.0j, 2.0 + 0.0j, 1.0 + 1.0j, 1.0 - 1.0j, 0.01 + 10.0j)
 
 
@@ -84,7 +83,9 @@ class DHDiagnostics:
     r_selfadjoint_defect: float
     r_min_eig: float | None
     bq_vs_a_defect: float
+    scale: float  # max(||E||_2, ||BQ||_2, 1e-300), the scale of every dH threshold
     tol: float
+    q_tol: float
 
     @property
     def structure_ok(self) -> bool:
@@ -98,7 +99,7 @@ class DHDiagnostics:
             out.append("Q*E not nonnegative")
         if self.b_sym_max_eig > self.tol:
             out.append("B not dissipative")
-        if self.q_sigma_min <= self.tol:
+        if self.q_sigma_min <= self.q_tol:
             out.append("Q not invertible")
         if self.j_skew_defect is not None and self.j_skew_defect > self.tol:
             out.append("J not anti-selfadjoint")
@@ -114,12 +115,12 @@ def _herm(m: np.ndarray) -> np.ndarray:
 
 
 def verify_dh_structure(mats: DHSectionMats) -> DHDiagnostics:
-    """Margins of the structure conditions on one compressed section, judged at STRUCTURE_TOL."""
+    """Margins of the structure conditions on one compressed section, with their thresholds."""
     qe = mats.Q.conj().T @ mats.section.E_mat
     qe_defect = float(linalg.norm2(qe - qe.conj().T))
     qe_min = float(linalg.eigvalsh(_herm(qe))[0])
     b_sym_max = float(linalg.eigvalsh(_herm(mats.B))[-1])
-    q_smin = float(linalg.svdvals(mats.Q)[-1])
+    q_svals = linalg.svdvals(mats.Q)
     j_defect = None
     r_defect = 0.0
     r_min = None
@@ -129,16 +130,20 @@ def verify_dh_structure(mats: DHSectionMats) -> DHDiagnostics:
         r_defect = float(linalg.norm2(mats.R - mats.R.conj().T))
         r_min = float(linalg.eigvalsh(_herm(mats.R))[0])
     bq_defect = float(linalg.norm2(mats.BQ - mats.section.A_mat))
+    scale = linalg.finite_scale("dH max(||E||_2, ||BQ||_2)",
+                                max(mats.section.norm("E"), float(linalg.norm2(mats.BQ)), 1e-300))
     return DHDiagnostics(
         qe_selfadjoint_defect=qe_defect,
         qe_min_eig=qe_min,
         b_sym_max_eig=b_sym_max,
-        q_sigma_min=q_smin,
+        q_sigma_min=float(q_svals[-1]),
         j_skew_defect=j_defect,
         r_selfadjoint_defect=r_defect,
         r_min_eig=r_min,
         bq_vs_a_defect=bq_defect,
-        tol=STRUCTURE_TOL,
+        scale=scale,
+        tol=linalg.TOL_STRUCTURE * scale,
+        q_tol=linalg.TOL_STRUCTURE * linalg.finite_scale("sigma_max(Q)", float(q_svals[0])),
     )
 
 
@@ -162,7 +167,7 @@ def dh_kernel_EJR(s: SectionedPencil, dh: DHStructure) -> tuple[int, np.ndarray]
     """Kernel of E^2 + R^2 - J^2 (Q = I, split supplied); checked against the stack.
 
     Raises if the structure preconditions fail or if the two kernel
-    computations disagree beyond a 1e-8 subspace angle.
+    computations disagree beyond the subspace angle ``linalg.TOL_KERNEL_ANGLE``.
     """
     if not dh.q_is_identity:
         raise ValueError("E/J/R kernel formula requires Q = identity")
@@ -181,7 +186,7 @@ def dh_kernel_EJR(s: SectionedPencil, dh: DHStructure) -> tuple[int, np.ndarray]
     kdim = int(np.sum(evals <= thr))
     basis = evecs[:, :kdim]
     stacked = linalg.kernel(np.vstack([s.E_mat, mats.J, mats.R]))
-    if basis.shape[1] != stacked.shape[1] or subspace_angle(basis, stacked) > 1e-8:
+    if basis.shape[1] != stacked.shape[1] or subspace_angle(basis, stacked) > linalg.TOL_KERNEL_ANGLE:
         raise ValueError("E^2+R^2-J^2 kernel disagrees with ker E ∩ ker J ∩ ker R")
     return kdim, basis
 
@@ -216,10 +221,9 @@ def dh_classify(
 
     One values-only SVD of the stack [E; BQ] gives ``stacked_sigma_min``.
     The common kernel (``dh_common_kernel``, a vector SVD of the same stack)
-    is computed only when that sigma_min is at most 10 * rank_tol; above it
-    the kernel is empty.  The values-only and the vector SVD differ by less
-    than rank_tol, and the kernel keeps the singular values at or below
-    rank_tol, so the skipped SVD would have found no kernel either.
+    is computed only when that sigma_min is at most
+    ``linalg.screen_margin(rank_tol, rank_tol)``; above it the kernel, which
+    keeps the singular values at or below rank_tol, is empty.
     """
     return classify_mats(dh_section_mats(s, dh), tol_ap)
 
@@ -230,14 +234,13 @@ def classify_mats(mats: DHSectionMats, tol_ap: float | None) -> DHReport:
     stacked = np.vstack([mats.section.E_mat, mats.BQ])
     svals = linalg.svdvals(stacked)
     stacked_smin = float(svals[-1])
-    # sigma_max of the stack bounds ||E||_2 and ||BQ||_2: if it is finite, so is the scale below
-    smax = linalg.finite_scale("dH sigma_max([E; BQ])", float(svals[0]))
-    if stacked_smin <= 10 * linalg.rank_tol(stacked.shape, smax):
+    # the kernel gate's scale, which can overflow where ||E||_2 and ||BQ||_2 do not
+    rt = linalg.rank_tol(stacked.shape, linalg.finite_scale("dH sigma_max([E; BQ])", float(svals[0])))
+    if stacked_smin <= linalg.screen_margin(rt, rt):
         kdim, basis = dh_common_kernel(mats)
     else:
         kdim, basis = 0, np.zeros((stacked.shape[1], 0), dtype=stacked.dtype)
-    scale = max(mats.section.norm("E"), float(linalg.norm2(mats.BQ)), 1e-300)
-    ta = tol_ap if tol_ap is not None else 1e-6 * scale
+    ta = tol_ap if tol_ap is not None else linalg.TOL_APPROX * diag.scale
     if kdim >= 1:
         classification = "point_singular"
     elif stacked_smin <= ta:

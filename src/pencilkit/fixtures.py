@@ -94,8 +94,8 @@ class SingularFunctionData:
     term: Callable[[int], SparseVec]
     index_range: Callable[[int], list[int]]
     tail_bound: Callable[[complex, int], float]
-    excluded: tuple[complex, ...] = ()
-    excluded_note: str = ""
+    excluded: tuple[complex, ...]
+    excluded_note: str
 
     def truncate(self, lam: complex, n: int) -> SparseVec:
         out: SparseVec = {}

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels and the package's single rank-tolerance policy.
+"""Dense linear-algebra kernels, the rank-tolerance policy and the verdict table.
 
 Every factorization in the package goes through this module, and it is the
 only one that names scipy: singular values and vectors, nullspaces, matrix
@@ -61,9 +61,28 @@ def _scipy_linalg():
     return scipy.linalg
 
 
+# The verdict table: every spectral verdict compares a value with factor * scale.
+TOL_POINT = 1e-10  # point singular: sigma_min(lam E - A) <= factor * sigma_max(lam E - A)
+TOL_APPROX = 1e-6  # approx. singular: that sigma_min, or sigma_min([E; BQ]) vs. the dH scale
+TOL_STRUCTURE = 1e-10  # dH margins vs. max(||E||_2, ||BQ||_2); sigma_min(Q) vs. sigma_max(Q)
+TOL_CHAIN = 1e-10  # chain accepted: sigma_min(T_d) <= factor * (||E||_2 + ||A||_2)
+TOL_KERNEL_ANGLE = 1e-8  # absolute angle: the E/J/R kernel agrees with ker E ∩ ker J ∩ ker R
+TOL_ROOT_CLUSTER = 1e-8  # common root: |coordinate(r)| <= factor * coefficient size * max(1, |r|)^k
+TOL_NEGLIGIBLE = 1e-12  # polynomial coefficient <= factor * largest coordinate counts as zero
+TOL_NEAR_ROOT = 1e-2  # absolute: ||q(lam)|| or ||rev q(lam)|| at or below it is a near-root
+
+
 def rank_tol(shape: tuple[int, ...], smax: float) -> float:
     """Default rank tolerance sigma_max * 2^-52 * max(shape), in an order that cannot overflow."""
     return smax * EPS * max(shape)
+
+
+def screen_margin(thr: float, rt: float) -> float:
+    """A values-only sigma_min above this proves no vector-SVD value at or below ``thr``.
+
+    The two SVDs differ by less than the rank tolerance ``rt``; thr = rt proves an empty kernel.
+    """
+    return max(10 * thr, thr + 2 * rt)
 
 
 def finite_scale(name: str, value: float) -> float:

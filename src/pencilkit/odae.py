@@ -173,7 +173,7 @@ class ChainGenerator:
 
     rule: Callable[[int], SparseVec]
     c: float
-    n0: int = 1
+    n0: int
 
     @property
     def radius(self) -> float:

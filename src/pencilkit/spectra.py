@@ -5,7 +5,7 @@ its conjugate transpose, which differs only for rectangular sections).
 Infinity is handled exclusively through the reversal pencil: the verdict at
 infinity is the verdict of lambda A - E at zero.  Verdicts are section
 statements; convergence across growing windows is the only evidence offered
-about the infinite object.
+about the infinite object.  The factors sit in the verdict table of ``linalg``.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ __all__ = [
 
 INFINITY = math.inf
 
-DEFAULT_TOL_POINT_FACTOR = 1e-10
-DEFAULT_TOL_AP_FACTOR = 1e-6
-
 
 @dataclass(frozen=True)
 class PointClassification:
@@ -45,7 +42,7 @@ class PointClassification:
 def classify_point(s: SectionedPencil, lam: complex | float) -> PointClassification:
     """Classify a point (or infinity, via the reversal) for one section.
 
-    The thresholds are DEFAULT_TOL_*_FACTOR times sigma_max; the report states both.
+    The thresholds are ``linalg.TOL_POINT`` and ``TOL_APPROX`` times sigma_max, as reported.
     A sigma_max that is not finite is refused (ValueError).
     """
     if lam == INFINITY:
@@ -58,8 +55,8 @@ def classify_point(s: SectionedPencil, lam: complex | float) -> PointClassificat
     rows, cols = mat.shape
     smin = float(svals[-1]) if svals.size == cols else 0.0
     smin_adj = float(svals[-1]) if svals.size == rows else 0.0
-    tp = DEFAULT_TOL_POINT_FACTOR * smax
-    ta = DEFAULT_TOL_AP_FACTOR * smax
+    tp = linalg.TOL_POINT * smax
+    ta = linalg.TOL_APPROX * smax
     if smin <= tp:
         verdict = "point_singular"
     elif smin <= ta:

@@ -105,7 +105,7 @@ def test_chain_polynomial_verifies_on_pencil_and_section():
 def test_verify_rejects_repeated_probes():
     poly = VectorPolynomial([basis_vec(1)])
     with pytest.raises(ValueError):
-        verify_singular_polynomial(_kronecker(1), poly, probes=[1.0, 1.0, 2.0])
+        verify_singular_polynomial(_kronecker(1), poly, "right", probes=[1.0, 1.0, 2.0])
 
 
 # --- reduction and roots --------------------------------------------------

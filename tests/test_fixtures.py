@@ -58,6 +58,8 @@ def test_singular_function_truncation_drops_cancelled_entries():
         term=lambda j: {1: 1.0} if j == 0 else {1: -1.0},
         index_range=lambda n: list(range(n + 1)),
         tail_bound=lambda lam, n: 0.0,
+        excluded=(),
+        excluded_note="",
     )
     assert sf.truncate(1.0, 1) == {}
     assert sf.truncate(2.0, 1) == {1: -1.0}

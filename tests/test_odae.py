@@ -192,7 +192,7 @@ def test_generator_applies_e_and_a_once_per_vector(monkeypatch):
 
 def test_generator_rejects_broken_link():
     p, _ = _shift_identity()
-    bad = ChainGenerator(rule=lambda k: basis_vec(k + 1), c=0.1)  # E a_1 = e_1 != 0
+    bad = ChainGenerator(rule=lambda k: basis_vec(k + 1), c=0.1, n0=1)  # E a_1 = e_1 != 0
     with pytest.raises(ValueError):
         bad.validate(p, 3)
 

@@ -18,11 +18,10 @@ import pencilkit
 OPTIONS = {
     "chains.extract_left_chain": {"tol": "1e-10"},
     "chains.extract_right_chain": {"tol": "1e-10"},
-    "chains.verify_singular_polynomial": {"side": "'right'", "probes": "None"},
+    "chains.verify_singular_polynomial": {"probes": "None"},
     "cli.main": {"argv": "None"},
     "dh.dh_classify": {"tol_ap": "None"},
     "fixtures.Fixture": {"caveat_only": "False"},
-    "fixtures.SingularFunctionData": {"excluded": "()", "excluded_note": "''"},
     "fixtures._build_kronecker_l": {"k": "2"},
     "fixtures._build_poroelasticity": {
         "seed": "0",
@@ -30,7 +29,6 @@ OPTIONS = {
         "singular_pressure": "False",
     },
     "fixtures._tail_sum": {"total": "0.0"},
-    "odae.ChainGenerator": {"n0": "1"},
     "odae.Trajectory": {"integral_fn": "None", "residual_classical": "None"},
     "odae.UniquenessReport": {
         "trajectories": "<factory>",

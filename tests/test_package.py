@@ -54,3 +54,17 @@ def test_no_function_imports_a_sibling_module():
                 hits |= {f"{name}:{node.lineno}" for node in ast.walk(fn)
                          if isinstance(node, ast.ImportFrom) and node.level >= 1}
     assert sorted(hits) == []
+
+
+def test_verdict_modules_read_their_tolerances_from_the_linalg_table():
+    # A float literal from 1e-15 up to 1e-3 in these modules is a tolerance factor that
+    # bypasses the verdict table of ``linalg``; the 1e-300 floors are outside the range.
+    folder = os.path.dirname(pencilkit.__file__)
+    hits = []
+    for name in ("spectra.py", "dh.py", "chains.py"):
+        with open(os.path.join(folder, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        hits += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                 and 1e-15 <= abs(node.value) < 1e-3]
+    assert hits == []

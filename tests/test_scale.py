@@ -102,9 +102,8 @@ def _verdicts(command: str, out: str) -> list:
     """The verdicts and minimal indices a command prints.
 
     For ``analyze``: the four point verdicts, the right-chain line and, for a
-    dH pencil, the common kernel dimension and classification.  The dH
-    structure verdict is left out: it is judged against the absolute
-    ``dh.STRUCTURE_TOL``, not against a scale, so it is not scale-invariant.
+    dH pencil, the structure verdict, the common kernel dimension and the
+    classification.
     """
     if command == "chains":
         report = _strict_json(out)
@@ -112,7 +111,8 @@ def _verdicts(command: str, out: str) -> list:
                 for side in ("right", "left")]
     return (re.findall(r"verdict=(\w+)", out)
             + re.findall(r"right singular chain: (.*)", out)
-            + re.findall(r"common kernel dim (\d+), classification (\w+)", out))
+            + re.findall(r"dh: structure (\w+), common kernel dim (\d+), classification (\w+)",
+                         out))
 
 
 def _outcome(tmp_path_factory, p: Pencil, command: str) -> tuple[int, list | None, str]:
@@ -134,6 +134,7 @@ def unscaled(tmp_path_factory) -> dict:
 @settings(max_examples=15, deadline=None)
 @given(k=st.integers(min_value=-1000, max_value=1023))
 @example(k=-1000)
+@example(k=30)
 @example(k=560)
 @example(k=1019)
 @example(k=1020)
