@@ -479,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FloatingPointError as exc:  # raised by the errstate: finite input, out-of-range result
+    except (FloatingPointError, OverflowError) as exc:  # finite input, out-of-range result
         print(f"error: {exc}: the input is too large for double precision", file=sys.stderr)
         return EXIT_INPUT
     except (np.linalg.LinAlgError, KeyError, odae.QuadratureError) as exc:

@@ -8,6 +8,8 @@ sample times.
 Series and polynomial trajectories are stored in closed monomial form, so
 states, derivatives and time integrals are exact up to floating point; no
 truncation spillover occurs because every chain term is finitely supported.
+A form is evaluated at ``float(t)``, bitwise as the sum of its scaled terms
+by ``vec_iadd``, so its entries are Python floats and complexes.
 Trajectories without a term-wise integral (the exact matrix-exponential
 flow of the finite poroelasticity fixture) are integrated by composite
 Simpson with dyadic refinement until the Richardson estimate drops below a
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,14 +64,44 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class MonomialForm:
-    """Finite sum of terms coeff * t^power with sparse vector coefficients."""
+    """Finite sum of terms coeff * t^power with sparse vector coefficients.
+
+    ``evaluate`` sums coordinate-major, by a plan built on first use that
+    lists each index's (term, coefficient) pairs; where the term-by-term
+    ``vec_iadd`` loop would give another key order, that loop runs instead.
+    """
 
     terms: tuple[tuple[int, SparseVec], ...]
 
-    def evaluate(self, t: float) -> SparseVec:
+    @cached_property
+    def _plan(self) -> tuple[tuple[int, tuple[tuple[int, complex], ...]], ...]:
+        plan: dict[int, list[tuple[int, complex]]] = {}
+        for k, (_, c) in enumerate(self.terms):
+            for j, x in c.items():
+                plan.setdefault(j, []).append((k, x))
+        return tuple((j, tuple(pairs)) for j, pairs in plan.items())
+
+    def _sum_by_coordinate(self, powers: list[float]) -> SparseVec | None:
+        """The plan's sums, or None at the first partial sum of exactly 0."""
         out: SparseVec = {}
-        for p, c in self.terms:
-            vec_iadd(out, c, t**p)
+        for j, pairs in self._plan:
+            s = 0.0
+            for k, x in pairs:
+                s = s + powers[k] * x
+                if not s:
+                    return None
+            out[j] = s
+        return out
+
+    def evaluate(self, t: float) -> SparseVec:
+        """The form at ``float(t)``; entries are Python floats or complexes."""
+        t = float(t)
+        powers = [t**p for p, _ in self.terms]
+        out = None if 0.0 in powers else self._sum_by_coordinate(powers)
+        if out is None:
+            out = {}
+            for (_, c), tp in zip(self.terms, powers):
+                vec_iadd(out, c, tp)
         return out
 
     def derivative(self) -> "MonomialForm":
@@ -298,17 +331,13 @@ def power_balance_residual(
         raise ValueError("pencil carries no dissipative-Hamiltonian metadata")
     E, Q, B = p.E, p.dh.Q, p.dh.B
 
-    def energy(t: float) -> float:
-        f = traj.state_fn(t)
-        return float(vec_inner(E.apply(f), Q.apply(f)).real)
-
     def dissipation(t: float) -> float:
         f = traj.state_fn(t)
         qf = Q.apply(f)
         return 2.0 * float(vec_inner(B.apply(qf), qf).real)
 
     times = [float(t) for t in traj.times]
-    energies = [energy(t) for t in times]
+    energies = [float(vec_inner(E.apply(f), Q.apply(f)).real) for f in traj.states]
     e0 = energies[0]
     residuals = []
     acc = 0.0

@@ -10,7 +10,8 @@ bookkeeping is done beyond the linear span of the basis.
 ``apply`` remembers each basis image it uses: the first application to a
 vector with ``e_j`` in its support stores ``apply_basis(j)`` on the operator,
 and later applications read it, accumulating with the same ``vec_iadd``
-calls in the same order, so results are bitwise those of a fresh operator.
+calls in the same order, so results are bitwise those of a fresh operator
+(monomial forms apply the same rule coordinate-major; see ``sparsevec``).
 So operators must not change after construction (``DenseBlock`` keeps a
 read-only copy of its matrix; ``Sum`` and ``BlockDirectSum`` hold tuples), and
 the store grows with the distinct indices an operator is applied to.

@@ -11,6 +11,12 @@ an entry that sums to exactly zero is dropped, so supports stay finite and
 iteration stays cheap.  An unscaled add multiplies by nothing, and a scaled
 add with ``c == 0`` adds nothing (as ``vec_scale`` returns ``{}``), so an
 in-place sum is bitwise equal to merging ``vec_scale``'d copies.
+
+``odae.MonomialForm.evaluate`` applies the rule coordinate-major: each index
+is summed over the terms in term order from ``0.0``, the same operations in
+the same order.  Where a zero scale or a zero partial sum would make the
+term-by-term sum skip a term or drop a key and re-insert it later, so that
+the key order differs, it runs the term-by-term sum instead.
 """
 
 from __future__ import annotations
@@ -37,14 +43,21 @@ def basis_vec(j: int, c: complex = 1.0) -> SparseVec:
 
 def vec_iadd(out: SparseVec, v: SparseVec, c: complex | None = None) -> None:
     """out += v, or out += c * v, in place; entries summing to zero are dropped."""
-    if c == 0:
-        return
-    for j, x in v.items():
-        s = out.get(j, 0.0) + (x if c is None else c * x)
-        if s == 0:
-            out.pop(j, None)
-        else:
-            out[j] = s
+    get = out.get
+    if c is None:
+        for j, x in v.items():
+            s = get(j, 0.0) + x
+            if s == 0:
+                out.pop(j, None)
+            else:
+                out[j] = s
+    elif c != 0:
+        for j, x in v.items():
+            s = get(j, 0.0) + c * x
+            if s == 0:
+                out.pop(j, None)
+            else:
+                out[j] = s
 
 
 def vec_add(*vs: SparseVec) -> SparseVec:

@@ -8,16 +8,21 @@ process, and counts a call as repeated when the same command has already
 passed a bitwise-equal matrix to one of them.  The counts were the same at
 one and two BLAS threads.  A change that adds a factorization, or removes
 one, updates the pins here deliberately.
+
+The sparse-arithmetic census counts ``vec_iadd`` calls, through every
+module that binds the function, over a series and a polynomial trajectory
+with their mild residuals.
 """
 
 import contextlib
 import hashlib
 import io
+import sys
 
 import numpy as np
 import pytest
 
-from pencilkit import linalg
+from pencilkit import chains, fixtures, linalg, odae, sections, sparsevec
 from pencilkit.cli import EXIT_OK, main
 from test_cli_golden import CASES
 from test_scale import _strict_json
@@ -76,3 +81,40 @@ def test_chains_stdout_is_strict_json(census):
     for cmd, c in census.items():
         if cmd.startswith("chains"):
             _strict_json(c["stdout"])
+
+
+def _count_vec_iadd(monkeypatch, run) -> int:
+    calls = [0]
+    vec_iadd = sparsevec.vec_iadd
+
+    def counted(*args):
+        calls[0] += 1
+        return vec_iadd(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pencilkit.") and getattr(module, "vec_iadd", None) is vec_iadd:
+            monkeypatch.setattr(module, "vec_iadd", counted)
+    run()
+    return calls[0]
+
+
+def test_series_trajectory_sums_are_pinned(monkeypatch):
+    data = fixtures.get_fixture("shift_identity").build()
+    p = data["pencil"]
+
+    def run():
+        traj = odae.series_solution(p, data["generator"], np.linspace(0.0, 1.0, 16), 38)
+        odae.mild_residual(p, traj)
+
+    assert _count_vec_iadd(monkeypatch, run) == 2178
+
+
+def test_polynomial_trajectory_sums_are_pinned(monkeypatch):
+    p = fixtures.get_fixture("kronecker_L").build(k=6)["pencil"]
+    poly = chains.chain_to_polynomial(chains.extract_right_chain(sections.section(p, 7)))
+
+    def run():
+        traj = odae.polynomial_solution(p, poly, np.linspace(0.0, 1.0, 12))
+        odae.mild_residual(p, traj)
+
+    assert _count_vec_iadd(monkeypatch, run) == 2593

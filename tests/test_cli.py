@@ -257,6 +257,19 @@ def test_non_finite_t_max_is_input_error(capsys):
     assert "argument --t-max: must be finite, got 'nan'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--fixture", "shift_identity", "--order", "150"],
+    ["--fixture", "shift_identity", "--order", "171"],
+    ["--fixture", "poroelasticity_template", "--t-max", "1e300"],
+])
+def test_overflow_in_python_floats_is_input_error(capsys, argv):
+    # the growth bound (k/c)^k and the norm of a state overflow as Python floats
+    code, out, err = _run(capsys, "simulate", *argv)
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and err.endswith("too large for double precision\n")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["1", "-5"])
 def test_series_order_below_two_is_argparse_error(capsys, value):
     code, out, err = _run(capsys, "simulate", "--fixture", "shift_identity", f"--order={value}")

@@ -357,16 +357,24 @@ def test_power_balance_exact_decay():
 
 
 def test_power_balance_computes_energy_once_per_sample(monkeypatch):
+    # the energies are read from the stored states: state_fn runs only inside
+    # the dissipation quadrature, E only once per sample outside it
     p = _unit_decay()
     traj = _exp_traj(-1.0, np.linspace(0.0, 1.0, 6))
     outside = []  # state_fn calls made outside the dissipation quadrature
+    applied = []  # E.apply calls made outside it
     depth = [0]
-    state_fn = traj.state_fn
+    state_fn, e_apply = traj.state_fn, p.E.apply
 
     def counted(t):
         if not depth[0]:
             outside.append(t)
         return state_fn(t)
+
+    def counted_apply(v):
+        if not depth[0]:
+            applied.append(v)
+        return e_apply(v)
 
     def quadrature(fn, a, b, tol):
         depth[0] += 1
@@ -376,9 +384,11 @@ def test_power_balance_computes_energy_once_per_sample(monkeypatch):
             depth[0] -= 1
 
     traj.state_fn = counted
+    monkeypatch.setattr(p.E, "apply", counted_apply)
     monkeypatch.setattr(odae, "adaptive_simpson_scalar", quadrature)
     power_balance_residual(p, traj)
-    assert len(outside) == len(traj.times)
+    assert outside == []
+    assert applied == traj.states
 
 
 def test_power_balance_builds_each_basis_image_once():

@@ -181,11 +181,37 @@ def test_evaluate_action_matches_reference(E, A, lam, v):
     assert _entries(p.evaluate_action(lam, v)) == _entries(_ref_evaluate_action(p, lam, v))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), vecs()), max_size=4), FINITE_PARTS)
+# 1e-200 ** p underflows to 0 from p = 2 on, where the loop skips the term
+TIMES = st.one_of(FINITE_PARTS, st.sampled_from([1e-200, -1e-200, 1.1, -1.1]))
+TERMS = st.lists(st.tuples(st.integers(0, 40), vecs()), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS, TIMES)
+# partial sums of exactly 0 part-way through a form: the loop drops key 1
+# and re-inserts it after key 2, and the sum restarts from 0.0
+@example([(0, {1: 1.0, 2: 1.0}), (1, {1: -1.0}), (2, {1: 2.0})], 1.0)
+@example([(0, {3: 1j}), (1, {3: 2j, 1: 0.5}), (2, {3: complex(-0.25, -0.0)})], -0.5)
+@example([(3, {2: 0.0, 1: 1.0}), (1, {2: -3.0})], 2.0)
 def test_monomial_form_evaluate_matches_reference(terms, t):
     form = MonomialForm(tuple(terms))
     assert _entries(form.evaluate(t)) == _entries(_ref_monomial(terms, t))
+    # the second evaluation reads the plan that the first one built
+    assert _entries(form.evaluate(-t)) == _entries(_ref_monomial(terms, -t))
+
+
+def _hex_entries(v):
+    return [(j, complex(x).real.hex(), complex(x).imag.hex(), isinstance(x, complex))
+            for j, x in v.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), vecs(FINITE_ENTRY)), max_size=4), TIMES)
+def test_monomial_form_evaluates_numpy_times_on_python_scalars(terms, t):
+    # sampled times are np.float64; the values are the numpy arithmetic's, bit for bit
+    got = MonomialForm(tuple(terms)).evaluate(np.float64(t))
+    assert _hex_entries(got) == _hex_entries(_ref_monomial(terms, np.float64(t)))
+    assert all(type(x) in (float, complex) for x in got.values())
 
 
 @settings(max_examples=200, deadline=None)
