@@ -186,10 +186,10 @@ def _scan_degrees(E: np.ndarray, A: np.ndarray, thr: float):
 
 
 def _link_residuals(E: np.ndarray, A: np.ndarray, chain: list[np.ndarray]) -> list[float]:
-    res = [float(np.linalg.norm(A @ chain[0]))]
+    res = [float(linalg.vector_norm(A @ chain[0]))]
     for j in range(1, len(chain)):
-        res.append(float(np.linalg.norm(A @ chain[j] - E @ chain[j - 1])))
-    res.append(float(np.linalg.norm(E @ chain[-1])))
+        res.append(float(linalg.vector_norm(A @ chain[j] - E @ chain[j - 1])))
+    res.append(float(linalg.vector_norm(E @ chain[-1])))
     return res
 
 
@@ -261,7 +261,7 @@ def extract_right_chain(s: SectionedPencil, tol: float = linalg.TOL_CHAIN) -> Ch
         if svals[-1] > thr:
             continue
         chain = [null[j * k : (j + 1) * k] for j in range(d + 1)]
-        norm = max(np.linalg.norm(v) for v in chain)
+        norm = max(linalg.vector_norm(v) for v in chain)
         chain = [v / norm for v in chain]
         stackmat = np.column_stack(chain)
         indep = linalg.singular_values(stackmat)[-1] if d > 0 else np.linalg.norm(chain[0])
@@ -335,7 +335,7 @@ def verify_singular_polynomial(
                 if j not in pos:
                     raise ValueError(f"polynomial support index {j} outside section window")
                 x[pos[j]] = c
-            worst = max(worst, float(np.linalg.norm(sec.evaluate(lam) @ x)))
+            worst = max(worst, float(linalg.vector_norm(sec.evaluate(lam) @ x)))
         return worst
 
     pencil = target.adjoint() if side == "left" else target

@@ -30,7 +30,8 @@ import numpy as np
 from . import chains, dh
 from .operators import Pencil
 from .sections import section
-from .sparsevec import SparseVec, vec_iadd, vec_inner, vec_norm, vec_scale, vec_sub
+from .sparsevec import SparseVec, coordinate_plan, sum_by_coordinate, vec_iadd
+from .sparsevec import vec_inner, vec_norm, vec_scale, vec_sub
 
 __all__ = [
     "ChainGenerator",
@@ -74,30 +75,14 @@ class MonomialForm:
     terms: tuple[tuple[int, SparseVec], ...]
 
     @cached_property
-    def _plan(self) -> tuple[tuple[int, tuple[tuple[int, complex], ...]], ...]:
-        plan: dict[int, list[tuple[int, complex]]] = {}
-        for k, (_, c) in enumerate(self.terms):
-            for j, x in c.items():
-                plan.setdefault(j, []).append((k, x))
-        return tuple((j, tuple(pairs)) for j, pairs in plan.items())
-
-    def _sum_by_coordinate(self, powers: list[float]) -> SparseVec | None:
-        """The plan's sums, or None at the first partial sum of exactly 0."""
-        out: SparseVec = {}
-        for j, pairs in self._plan:
-            s = 0.0
-            for k, x in pairs:
-                s = s + powers[k] * x
-                if not s:
-                    return None
-            out[j] = s
-        return out
+    def _plan(self) -> list[tuple[int, list[tuple[int, complex]]]]:
+        return coordinate_plan(c for _, c in self.terms)
 
     def evaluate(self, t: float) -> SparseVec:
         """The form at ``float(t)``; entries are Python floats or complexes."""
         t = float(t)
         powers = [t**p for p, _ in self.terms]
-        out = None if 0.0 in powers else self._sum_by_coordinate(powers)
+        out = sum_by_coordinate(self._plan, powers)
         if out is None:
             out = {}
             for (_, c), tp in zip(self.terms, powers):
@@ -126,18 +111,31 @@ class MonomialForm:
 def _simpson_pass(fn, values: dict, a: float, b: float, m: int) -> SparseVec:
     """Composite Simpson with m subintervals (even); fn(t) is memoized in values.
 
-    Each weighted node value is added into the running sum by ``vec_iadd``;
-    the memoized values are only read, never mutated.
+    The weighted sum is bitwise that of adding each node value by
+    ``vec_iadd`` in node order.  When the nonempty node values share one key
+    order it is summed coordinate-major across the nodes; otherwise, or at a
+    partial sum of exactly 0, by that loop.  The memoized values are only
+    read, never mutated.
     """
     h = (b - a) / m
-    total: SparseVec = {}
+    weights, nodes = [], []
     for i in range(m + 1):
-        w = 1 if i in (0, m) else (4 if i % 2 else 2)
         t = a + i * h
         ft = values.get(t)
         if ft is None:
             ft = values[t] = fn(t)
-        vec_iadd(total, ft, w)
+        if ft:
+            weights.append(1 if i in (0, m) else (4 if i % 2 else 2))
+            nodes.append(ft)
+    keys = list(nodes[0]) if nodes else []
+    total = None
+    if all(list(ft) == keys for ft in nodes):
+        columns = zip(*(ft.values() for ft in nodes))
+        total = sum_by_coordinate(zip(keys, map(enumerate, columns)), weights)
+    if total is None:
+        total = {}
+        for w, ft in zip(weights, nodes):
+            vec_iadd(total, ft, w)
     return vec_scale(h / 3.0, total)
 
 

@@ -7,15 +7,18 @@ is all the rest of the package needs (finite sections, residual evaluation,
 series solutions).  Unboundedness is implicit in weight growth; no domain
 bookkeeping is done beyond the linear span of the basis.
 
-``apply`` remembers each basis image it uses: the first application to a
-vector with ``e_j`` in its support stores ``apply_basis(j)`` on the operator,
-and later applications read it, accumulating with the same ``vec_iadd``
-calls in the same order, so results are bitwise those of a fresh operator
-(monomial forms apply the same rule coordinate-major; see ``sparsevec``).
-So operators must not change after construction (``DenseBlock`` keeps a
-read-only copy of its matrix; ``Sum`` and ``BlockDirectSum`` hold tuples), and
-the store grows with the distinct indices an operator is applied to.
-``apply_basis`` and section assembly neither read nor fill it.
+``apply`` keeps two stores on the operator: ``apply_basis(j)`` for each
+index ``j`` it has met, and for each support it has met (the keys of the
+vector, in order) a plan listing every output index, in order of first
+appearance, with its (position in the vector, image entry) pairs.  It sums
+each output coordinate along the plan from ``0.0``, the operations of one
+``vec_iadd`` per basis image in the same order; where a coefficient or a
+partial sum is 0 it runs that ``vec_iadd`` loop instead (see ``sparsevec``).
+So results are bitwise those of a fresh operator, operators must not change
+after construction (``DenseBlock`` keeps a read-only copy of its matrix;
+``Sum`` and ``BlockDirectSum`` hold tuples), and the stores grow with the
+distinct indices and supports an operator is applied to.  ``apply_basis``
+and section assembly neither read nor fill them.
 
 Index conventions: ``l2N`` and ``finite(d)`` spaces are indexed 1, 2, ...;
 ``l2Z`` is indexed over all integers.  A shift ``offset k`` maps
@@ -30,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sparsevec import SparseVec, vec_add, vec_iadd, vec_scale
+from .sparsevec import SparseVec, coordinate_plan, sum_by_coordinate, vec_add, vec_iadd, vec_scale
 
 __all__ = [
     "Space",
@@ -218,15 +221,22 @@ class StructuredOperator(ABC):
 
     def apply(self, v: SparseVec) -> SparseVec:
         try:
-            images = self._images
+            images, plans = self._images, self._plans
         except AttributeError:
-            images = self._images = {}
-        out: SparseVec = {}
-        for j, c in v.items():
-            img = images.get(j)
-            if img is None:
-                img = images[j] = self.apply_basis(j)
-            vec_iadd(out, img, c)
+            images, plans = self._images, self._plans = {}, {}
+        support = tuple(v)
+        plan = plans.get(support)
+        if plan is None:
+            for j in support:
+                if j not in images:
+                    images[j] = self.apply_basis(j)
+            plan = plans[support] = coordinate_plan([images[j] for j in support])
+        cs = list(v.values())
+        out = sum_by_coordinate(plan, cs)
+        if out is None:
+            out = {}
+            for j, c in zip(support, cs):
+                vec_iadd(out, images[j], c)
         return out
 
     def _check_index(self, j: int) -> None:

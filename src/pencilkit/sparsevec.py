@@ -12,11 +12,12 @@ iteration stays cheap.  An unscaled add multiplies by nothing, and a scaled
 add with ``c == 0`` adds nothing (as ``vec_scale`` returns ``{}``), so an
 in-place sum is bitwise equal to merging ``vec_scale``'d copies.
 
-``odae.MonomialForm.evaluate`` applies the rule coordinate-major: each index
-is summed over the terms in term order from ``0.0``, the same operations in
-the same order.  Where a zero scale or a zero partial sum would make the
-term-by-term sum skip a term or drop a key and re-insert it later, so that
-the key order differs, it runs the term-by-term sum instead.
+``sum_by_coordinate`` applies the rule coordinate-major, with the same
+operations in the same order, or returns None where the key order would
+differ.  Its users are ``StructuredOperator.apply`` (a plan per support,
+over the basis images), ``odae.MonomialForm.evaluate`` (one plan per form,
+over the terms) and ``odae._simpson_pass`` (over the quadrature nodes,
+when they share one key order).
 """
 
 from __future__ import annotations
@@ -58,6 +59,38 @@ def vec_iadd(out: SparseVec, v: SparseVec, c: complex | None = None) -> None:
                 out.pop(j, None)
             else:
                 out[j] = s
+
+
+def coordinate_plan(vs) -> list[tuple[int, list[tuple[int, complex]]]]:
+    """Each index of the vectors ``vs``, in order of first appearance, with its
+    (position in ``vs``, entry) pairs in order."""
+    plan: dict[int, list[tuple[int, complex]]] = {}
+    for k, v in enumerate(vs):
+        for j, x in v.items():
+            plan.setdefault(j, []).append((k, x))
+    return list(plan.items())
+
+
+def sum_by_coordinate(plan, scales) -> SparseVec | None:
+    """The sum of ``scales[k] * vs[k]`` along ``plan = coordinate_plan(vs)``, or None.
+
+    Each coordinate is summed as ``s = s + scales[k] * x`` from ``0.0`` over
+    its (k, x) pairs, bitwise as ``vec_iadd(out, vs[k], scales[k])`` for
+    each k in order.  None when some scale is 0 or at a partial sum of
+    exactly 0, where that loop skips a vector or drops a key and re-inserts
+    it later; the caller then runs the loop.
+    """
+    if 0.0 in scales:
+        return None
+    out: SparseVec = {}
+    for j, pairs in plan:
+        s = 0.0
+        for k, x in pairs:
+            s = s + scales[k] * x
+            if not s:
+                return None
+        out[j] = s
+    return out
 
 
 def vec_add(*vs: SparseVec) -> SparseVec:

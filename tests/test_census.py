@@ -11,7 +11,9 @@ one, updates the pins here deliberately.
 
 The sparse-arithmetic census counts ``vec_iadd`` calls, through every
 module that binds the function, over a series and a polynomial trajectory
-with their mild residuals.
+with their mild residuals, and over the power balance of an integrated
+trajectory, whose sums go through ``StructuredOperator.apply`` and the
+Simpson passes.
 """
 
 import contextlib
@@ -106,7 +108,7 @@ def test_series_trajectory_sums_are_pinned(monkeypatch):
         traj = odae.series_solution(p, data["generator"], np.linspace(0.0, 1.0, 16), 38)
         odae.mild_residual(p, traj)
 
-    assert _count_vec_iadd(monkeypatch, run) == 2178
+    assert _count_vec_iadd(monkeypatch, run) == 374
 
 
 def test_polynomial_trajectory_sums_are_pinned(monkeypatch):
@@ -117,4 +119,14 @@ def test_polynomial_trajectory_sums_are_pinned(monkeypatch):
         traj = odae.polynomial_solution(p, poly, np.linspace(0.0, 1.0, 12))
         odae.mild_residual(p, traj)
 
-    assert _count_vec_iadd(monkeypatch, run) == 2593
+    assert _count_vec_iadd(monkeypatch, run) == 195
+
+
+def test_power_balance_sums_are_pinned(monkeypatch):
+    data = fixtures.get_fixture("poroelasticity_template").build()
+
+    def run():
+        traj = fixtures.integrator_trajectory(data, np.linspace(0.0, 1.0, 6), data["x0"])
+        odae.power_balance_residual(data["pencil"], traj, tol=1e-8)
+
+    assert _count_vec_iadd(monkeypatch, run) == 18

@@ -154,6 +154,18 @@ def test_scaled_pencil_keeps_its_verdicts_or_is_refused(tmp_path_factory, unscal
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k", [600, 900, 1000])
+@pytest.mark.parametrize("command", ["analyze", "chains"])
+@pytest.mark.parametrize("name", ["kronecker_L", "kronecker_L-k7", "stokes_skeleton",
+                                  "poroelasticity_template-singular"])
+def test_singular_pencil_beyond_the_vector_norm_overflow_keeps_its_verdicts(
+        tmp_path_factory, unscaled, name, command, k):
+    # chain residuals square entries near 2^k: only a scaled vector norm stays finite
+    code, verdicts, err = _outcome(tmp_path_factory, _scaled(PENCILS[name], k), command)
+    assert (code, err) == (EXIT_OK, "")
+    assert verdicts == unscaled[name, command][1]
+
+
 @pytest.mark.parametrize("command", ["analyze", "chains"])
 def test_pencil_at_1e308_is_refused_naming_the_scale(tmp_path, command):
     # the chain scale ||E|| + ||A|| = 2e308 and sigma_max(i E - A) = 2e308 overflow

@@ -23,7 +23,9 @@ from pencilkit import (
     Diagonal,
     Identity,
     L2N,
+    L2Z,
     Pencil,
+    RuleOperator,
     Scale,
     Shift,
     Sum,
@@ -32,9 +34,10 @@ from pencilkit import (
     finite,
     vec_add,
     vec_iadd,
+    vec_scale,
     vec_sub,
 )
-from pencilkit.odae import MonomialForm
+from pencilkit.odae import MonomialForm, _simpson_pass
 
 
 # --- reference: the scale-then-merge compositions -------------------------
@@ -240,3 +243,124 @@ def test_dense_apply_basis_matches_complex_comprehension(rows, row_start, col_st
     op = DenseBlock(L2N, L2N, np.array(rows, dtype=complex), row_start, col_start)
     for j in range(1, col_start + 4):
         assert _entries(op.apply_basis(j)) == _entries(_ref_dense_column(op, j))
+
+
+# --- coordinate-major sums against the vec_iadd loop --------------------------
+#
+# ``StructuredOperator.apply`` and ``odae._simpson_pass`` sum coordinate by
+# coordinate and fall back to one ``vec_iadd`` per vector where that would
+# change the key order.  Both must equal the loop by float hex, entry type and
+# key order.
+
+
+def _loop_apply(op, v):
+    out = {}
+    for j, c in v.items():
+        vec_iadd(out, op.apply_basis(j), c)
+    return out
+
+
+def _window(space):
+    return range(1, 5) if space == L2N else range(-2, 3)
+
+
+def _rule(values):
+    # two-entry images of the drawn floats or complexes; a drawn 0.0 is stored, not dropped
+    def forward(j):
+        return {j: values[j % len(values)], j + 1: values[(j + 1) % len(values)]}
+
+    return forward
+
+
+@st.composite
+def plan_leaves(draw, space):
+    window = _window(space)
+    row = st.lists(FINITE_ENTRY, min_size=len(window), max_size=len(window))
+    table = WeightRule("table", values=tuple(draw(row)), start=window[0])
+    kind = draw(st.sampled_from(["diag", "shift", "dense", "rule"]))
+    if kind == "diag":
+        return Diagonal(space, table)
+    if kind == "shift":
+        return Shift(space, draw(st.sampled_from([-2, -1, 1, 2])), table)
+    if kind == "dense":
+        rows = draw(st.lists(row, min_size=len(window), max_size=len(window)))
+        return DenseBlock(space, space, np.array(rows, dtype=complex), window[0], window[0])
+    values = draw(row)
+    return RuleOperator(space, space, _rule(values), _rule(values))
+
+
+@st.composite
+def plan_operators(draw):
+    space = draw(st.sampled_from([L2N, L2Z]))
+    kind = draw(st.sampled_from(["leaf", "sum", "direct_sum"]))
+    if kind == "leaf":
+        return draw(plan_leaves(space))
+    if kind == "sum":
+        return Sum(draw(st.lists(plan_leaves(space), min_size=2, max_size=3)))
+    return BlockDirectSum(draw(st.lists(plan_leaves(space), min_size=2, max_size=2)))
+
+
+def _support_vecs(op):
+    window = range(1, 11) if isinstance(op, BlockDirectSum) else _window(op.space_in)
+    return st.dictionaries(st.sampled_from(window), st.one_of(SCALAR, ENTRY),
+                           max_size=len(window))
+
+
+APPLY_CASES = plan_operators().flatmap(
+    lambda op: st.tuples(st.just(op), _support_vecs(op), _support_vecs(op)))
+CANCELLING = DenseBlock(L2N, L2N, np.array([[1.0, -1.0, 2.0], [1.0, 0.0, 0.0]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(APPLY_CASES)
+# column 2 cancels row 1 of column 1, and column 3 re-inserts it after row 2
+@example((CANCELLING, {1: 1.0, 2: 1.0, 3: 1.0}, {3: 1j, 1: 0.5}))
+# a signed-zero coefficient: the loop skips that column
+@example((CANCELLING, {1: 1.0, 3: -0.0}, {2: 1j, 1: 2.0, 3: 0j}))
+# float times complex, on l2Z, through images with a stored 0.0 entry
+@example((RuleOperator(L2Z, L2Z, _rule([1.0, 1j, 0.0]), _rule([1.0, 1j, 0.0])),
+          {0: complex(-0.0, 2.0), -1: 0.5, 2: -3.0}, {1: 1j, 0: 2.0}))
+# a zero complex coefficient on columns already summed: the loop keeps floats
+@example((RuleOperator(L2N, L2N, _rule([1.0, 2.0, 0.5]), _rule([1.0, 2.0, 0.5])),
+          {1: 1.0, 3: 1.0, 2: 0j}, {3: 1.0, 1: 1.0, 2: 0j}))
+def test_apply_plan_matches_vec_iadd_loop(case):
+    op, u, v = case
+    # one operator, two supports, and the first support again from its plan
+    for w in (u, v, u):
+        assert _hex_entries(op.apply(w)) == _hex_entries(_loop_apply(op, w))
+
+
+def _loop_simpson(fn, a, b, m):
+    h = (b - a) / m
+    total = {}
+    for i in range(m + 1):
+        vec_iadd(total, fn(a + i * h), 1 if i in (0, m) else (4 if i % 2 else 2))
+    return vec_scale(h / 3.0, total)
+
+
+@st.composite
+def simpson_nodes(draw):
+    """m + 1 node values: some in one shared key order, some with their own supports."""
+    m = draw(st.sampled_from([2, 4, 8]))
+    keys = draw(st.permutations(range(1, DIM + 1)))[: draw(st.integers(1, DIM))]
+    shared = st.lists(st.one_of(FINITE_ENTRY, ENTRY), min_size=len(keys),
+                      max_size=len(keys)).map(lambda xs: dict(zip(keys, xs)))
+    own = vecs() if draw(st.booleans()) else shared
+    return draw(st.lists(st.one_of(shared, own, st.just({})), min_size=m + 1, max_size=m + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(simpson_nodes(), st.sampled_from([(0.0, 1.0), (0.0, 0.3), (-1.0, 2.5)]))
+# an empty node at t = 0, then one shared key order
+@example([{}, {2: 1.0, 1: 0.5}, {2: -0.5, 1: 1j}], (0.0, 1.0))
+# coordinate 1 cancels at the middle node: the loop re-inserts it after key 2
+@example([{1: 1.0, 2: 1.0}, {1: -0.25, 2: 1.0}, {1: 1.0, 2: 1.0}], (0.0, 1.0))
+# different supports
+@example([{1: 1.0}, {1: 2.0, 3: 1j}, {3: -0.5}, {}, {1: 1.0, 3: 1.0}], (0.0, 1.0))
+def test_simpson_pass_matches_vec_iadd_loop(nodes, interval):
+    a, b = interval
+    m = len(nodes) - 1
+    h = (b - a) / m
+    by_time = {a + i * h: v for i, v in enumerate(nodes)}
+    got = _simpson_pass(by_time.__getitem__, {}, a, b, m)
+    assert _hex_entries(got) == _hex_entries(_loop_simpson(by_time.__getitem__, a, b, m))
