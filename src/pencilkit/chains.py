@@ -19,6 +19,7 @@ infinite object.  The tolerance factors sit in the verdict table of ``linalg``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -335,7 +336,11 @@ def verify_singular_polynomial(
                 if j not in pos:
                     raise ValueError(f"polynomial support index {j} outside section window")
                 x[pos[j]] = c
-            worst = max(worst, float(linalg.vector_norm(sec.evaluate(lam) @ x)))
+            # exact power-of-two scalings keep the product finite until its norm
+            mat = sec.evaluate(lam)
+            em, ex = (max(0, math.frexp(np.abs(a).max(initial=0.0))[1]) for a in (mat, x))
+            res = linalg.vector_norm((mat * 2.0**-em) @ (x * 2.0**-ex))
+            worst = max(worst, float(np.ldexp(res, em + ex)))
         return worst
 
     pencil = target.adjoint() if side == "left" else target

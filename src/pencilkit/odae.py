@@ -30,7 +30,7 @@ import numpy as np
 from . import chains, dh
 from .operators import Pencil
 from .sections import section
-from .sparsevec import SparseVec, coordinate_plan, sum_by_coordinate, vec_iadd
+from .sparsevec import SparseVec, coordinate_plan, vec_combine
 from .sparsevec import vec_inner, vec_norm, vec_scale, vec_sub
 
 __all__ = [
@@ -67,27 +67,22 @@ class QuadratureError(RuntimeError):
 class MonomialForm:
     """Finite sum of terms coeff * t^power with sparse vector coefficients.
 
-    ``evaluate`` sums coordinate-major, by a plan built on first use that
-    lists each index's (term, coefficient) pairs; where the term-by-term
-    ``vec_iadd`` loop would give another key order, that loop runs instead.
+    ``evaluate`` sums the terms by ``sparsevec.vec_combine`` along a plan
+    built on first use.
     """
 
     terms: tuple[tuple[int, SparseVec], ...]
 
     @cached_property
-    def _plan(self) -> list[tuple[int, list[tuple[int, complex]]]]:
-        return coordinate_plan(c for _, c in self.terms)
+    def _combine(self) -> tuple[list[SparseVec], list]:
+        coeffs = [c for _, c in self.terms]
+        return coeffs, coordinate_plan(coeffs)
 
     def evaluate(self, t: float) -> SparseVec:
         """The form at ``float(t)``; entries are Python floats or complexes."""
         t = float(t)
-        powers = [t**p for p, _ in self.terms]
-        out = sum_by_coordinate(self._plan, powers)
-        if out is None:
-            out = {}
-            for (_, c), tp in zip(self.terms, powers):
-                vec_iadd(out, c, tp)
-        return out
+        coeffs, plan = self._combine
+        return vec_combine(coeffs, [t**p for p, _ in self.terms], plan)
 
     def derivative(self) -> "MonomialForm":
         return MonomialForm(
@@ -111,11 +106,10 @@ class MonomialForm:
 def _simpson_pass(fn, values: dict, a: float, b: float, m: int) -> SparseVec:
     """Composite Simpson with m subintervals (even); fn(t) is memoized in values.
 
-    The weighted sum is bitwise that of adding each node value by
-    ``vec_iadd`` in node order.  When the nonempty node values share one key
-    order it is summed coordinate-major across the nodes; otherwise, or at a
-    partial sum of exactly 0, by that loop.  The memoized values are only
-    read, never mutated.
+    The weighted sum of the nonempty node values is taken by
+    ``sparsevec.vec_combine``, along a plan zipped from their values when
+    they share one key order.  The memoized values are only read, never
+    mutated.
     """
     h = (b - a) / m
     weights, nodes = [], []
@@ -128,15 +122,11 @@ def _simpson_pass(fn, values: dict, a: float, b: float, m: int) -> SparseVec:
             weights.append(1 if i in (0, m) else (4 if i % 2 else 2))
             nodes.append(ft)
     keys = list(nodes[0]) if nodes else []
-    total = None
     if all(list(ft) == keys for ft in nodes):
-        columns = zip(*(ft.values() for ft in nodes))
-        total = sum_by_coordinate(zip(keys, map(enumerate, columns)), weights)
-    if total is None:
-        total = {}
-        for w, ft in zip(weights, nodes):
-            vec_iadd(total, ft, w)
-    return vec_scale(h / 3.0, total)
+        plan = zip(keys, map(enumerate, zip(*(ft.values() for ft in nodes))))
+    else:
+        plan = coordinate_plan(nodes)
+    return vec_scale(h / 3.0, vec_combine(nodes, weights, plan))
 
 
 def adaptive_simpson_vec(fn, a: float, b: float, tol: float) -> SparseVec:

@@ -7,18 +7,14 @@ is all the rest of the package needs (finite sections, residual evaluation,
 series solutions).  Unboundedness is implicit in weight growth; no domain
 bookkeeping is done beyond the linear span of the basis.
 
-``apply`` keeps two stores on the operator: ``apply_basis(j)`` for each
-index ``j`` it has met, and for each support it has met (the keys of the
-vector, in order) a plan listing every output index, in order of first
-appearance, with its (position in the vector, image entry) pairs.  It sums
-each output coordinate along the plan from ``0.0``, the operations of one
-``vec_iadd`` per basis image in the same order; where a coefficient or a
-partial sum is 0 it runs that ``vec_iadd`` loop instead (see ``sparsevec``).
-So results are bitwise those of a fresh operator, operators must not change
-after construction (``DenseBlock`` keeps a read-only copy of its matrix;
-``Sum`` and ``BlockDirectSum`` hold tuples), and the stores grow with the
-distinct indices and supports an operator is applied to.  ``apply_basis``
-and section assembly neither read nor fill them.
+``apply`` keeps one store on the operator: for each support it has met
+(the keys of the vector, in order), the images ``apply_basis(j)`` and their
+``coordinate_plan``, summed by ``sparsevec.vec_combine``.  So results are
+bitwise those of a fresh operator, operators must not change after
+construction (``DenseBlock`` keeps a read-only copy of its matrix; ``Sum``
+and ``BlockDirectSum`` hold tuples), and the store grows with the distinct
+supports an operator is applied to.  ``apply_basis`` and section assembly
+neither read nor fill it.
 
 Index conventions: ``l2N`` and ``finite(d)`` spaces are indexed 1, 2, ...;
 ``l2Z`` is indexed over all integers.  A shift ``offset k`` maps
@@ -33,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sparsevec import SparseVec, coordinate_plan, sum_by_coordinate, vec_add, vec_iadd, vec_scale
+from .sparsevec import SparseVec, coordinate_plan, vec_add, vec_combine, vec_iadd, vec_scale
 
 __all__ = [
     "Space",
@@ -221,23 +217,17 @@ class StructuredOperator(ABC):
 
     def apply(self, v: SparseVec) -> SparseVec:
         try:
-            images, plans = self._images, self._plans
+            store = self._store
         except AttributeError:
-            images, plans = self._images, self._plans = {}, {}
+            store = self._store = {}
         support = tuple(v)
-        plan = plans.get(support)
-        if plan is None:
-            for j in support:
-                if j not in images:
-                    images[j] = self.apply_basis(j)
-            plan = plans[support] = coordinate_plan([images[j] for j in support])
-        cs = list(v.values())
-        out = sum_by_coordinate(plan, cs)
-        if out is None:
-            out = {}
-            for j, c in zip(support, cs):
-                vec_iadd(out, images[j], c)
-        return out
+        try:
+            images, plan = store[support]
+        except KeyError:
+            images = [self.apply_basis(j) for j in support]
+            plan = coordinate_plan(images)
+            store[support] = images, plan
+        return vec_combine(images, list(v.values()), plan)
 
     def _check_index(self, j: int) -> None:
         if not self.space_in.contains(j):

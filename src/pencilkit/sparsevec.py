@@ -12,12 +12,12 @@ iteration stays cheap.  An unscaled add multiplies by nothing, and a scaled
 add with ``c == 0`` adds nothing (as ``vec_scale`` returns ``{}``), so an
 in-place sum is bitwise equal to merging ``vec_scale``'d copies.
 
-``sum_by_coordinate`` applies the rule coordinate-major, with the same
-operations in the same order, or returns None where the key order would
-differ.  Its users are ``StructuredOperator.apply`` (a plan per support,
-over the basis images), ``odae.MonomialForm.evaluate`` (one plan per form,
-over the terms) and ``odae._simpson_pass`` (over the quadrature nodes,
-when they share one key order).
+``vec_combine(vs, scales, plan)`` is the one owner of the faster
+coordinate-major order: it sums each index of ``plan`` over its (k, x) pairs
+as ``s = s + scales[k] * x`` from ``0.0``, the operations of the ``vec_iadd``
+loop in the same order.  Where a scale or a partial sum is 0, that loop
+would skip a vector or drop a key and re-insert it later, so ``vec_combine``
+runs the loop itself; results are bitwise the loop's, key order included.
 """
 
 from __future__ import annotations
@@ -71,25 +71,25 @@ def coordinate_plan(vs) -> list[tuple[int, list[tuple[int, complex]]]]:
     return list(plan.items())
 
 
-def sum_by_coordinate(plan, scales) -> SparseVec | None:
-    """The sum of ``scales[k] * vs[k]`` along ``plan = coordinate_plan(vs)``, or None.
-
-    Each coordinate is summed as ``s = s + scales[k] * x`` from ``0.0`` over
-    its (k, x) pairs, bitwise as ``vec_iadd(out, vs[k], scales[k])`` for
-    each k in order.  None when some scale is 0 or at a partial sum of
-    exactly 0, where that loop skips a vector or drops a key and re-inserts
-    it later; the caller then runs the loop.
-    """
-    if 0.0 in scales:
-        return None
-    out: SparseVec = {}
-    for j, pairs in plan:
-        s = 0.0
-        for k, x in pairs:
-            s = s + scales[k] * x
+def vec_combine(vs, scales, plan) -> SparseVec:
+    """The sum of ``scales[k] * vs[k]``, bitwise ``vec_iadd(out, vs[k], scales[k])``
+    for each k in order; ``plan`` lists the pairs of ``coordinate_plan(vs)``."""
+    if 0.0 not in scales:
+        out: SparseVec = {}
+        for j, pairs in plan:
+            s = 0.0
+            for k, x in pairs:
+                s = s + scales[k] * x
+                if not s:
+                    break
             if not s:
-                return None
-        out[j] = s
+                break
+            out[j] = s
+        else:
+            return out
+    out = {}
+    for v, c in zip(vs, scales):
+        vec_iadd(out, v, c)
     return out
 
 

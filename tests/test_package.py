@@ -1,6 +1,7 @@
 """How the package exposes its modules: registered on import, run on first use."""
 
 import ast
+import importlib
 import json
 import os
 import pkgutil
@@ -68,3 +69,42 @@ def test_verdict_modules_read_their_tolerances_from_the_linalg_table():
                  if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
                  and 1e-15 <= abs(node.value) < 1e-3]
     assert hits == []
+
+
+def test_only_sparsevec_chooses_between_a_plan_and_the_vec_iadd_loop():
+    # ``vec_combine`` runs the ``vec_iadd`` loop itself where a plan would change the key
+    # order; a function elsewhere that calls both keeps a second copy of that choice.
+    folder = os.path.dirname(pencilkit.__file__)
+    helpers = {"coordinate_plan", "sum_by_coordinate", "vec_combine"}
+    hits = []
+    for name in sorted(os.listdir(folder)):
+        if not name.endswith(".py") or name == "sparsevec.py":
+            continue
+        with open(os.path.join(folder, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                          for node in ast.walk(fn) if isinstance(node, ast.Call)}
+                if "vec_iadd" in called and called & helpers:
+                    hits.append(f"{name}:{fn.name}")
+    assert hits == []
+
+
+def test_benchmark_tracer_names_resolve_in_the_package():
+    # bench/tracer.py wraps these names for ``--trace 1``; it is parsed, not imported.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    tables = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("FUNCTIONS", "METHODS")}
+    assert sorted(tables) == ["FUNCTIONS", "METHODS"]
+    missing = [f"{module}.{name}" for _, module, names in tables["FUNCTIONS"] for name in names
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    # the tracer wraps ``cls.__dict__[name]``, so an inherited method does not count
+    missing += [f"{module}.{cls}.{name}" for _, module, cls, names in tables["METHODS"]
+                for name in names
+                if name not in vars(getattr(importlib.import_module(module), cls, object))]
+    assert missing == []

@@ -166,6 +166,17 @@ def test_singular_pencil_beyond_the_vector_norm_overflow_keeps_its_verdicts(
     assert verdicts == unscaled[name, command][1]
 
 
+@pytest.mark.parametrize("k", [1015, 1019, 1022])
+@pytest.mark.parametrize("command", ["analyze", "chains"])
+@pytest.mark.parametrize("name", ["kronecker_L", "kronecker_L-k7"])
+def test_singular_polynomial_check_beyond_the_product_overflow_keeps_its_verdicts(
+        tmp_path_factory, unscaled, name, command, k):
+    # (lam E - A) q(lam) at the probes overflows before its norm unless both are rescaled
+    code, verdicts, err = _outcome(tmp_path_factory, _scaled(PENCILS[name], k), command)
+    assert (code, err) == (EXIT_OK, "")
+    assert verdicts == unscaled[name, command][1]
+
+
 @pytest.mark.parametrize("command", ["analyze", "chains"])
 def test_pencil_at_1e308_is_refused_naming_the_scale(tmp_path, command):
     # the chain scale ||E|| + ||A|| = 2e308 and sigma_max(i E - A) = 2e308 overflow

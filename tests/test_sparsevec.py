@@ -38,6 +38,7 @@ from pencilkit import (
     vec_sub,
 )
 from pencilkit.odae import MonomialForm, _simpson_pass
+from pencilkit.sparsevec import coordinate_plan, vec_combine
 
 
 # --- reference: the scale-then-merge compositions -------------------------
@@ -247,10 +248,52 @@ def test_dense_apply_basis_matches_complex_comprehension(rows, row_start, col_st
 
 # --- coordinate-major sums against the vec_iadd loop --------------------------
 #
-# ``StructuredOperator.apply`` and ``odae._simpson_pass`` sum coordinate by
-# coordinate and fall back to one ``vec_iadd`` per vector where that would
-# change the key order.  Both must equal the loop by float hex, entry type and
-# key order.
+# ``vec_combine`` sums coordinate by coordinate and falls back to one
+# ``vec_iadd`` per vector where that would change the key order.  It and its
+# callers ``StructuredOperator.apply`` and ``odae._simpson_pass`` must equal
+# the loop by float hex, entry type and key order.
+
+
+def _loop_combine(vs, scales):
+    out = {}
+    for v, c in zip(vs, scales):
+        vec_iadd(out, v, c)
+    return out
+
+
+@st.composite
+def combine_cases(draw):
+    """Up to four vectors and their scales; half the time in one shared key order."""
+    n = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        keys = draw(st.permutations(range(1, DIM + 1)))[: draw(st.integers(0, DIM))]
+        entries = st.lists(st.one_of(FINITE_ENTRY, ENTRY), min_size=len(keys),
+                           max_size=len(keys))
+        vs = [dict(zip(keys, draw(entries))) for _ in range(n)]
+    else:
+        vs = draw(st.lists(vecs(st.one_of(FINITE_ENTRY, ENTRY)), min_size=n, max_size=n))
+    return vs, draw(st.lists(SCALAR, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(combine_cases())
+# coordinate 1 cancels at the second vector: the loop re-inserts it after key 2
+@example(([{1: 1.0, 2: 1.0}, {1: -1.0, 2: 1.0}, {1: 1.0, 2: 0.5}], [1.0, 1.0, 1.0]))
+# a partial sum of a complex coordinate cancels to 0j, then a float scale follows
+@example(([{2: 1j, 1: 1.0}, {2: 1j, 1: 2.0}, {2: 0.5, 1: -1.0}], [1.0, -1.0, 2.0]))
+# zero scales of each type: -0.0, 0j and 0
+@example(([{1: 1.0, 3: 1j}, {3: 2.0, 1: 1.0}], [-0.0, 2.0]))
+@example(([{1: 1.0}, {1: 2.0, 2: 1j}], [0.5, 0j]))
+@example(([{1: 1.0, 2: 1.0}, {1: 2.0, 2: 1j}], [0, 1j]))
+def test_vec_combine_matches_vec_iadd_loop(case):
+    vs, scales = case
+    want = _hex_entries(_loop_combine(vs, scales))
+    assert _hex_entries(vec_combine(vs, scales, coordinate_plan(vs))) == want
+    keys = list(vs[0]) if vs else []
+    if all(list(v) == keys for v in vs):
+        # the plan ``_simpson_pass`` zips from node values in one key order
+        zipped = zip(keys, map(enumerate, zip(*(v.values() for v in vs))))
+        assert _hex_entries(vec_combine(vs, scales, zipped)) == want
 
 
 def _loop_apply(op, v):
