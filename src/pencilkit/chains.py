@@ -390,14 +390,15 @@ def reduce_polynomial(q: VectorPolynomial) -> VectorPolynomial:
     scale = np.abs(coords).max()
     small = linalg.TOL_NEGLIGIBLE * scale
 
-    def trim(c: np.ndarray) -> np.ndarray:
+    def strip(c: np.ndarray) -> np.ndarray:
+        """Drop zero trailing coefficients, then zero leading ones (common factors lambda)."""
         while c.shape[0] > 1 and np.all(np.abs(c[-1]) <= small):
             c = c[:-1]
+        while c.shape[0] > 1 and np.all(np.abs(c[0]) <= small):
+            c = c[1:]
         return c
 
-    coords = trim(coords)
-    while coords.shape[0] > 1 and np.all(np.abs(coords[0]) <= small):
-        coords = coords[1:]  # common factor lambda
+    coords = strip(coords)
 
     # common finite roots across all coordinate polynomials
     changed = True
@@ -413,9 +414,7 @@ def reduce_polynomial(q: VectorPolynomial) -> VectorPolynomial:
                 for i in range(rank)
             ):
                 coords = np.column_stack([_deflate(coords[:, i], r) for i in range(rank)])
-                coords = trim(coords)
-                while coords.shape[0] > 1 and np.all(np.abs(coords[0]) <= small):
-                    coords = coords[1:]
+                coords = strip(coords)
                 changed = True
                 break
 

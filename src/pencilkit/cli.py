@@ -1,20 +1,24 @@
 """Command-line interface tying the analysis modules together.
 
 Subcommands: analyze, spectra, chains, approx, distance, dh-check,
-simulate, examples.  All numeric output uses 17 significant digits and
-deterministic ordering, so identical inputs give byte-identical output at a
-fixed BLAS thread count; across thread counts the last digits of
-near-singular results can move.  ``PENCILKIT_THREADS=1`` pins the count.
+simulate, examples (``examples list`` and ``examples run NAME|--all``).  All
+numeric output uses 17 significant digits and deterministic ordering, so
+identical inputs give byte-identical output at a fixed BLAS thread count;
+across thread counts the last digits of near-singular results can move.
+``PENCILKIT_THREADS=1`` pins the count.
 Exit codes: 0 success, 1 verdict failure in ``examples run``, 2 input
 error (an OS error on a pencil path or ``--out`` path among them), 3
 internal failure (a linear-algebra kernel that did not converge, a
 quadrature that missed its tolerance, or a ``KeyError``: no input reaches
 one, since unknown fixture names and malformed pencil files are reported
-as input errors first).  Numeric options (``--rect``,
-``--probes``, ``--tol``, ``--t-max``) must be finite; NaN or Inf is an input
-error.  Counts (``--n``, ``--samples``, ``--n-values``, ``--sections``) must
-be positive, ``simulate --order`` at least 2, and ``spectra --steps`` needs
-at least 2 per axis.
+as input errors first).  ``_build_parser`` checks the shape of every
+argument, and its errors read ``argument --X: ...`` (exit 2): numeric options
+(``--rect``, ``--probes``, ``--tol``, ``--t-max``) must be finite, counts
+(``--n``, ``--samples``, ``--n-values``, ``--sections``) positive,
+``simulate --order`` at least 2, and ``spectra --steps`` at least 2 per axis.
+A pencil FILE and ``--fixture`` exclude each other, one of them is required,
+and ``examples run`` takes a fixture NAME or ``--all``.  The ``_cmd_*``
+functions receive checked values.
 """
 
 from __future__ import annotations
@@ -65,16 +69,14 @@ def _fixture_data(args) -> dict:
 
 def _target_data(args) -> dict:
     """Fixture data from --fixture, or ``{"pencil": ...}`` from a JSON path."""
-    if getattr(args, "fixture", None):
-        data = _fixture_data(args)
-        if "pencil" not in data:
-            if fixtures.get_fixture(args.fixture).caveat_only:
-                raise CLIError(f"fixture {args.fixture!r} is caveat-only and builds no pencil")
-            raise CLIError(f"fixture {args.fixture!r} builds a polynomial sequence, not a pencil")
-        return data
-    if getattr(args, "pencil", None):
+    if args.fixture is None:
         return {"pencil": _load(args.pencil)}
-    raise CLIError("either a pencil JSON path or --fixture is required")
+    data = _fixture_data(args)
+    if "pencil" not in data:
+        if fixtures.get_fixture(args.fixture).caveat_only:
+            raise CLIError(f"fixture {args.fixture!r} is caveat-only and builds no pencil")
+        raise CLIError(f"fixture {args.fixture!r} builds a polynomial sequence, not a pencil")
+    return data
 
 
 def _target_pencil(args):
@@ -94,6 +96,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _finite_complex(text: str) -> complex:
+    """Item type of ``approx --probes``: a finite complex, ``i`` or ``j`` as the unit."""
+    try:
+        value = complex(text.replace("i", "j"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid complex value: {text!r}") from None
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _int(text: str) -> int:
     try:
         return int(text)
@@ -105,13 +118,13 @@ def _int_at_least(lo: int):
     """argparse type of the integer options: an integer >= ``lo``."""
     words = {0: "non-negative", 1: "positive"}.get(lo, f"at least {lo}")
 
-    def parse(text: str) -> int:
+    def integer(text: str) -> int:
         value = _int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be {words}, got {text!r}")
         return value
 
-    return parse
+    return integer
 
 
 def _series_order(text: str) -> int:
@@ -122,28 +135,23 @@ def _series_order(text: str) -> int:
     return _int_at_least(odae.MIN_SERIES_ORDER)(text)
 
 
-def _positive_int_list(text: str) -> list[int]:
-    """argparse type of ``--n-values`` and ``--sections``: comma-separated integers >= 1."""
-    positive = _int_at_least(1)
-    vals = [positive(s) for s in text.split(",") if s.strip()]
-    if not vals:
-        raise argparse.ArgumentTypeError("empty integer list")
-    return vals
+def _list_of(item, count: int | None):
+    """argparse type of a comma-separated list of ``item`` values, ``count`` of them if given.
 
+    Blank entries are skipped.  Messages name an item by the last word of its
+    type's ``__name__`` (``integer``, ``float``, ``complex``), as argparse does.
+    """
+    noun = item.__name__.rsplit("_", 1)[-1]
 
-def _parse_complex_list(text: str) -> list[complex]:
-    out = []
-    for item in text.split(","):
-        item = item.strip().replace("i", "j")
-        try:
-            out.append(complex(item))
-        except ValueError as exc:
-            raise CLIError(f"bad complex number {item!r}") from exc
-        if not cmath.isfinite(out[-1]):
-            raise CLIError(f"non-finite complex number {item!r}")
-    if not out:
-        raise CLIError("empty probe list")
-    return out
+    def parse(text: str) -> list:
+        vals = [item(s.strip()) for s in text.split(",") if s.strip()]
+        if not vals:
+            raise argparse.ArgumentTypeError(f"empty {noun} list")
+        if count is not None and len(vals) != count:
+            raise argparse.ArgumentTypeError(f"needs {count} {noun} values, got {text!r}")
+        return vals
+
+    return parse
 
 
 def _emit(lines, out_path: str | None):
@@ -195,20 +203,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
-    try:
-        rect = tuple(float(x) for x in args.rect.split(","))
-        steps = tuple(int(x) for x in args.steps.split(","))
-        if len(rect) != 4 or len(steps) != 2 or not all(map(math.isfinite, rect)):
-            raise ValueError
-    except ValueError as exc:
-        raise CLIError("--rect needs 4 finite reals and --steps 2 integers") from exc
-    if min(steps) < 2:
-        raise CLIError(f"--steps needs at least 2 per axis, got {args.steps!r}")
     p, notes = _target_pencil(args)
     s = sections.section(p, args.n)
     lines = [f"# note: {n}" for n in notes]
     lines.append("re,im,sigma_min,sigma_min_adjoint,verdict")
-    for pc in spectra.spectra_grid(s, rect, steps):
+    for pc in spectra.spectra_grid(s, args.rect, args.steps):
         lam = complex(pc.lam)
         lines.append(f"{sparsevec._fmt(lam.real)},{sparsevec._fmt(lam.imag)},"
                      f"{sparsevec._fmt(pc.sigma_min)},{sparsevec._fmt(pc.sigma_min_adjoint)},"
@@ -244,11 +243,10 @@ def _cmd_approx(args) -> int:
     if "sequence" not in data:
         raise CLIError(f"fixture {args.fixture!r} provides no polynomial sequence")
     seq = data["sequence"]
-    probes = _parse_complex_list(args.probes)
     gram = approx.gram_lower_bound(seq, args.n_values)
     lmin = dict(zip(gram.n_values, gram.lambda_min))
     lines = ["n,probe_re,probe_im,fwd_residual,rev_residual,p_norm,revp_norm,gram_lambda_min"]
-    for r in approx.sequence_residuals(data.get("pencil"), seq, probes, args.n_values):
+    for r in approx.sequence_residuals(data.get("pencil"), seq, args.probes, args.n_values):
         residuals = (["", ""] if r.forward is None
                      else [sparsevec._fmt(r.forward), sparsevec._fmt(r.reverse)])
         lines.append(",".join([str(r.n), sparsevec._fmt(r.probe.real),
@@ -353,8 +351,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_examples(args) -> int:
     if args.action == "list":
-        if args.name is not None or args.all:
-            raise CLIError("examples list takes no fixture name or --all")
         lines = []
         for name in fixtures.fixture_names():
             fx = fixtures.get_fixture(name)
@@ -362,15 +358,7 @@ def _cmd_examples(args) -> int:
             lines.append(f"{name}{tag}: {fx.description}")
         _emit(lines, args.out)
         return EXIT_OK
-    # run
-    if args.all:
-        if args.name is not None:
-            raise CLIError(f"examples run takes {args.name!r} or --all, not both")
-        names = fixtures.fixture_names()
-    elif args.name:
-        names = [args.name]
-    else:
-        raise CLIError("examples run needs a fixture name or --all")
+    names = fixtures.fixture_names() if args.all else [args.name]
     lines = []
     any_failed = False
     for name in names:
@@ -397,10 +385,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    target = argparse.ArgumentParser(add_help=False)
-    target.add_argument("pencil", nargs="?", help="pencil description (JSON)")
-    target.add_argument("--fixture", help="use a named fixture instead of a JSON file")
-    target.add_argument("--out", help="write output to a file instead of stdout")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="write output to a file instead of stdout")
+    target = argparse.ArgumentParser(add_help=False, parents=[output])
+    source = target.add_mutually_exclusive_group(required=True)
+    source.add_argument("pencil", nargs="?", help="pencil description (JSON)")
+    source.add_argument("--fixture", help="use a named fixture instead of a JSON file")
     windowed = argparse.ArgumentParser(add_help=False, parents=[target])
     windowed.add_argument(
         "--n", type=_int_at_least(1), default=8, help="section window size (default 8)"
@@ -409,24 +399,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("analyze", parents=[windowed], help="structure and classification summary")
 
     sp = sub.add_parser("spectra", parents=[windowed], help="sigma_min classification grid (CSV)")
-    sp.add_argument("--rect", default="-2,2,-2,2", help="re_min,re_max,im_min,im_max")
-    sp.add_argument("--steps", default="9,9", help="n_re,n_im (>= 2 each)")
+    sp.add_argument("--rect", type=_list_of(_finite_float, 4), default="-2,2,-2,2",
+                    help="re_min,re_max,im_min,im_max")
+    sp.add_argument("--steps", type=_list_of(_int_at_least(2), 2), default="9,9",
+                    help="n_re,n_im (>= 2 each)")
 
     sp = sub.add_parser(
         "chains", parents=[windowed], help="singular chain extraction report (JSON)"
     )
     sp.add_argument("--tol", type=_finite_float)
 
-    sp = sub.add_parser("approx", help="approximate polynomial sequence residuals (CSV)")
+    sp = sub.add_parser("approx", parents=[output],
+                        help="approximate polynomial sequence residuals (CSV)")
     sp.add_argument("--fixture", required=True)
-    sp.add_argument("--probes", default="0,1,-1,1+1i")
-    sp.add_argument("--n-values", type=_positive_int_list, default="1,2,3,4,5,6", dest="n_values")
-    sp.add_argument("--out")
+    sp.add_argument("--probes", type=_list_of(_finite_complex, None), default="0,1,-1,1+1i")
+    sp.add_argument("--n-values", type=_list_of(_int_at_least(1), None), default="1,2,3,4,5,6",
+                    dest="n_values")
 
     sp = sub.add_parser(
         "distance", parents=[target], help="stacked sigma_min sweep over sections (CSV)"
     )
-    sp.add_argument("--sections", type=_positive_int_list, default="2,4,8,16")
+    sp.add_argument("--sections", type=_list_of(_int_at_least(1), None), default="2,4,8,16")
 
     sp = sub.add_parser(
         "dh-check", parents=[windowed], help="dissipative-Hamiltonian structure report"
@@ -437,20 +430,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="use the fixture's dissipative companion pencil when it has one",
     )
 
-    sp = sub.add_parser("simulate", help="trajectory with residual columns (CSV)")
+    sp = sub.add_parser("simulate", parents=[output], help="trajectory with residual columns (CSV)")
     sp.add_argument("--fixture", required=True)
     sp.add_argument("--order", type=_series_order, default=10,
                     help="series truncation order (>= 2)")
     sp.add_argument("--t-max", type=_finite_float, default=1.0, dest="t_max")
     sp.add_argument("--samples", type=_int_at_least(1), default=11)
     sp.add_argument("--window", type=_int_at_least(0), default=8, help="state coordinates to print")
-    sp.add_argument("--out")
 
     sp = sub.add_parser("examples", help="list fixtures or run their check suites")
-    sp.add_argument("action", choices=["list", "run"])
-    sp.add_argument("name", nargs="?", help="fixture name for `run`")
-    sp.add_argument("--all", action="store_true", help="run every fixture")
-    sp.add_argument("--out")
+    actions = sp.add_subparsers(dest="action", required=True)
+    actions.add_parser("list", parents=[output], help="list the fixtures")
+    sp = actions.add_parser("run", parents=[output], help="run fixture check suites")
+    which = sp.add_mutually_exclusive_group(required=True)
+    which.add_argument("name", nargs="?", help="fixture name")
+    which.add_argument("--all", action="store_true", help="run every fixture")
 
     return ap
 

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -22,6 +24,7 @@ from pencilkit import (
 from pencilkit import cli, linalg, odae
 from pencilkit.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -53,13 +56,19 @@ def test_examples_run_single(capsys):
 def test_examples_list_rejects_a_fixture_name(capsys, stray):
     code, out, err = _run(capsys, "examples", "list", stray)
     assert code == EXIT_INPUT and out == ""
-    assert "examples list takes no fixture name or --all" in err
+    assert f"unrecognized arguments: {stray}" in err
 
 
 def test_examples_run_rejects_a_name_with_all(capsys):
     code, out, err = _run(capsys, "examples", "run", "bogus", "--all")
     assert code == EXIT_INPUT and out == ""
-    assert "'bogus' or --all, not both" in err
+    assert "argument --all: not allowed with argument name" in err
+
+
+def test_examples_run_needs_a_name_or_all(capsys):
+    code, out, err = _run(capsys, "examples", "run")
+    assert code == EXIT_INPUT and out == ""
+    assert "one of the arguments name --all is required" in err
 
 
 def test_examples_run_unknown_fixture(capsys):
@@ -79,6 +88,20 @@ def test_unknown_fixture_message_is_not_quoted(capsys, argv):
 def test_missing_file_is_input_error(capsys):
     code, _, err = _run(capsys, "analyze", "/does/not/exist.json")
     assert code == EXIT_INPUT and "file not found" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectra", "chains", "distance", "dh-check"])
+def test_file_and_fixture_exclude_each_other(capsys, command):
+    # neither is ignored: the FILE need not even exist for the refusal
+    code, out, err = _run(capsys, command, "/does/not/exist.json", "--fixture", "kronecker_L")
+    assert code == EXIT_INPUT and out == ""
+    assert "argument --fixture: not allowed with argument pencil" in err
+
+
+def test_file_or_fixture_is_required(capsys):
+    code, out, err = _run(capsys, "analyze")
+    assert code == EXIT_INPUT and out == ""
+    assert "one of the arguments pencil --fixture is required" in err
 
 
 @pytest.mark.parametrize(
@@ -286,7 +309,7 @@ def test_series_order_help_states_the_bound(capsys):
 def test_non_finite_probe_is_input_error(capsys):
     code, out, err = _run(capsys, "approx", "--fixture", "approxchain", "--probes", "nan,1")
     assert code == EXIT_INPUT and out == ""
-    assert err == "error: non-finite complex number 'nan'\n"
+    assert "argument --probes: must be finite, got 'nan'" in err
 
 
 @pytest.mark.parametrize(
@@ -326,7 +349,10 @@ def test_distance_offers_no_window_option(capsys):
     # distance sizes its sections with --sections; a --n would be ignored
     code, out, err = _run(capsys, "distance", "--fixture", "kronecker_L", "--n", "4")
     assert code == EXIT_INPUT and out == ""
-    assert "unrecognized arguments: --n" in err
+    assert "argument pencil: not allowed with argument --fixture" in err  # the stray 4
+    code, out, err = _run(capsys, "distance", "--fixture", "kronecker_L", "--n=4")
+    assert code == EXIT_INPUT and out == ""
+    assert "unrecognized arguments: --n=4" in err
 
 
 @pytest.mark.parametrize("steps", ["1,1", "2,1", "0,5"])
@@ -337,7 +363,45 @@ def test_spectra_steps_below_two_rejected_before_section(capsys, monkeypatch, st
     monkeypatch.setattr("pencilkit.sections.section", no_section)
     code, out, err = _run(capsys, "spectra", "--fixture", "kronecker_L", "--steps", steps)
     assert code == EXIT_INPUT and out == ""
-    assert err == f"error: --steps needs at least 2 per axis, got '{steps}'\n"
+    first_bad = next(x for x in steps.split(",") if int(x) < 2)
+    assert f"argument --steps: must be at least 2, got '{first_bad}'" in err
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--steps", "3", "needs 2 integer values, got '3'"),
+    ("--steps", "3,3,3", "needs 2 integer values, got '3,3,3'"),
+    ("--steps", "3,x", "invalid int value: 'x'"),
+    ("--rect", "0,1,0", "needs 4 float values, got '0,1,0'"),
+    ("--rect", ",", "empty float list"),
+])
+def test_spectra_grid_shape_is_argparse_error(capsys, option, value, message):
+    code, out, err = _run(capsys, "spectra", "--fixture", "kronecker_L", f"{option}={value}")
+    assert code == EXIT_INPUT and out == ""
+    assert f"argument {option}: {message}" in err
+
+
+def test_commands_take_arguments_as_the_parser_checked_them():
+    # ``_build_parser`` is the one place that knows an argument's shape; a command body
+    # that splits an option or converts an ``args`` attribute checks it a second time,
+    # with a second message format.
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    hits = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "split":
+                hits.append(f"{fn.name}:{node.lineno}")
+            elif isinstance(func, ast.Name) and func.id in {"float", "int", "complex"} and any(
+                isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "args"
+                for arg in node.args for sub in ast.walk(arg)
+            ):
+                hits.append(f"{fn.name}:{node.lineno}")
+    assert hits == []
 
 
 def test_deeply_nested_json_is_input_error(capsys, tmp_path):
@@ -354,7 +418,7 @@ def test_non_finite_rect_is_input_error_without_warnings(capsys, pencil_file, re
         warnings.simplefilter("always")
         code, out, err = _run(capsys, "spectra", pencil_file, f"--rect={rect}")
     assert code == EXIT_INPUT and out == ""
-    assert err == "error: --rect needs 4 finite reals and --steps 2 integers\n"
+    assert f"argument --rect: must be finite, got '{rect.split(',')[0]}'" in err
     assert [str(w.message) for w in caught] == []
 
 
@@ -492,12 +556,60 @@ def test_vector_svd_commands_leave_scipy_linalg_unimported(tmp_path):
     assert out.stdout.splitlines() == [f"{c[0]} 0 False" for c in commands]
 
 
+def _readme_module_table():
+    """README's table of the pencilkit modules each command runs, and its --fixture rule.
+
+    Returns ``{command: (modules, {condition: modules})}`` with "those of `X`"
+    resolved, and ``(added, removed, {condition: modules})`` for a FILE command
+    given ``--fixture`` instead.
+    """
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    table = text.split("| command | pencilkit modules |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rule = re.search(r"With `--fixture` in place of `FILE`, (.*?\))", text, re.S).group(1)
+
+    def modules(cell: str):
+        always, when = set(), {}
+        for clause in re.split(r"[,;] ", " ".join(cell.split())):
+            clause = clause.removeprefix("and ")
+            names = re.findall(r"`(\w+)`", clause.split(" for ")[0])
+            if clause.startswith("those of "):
+                always |= resolved[names[0]][0]
+            elif " for " in clause:
+                when[clause.split(" for ", 1)[1]] = set(names)
+            else:
+                always |= set(names)
+        return always, when
+
+    resolved = {}
+    for row in table.splitlines():
+        command, cell = re.fullmatch(r"\| `([^`]+)` \| (.*) \|", row).groups()
+        resolved[command.removesuffix(" FILE")] = modules(cell)
+    replaced = re.match(r"`(\w+)` replaces `(\w+)`, and the builder adds what it uses \((.*)\)",
+                        " ".join(rule.split()))
+    fixture_rule = ({replaced.group(1)}, {replaced.group(2)}, modules(replaced.group(3))[1])
+    return resolved, fixture_rule
+
+
+def _expected_modules(argv, facts) -> set:
+    """README's modules for ``argv``; a condition holds when it names one of ``facts``."""
+    table, (added, removed, builder) = _readme_module_table()
+    words = argv[:2] if argv[0] == "examples" else argv[:1]
+    key = " ".join(words) + (" --fixture F" if argv[0] in ("approx", "simulate") else "")
+    always, when = table[key]
+    if "--fixture" in argv and key == argv[0]:  # a FILE command given a fixture
+        always = always - removed | added
+        when = {**when, **builder}
+    return always.union(*(mods for cond, mods in when.items() if any(f in cond for f in facts)))
+
+
 def test_commands_load_only_the_pencilkit_modules_they_run(tmp_path):
     rng = np.random.default_rng(0)
     sp = finite(6)
-    regular = str(tmp_path / "regular.json")
+    regular, with_dh = str(tmp_path / "regular.json"), str(tmp_path / "dh.json")
     save_pencil(Pencil(E=DenseBlock(sp, sp, rng.standard_normal((6, 6))),
                        A=DenseBlock(sp, sp, rng.standard_normal((6, 6)))), regular)
+    save_pencil(pencilkit.get_fixture("stokes_skeleton").build()["pencil"], with_dh)
     # Every module sits in sys.modules from the package import on; one whose
     # code has not run yet still has LazyLoader's module type.
     code = (
@@ -519,23 +631,23 @@ def test_commands_load_only_the_pencilkit_modules_they_run(tmp_path):
         assert out.returncode == 0, out.stderr
         return {m.removeprefix("pencilkit.") for m in json.loads(out.stdout)}
 
-    from_file = {"serialize", "operators", "sparsevec", "sections", "linalg"}
-    from_fixture = {"fixtures", "operators", "sparsevec", "sections", "linalg"}
-    simulate = {"fixtures", "operators", "sparsevec", "odae", "sections"}
-    expected = [
-        ((), set()),
-        (("examples", "list"), {"fixtures", "operators", "sparsevec"}),
-        (("spectra", regular, "--n", "6", "--steps", "3,3"), from_file | {"spectra"}),
-        (("chains", regular, "--n", "6"), from_file | {"chains"}),
-        (("analyze", regular, "--n", "6"), from_file | {"spectra", "chains"}),
-        (("distance", "--fixture", "diag_reciprocal"), from_fixture),
-        (("dh-check", "--fixture", "stokes_skeleton"), from_fixture | {"dh"}),
-        (("approx", "--fixture", "approxchain"), from_fixture | {"approx", "chains"}),
-        (("simulate", "--fixture", "shift_identity"), simulate),
-        (("simulate", "--fixture", "poroelasticity_template"), simulate | {"linalg"}),
+    assert loaded() == {"cli"}
+    # each command with the README conditions that its input meets
+    cases = [
+        (("examples", "list"), ()),
+        (("spectra", regular, "--n", "6", "--steps", "3,3"), ()),
+        (("chains", regular, "--n", "6"), ()),
+        (("analyze", regular, "--n", "6"), ()),
+        (("analyze", with_dh, "--n", "6"), ("dH data",)),
+        (("distance", "--fixture", "diag_reciprocal"), ()),
+        (("distance", "--fixture", "shift_identity"), ("shift_identity",)),
+        (("dh-check", "--fixture", "stokes_skeleton"), ()),
+        (("approx", "--fixture", "approxchain"), ()),
+        (("simulate", "--fixture", "shift_identity"), ()),
+        (("simulate", "--fixture", "poroelasticity_template"), ("poroelasticity_template",)),
     ]
-    for argv, modules in expected:
-        assert loaded(*argv) == {"cli"} | modules, argv
+    for argv, facts in cases:
+        assert loaded(*argv) == {"cli"} | _expected_modules(argv, facts), argv
 
 
 @pytest.mark.skipif(
