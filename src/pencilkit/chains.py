@@ -19,7 +19,6 @@ infinite object.  The tolerance factors sit in the verdict table of ``linalg``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,22 +95,13 @@ class VectorPolynomial:
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Extracted singular chain with per-link residual norms."""
+    """Extracted singular chain with per-link residual norms on the section's stored matrices."""
 
     side: str
     chain: tuple[np.ndarray, ...]
     minimal_index: int
     residuals: tuple[float, ...]
     window_indices: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "side": self.side,
-            "minimal_index": self.minimal_index,
-            "residuals": list(self.residuals),
-            "window_indices": list(self.window_indices),
-            "vectors": [[[z.real, z.imag] for z in v] for v in self.chain],
-        }
 
 
 def _chain_system(E: np.ndarray, A: np.ndarray, d: int) -> np.ndarray:
@@ -187,11 +177,8 @@ def _scan_degrees(E: np.ndarray, A: np.ndarray, thr: float):
 
 
 def _link_residuals(E: np.ndarray, A: np.ndarray, chain: list[np.ndarray]) -> list[float]:
-    res = [float(linalg.vector_norm(A @ chain[0]))]
-    for j in range(1, len(chain)):
-        res.append(float(linalg.vector_norm(A @ chain[j] - E @ chain[j - 1])))
-    res.append(float(linalg.vector_norm(E @ chain[-1])))
-    return res
+    links = [A @ chain[0], *(A @ chain[j] - E @ chain[j - 1] for j in range(1, len(chain)))]
+    return [float(np.linalg.norm(v)) for v in (*links, E @ chain[-1])]
 
 
 def extract_right_chain(s: SectionedPencil, tol: float = linalg.TOL_CHAIN) -> ChainReport | None:
@@ -200,7 +187,7 @@ def extract_right_chain(s: SectionedPencil, tol: float = linalg.TOL_CHAIN) -> Ch
     Returns None for regular sections.  Link residuals are bounded by
     tol * (||E|| + ||A||); chain vectors are checked for linear
     independence at the same scale.  ``tol`` must be finite and
-    nonnegative, and the scale and thr finite (ValueError otherwise).
+    nonnegative, and thr finite (ValueError otherwise).
 
     Degree d is accepted when sigma_min(T_d) <= thr = tol * scale, with
     scale = ||E||_2 + ||A||_2 (or 1 if 0).  Two rules skip degrees that cannot be:
@@ -262,7 +249,7 @@ def extract_right_chain(s: SectionedPencil, tol: float = linalg.TOL_CHAIN) -> Ch
         if svals[-1] > thr:
             continue
         chain = [null[j * k : (j + 1) * k] for j in range(d + 1)]
-        norm = max(linalg.vector_norm(v) for v in chain)
+        norm = max(np.linalg.norm(v) for v in chain)
         chain = [v / norm for v in chain]
         stackmat = np.column_stack(chain)
         indep = linalg.singular_values(stackmat)[-1] if d > 0 else np.linalg.norm(chain[0])
@@ -314,7 +301,7 @@ def verify_singular_polynomial(
 
     For a degree-k polynomial, k+2 distinct probes certify identical
     vanishing, since a nonzero vector polynomial of degree <= k+1 cannot
-    have k+2 roots.
+    have k+2 roots.  A section is read through its stored E and A.
     """
     if q.is_zero:
         raise ValueError("zero polynomial")
@@ -325,28 +312,18 @@ def verify_singular_polynomial(
     if not probes:
         raise ValueError("probes must be nonempty")
 
-    if isinstance(target, SectionedPencil):
-        sec = target.adjoint() if side == "left" else target
-        pos = {j: i for i, j in enumerate(sec.window_in.indices)}
-        worst = 0.0
-        for lam in probes:
-            val = q.evaluate(lam)
-            x = np.zeros(sec.window_in.dim, dtype=complex)
-            for j, c in val.items():
-                if j not in pos:
-                    raise ValueError(f"polynomial support index {j} outside section window")
-                x[pos[j]] = c
-            # exact power-of-two scalings keep the product finite until its norm
-            mat = sec.evaluate(lam)
-            em, ex = (max(0, math.frexp(np.abs(a).max(initial=0.0))[1]) for a in (mat, x))
-            res = linalg.vector_norm((mat * 2.0**-em) @ (x * 2.0**-ex))
-            worst = max(worst, float(np.ldexp(res, em + ex)))
-        return worst
-
-    pencil = target.adjoint() if side == "left" else target
+    target = target.adjoint() if side == "left" else target
+    if not isinstance(target, SectionedPencil):
+        return max(0.0, *(vec_norm(target.evaluate_action(lam, q.evaluate(lam))) for lam in probes))
+    pos = {j: i for i, j in enumerate(target.window_in.indices)}
     worst = 0.0
     for lam in probes:
-        worst = max(worst, vec_norm(pencil.evaluate_action(lam, q.evaluate(lam))))
+        x = np.zeros(target.window_in.dim, dtype=complex)
+        for j, c in q.evaluate(lam).items():
+            if j not in pos:
+                raise ValueError(f"polynomial support index {j} outside section window")
+            x[pos[j]] = c
+        worst = max(worst, float(np.linalg.norm(target.evaluate(lam) @ x)))
     return worst
 
 

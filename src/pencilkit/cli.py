@@ -18,7 +18,8 @@ argument, and its errors read ``argument --X: ...`` (exit 2): numeric options
 ``simulate --order`` at least 2, and ``spectra --steps`` at least 2 per axis.
 A pencil FILE and ``--fixture`` exclude each other, one of them is required,
 and ``examples run`` takes a fixture NAME or ``--all``.  The ``_cmd_*``
-functions receive checked values.
+functions receive checked values, and print values computed on a section in
+the input's units through ``_fmt_unscaled`` (one that overflows is exit 2).
 """
 
 from __future__ import annotations
@@ -154,6 +155,11 @@ def _list_of(item, count: int | None):
     return parse
 
 
+def _fmt_unscaled(s: sections.SectionedPencil, value: float, name: str) -> str:
+    """``value``, computed on the stored matrices of ``s``, formatted in the input's units."""
+    return sparsevec._fmt(s.unscaled(value, name))
+
+
 def _emit(lines, out_path: str | None):
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -179,11 +185,10 @@ def _cmd_analyze(args) -> int:
     for lam in (0.0, 1.0, 1.0j, spectra.INFINITY):
         pc = spectra.classify_point(s, lam)
         label = "inf" if lam == spectra.INFINITY else f"{complex(lam).real:g}{complex(lam).imag:+g}i"
-        lines.append(
-            f"lambda={label}: sigma_min={sparsevec._fmt(pc.sigma_min)} verdict={pc.verdict}"
-        )
+        smin = _fmt_unscaled(s, pc.sigma_min, f"sigma_min at lambda={label}")
+        lines.append(f"lambda={label}: sigma_min={smin} verdict={pc.verdict}")
     cert = sections.distance_to_singularity_bound(s)
-    lines.append(f"stacked sigma_min certificate: {sparsevec._fmt(cert.value)}")
+    lines.append("stacked sigma_min certificate: " + _fmt_unscaled(s, cert.value, "certificate"))
     rep = chains.extract_right_chain(s)
     if rep is None:
         lines.append("right singular chain: none (section is regular)")
@@ -210,7 +215,8 @@ def _cmd_spectra(args) -> int:
     for pc in spectra.spectra_grid(s, args.rect, args.steps):
         lam = complex(pc.lam)
         lines.append(f"{sparsevec._fmt(lam.real)},{sparsevec._fmt(lam.imag)},"
-                     f"{sparsevec._fmt(pc.sigma_min)},{sparsevec._fmt(pc.sigma_min_adjoint)},"
+                     f"{_fmt_unscaled(s, pc.sigma_min, f'sigma_min at {lam}')},"
+                     f"{_fmt_unscaled(s, pc.sigma_min_adjoint, f'sigma_min_adjoint at {lam}')},"
                      f"{pc.verdict}")
     _emit(lines, args.out)
     return EXIT_OK
@@ -220,20 +226,20 @@ def _cmd_chains(args) -> int:
     p, notes = _target_pencil(args)
     s = sections.section(p, args.n)
     report: dict = {"window_n": args.n, "notes": list(notes)}
-    for side, extract in (
-        ("right", chains.extract_right_chain),
-        ("left", chains.extract_left_chain),
-    ):
+    extractors = {"right": chains.extract_right_chain, "left": chains.extract_left_chain}
+    for side, extract in extractors.items():
         rep = extract(s, linalg.TOL_CHAIN if args.tol is None else args.tol)
         if rep is None:
             report[side] = None
             continue
-        entry = rep.to_json()
-        poly = chains.chain_to_polynomial(rep)
-        entry["verify_residual"] = chains.verify_singular_polynomial(
-            s, poly, side=side
-        )
-        report[side] = entry
+        check = chains.verify_singular_polynomial(s, chains.chain_to_polynomial(rep), side=side)
+        report[side] = {
+            "side": side, "minimal_index": rep.minimal_index,
+            "residuals": [s.unscaled(r, f"{side} chain residual") for r in rep.residuals],
+            "verify_residual": s.unscaled(check, f"{side} verify_residual"),
+            "window_indices": list(rep.window_indices),
+            "vectors": [[[z.real, z.imag] for z in v] for v in rep.chain],
+        }
     _emit([json.dumps(report, sort_keys=True, allow_nan=False)], args.out)
     return EXIT_OK
 
@@ -274,7 +280,8 @@ def _cmd_distance(args) -> int:
         s = sections.section(p, n)
         cert = sections.distance_to_singularity_bound(s)
         center = _witness_support_center(cert, s.window_in)
-        lines.append(f"{n},{sparsevec._fmt(cert.value)},{sparsevec._fmt(center)}")
+        value = _fmt_unscaled(s, cert.value, f"stacked sigma_min at n={n}")
+        lines.append(f"{n},{value},{sparsevec._fmt(center)}")
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -287,26 +294,32 @@ def _cmd_dh_check(args) -> int:
         raise CLIError("pencil carries no dissipative-Hamiltonian metadata")
     mats = dh.dh_section_mats(sections.section(target, args.n), target.dh)
     rep = dh.classify_mats(mats, None)
+    s = mats.section
+
+    def margin(label: str, value: float) -> str:
+        return f"  {label}: {_fmt_unscaled(s, value, label.strip())}"
+
     lines = [f"note: {n}" for n in notes]
     d = rep.diagnostics
     lines += [
         f"structure: {'ok' if d.structure_ok else 'VIOLATED'}",
-        f"  Q*E selfadjoint defect : {sparsevec._fmt(d.qe_selfadjoint_defect)}",
-        f"  Q*E smallest eigenvalue: {sparsevec._fmt(d.qe_min_eig)}",
-        f"  sym(B) largest eigenvalue: {sparsevec._fmt(d.b_sym_max_eig)}",
+        margin("Q*E selfadjoint defect ", d.qe_selfadjoint_defect),
+        margin("Q*E smallest eigenvalue", d.qe_min_eig),
+        margin("sym(B) largest eigenvalue", d.b_sym_max_eig),
         f"  sigma_min(Q)           : {sparsevec._fmt(d.q_sigma_min)}",
     ]
     if d.j_skew_defect is not None:
-        lines.append(f"  J skew defect          : {sparsevec._fmt(d.j_skew_defect)}")
+        lines.append(margin("J skew defect          ", d.j_skew_defect))
     if d.r_min_eig is not None:
-        lines.append(f"  R smallest eigenvalue  : {sparsevec._fmt(d.r_min_eig)}")
+        lines.append(margin("R smallest eigenvalue  ", d.r_min_eig))
     lines += [
         f"common kernel dimension: {rep.common_kernel_dim}",
-        f"stacked sigma_min      : {sparsevec._fmt(rep.stacked_sigma_min)}",
+        f"stacked sigma_min      : {_fmt_unscaled(s, rep.stacked_sigma_min, 'stacked sigma_min')}",
         "probe sigma_min:",
     ]
     for lam, sv in dh.probe_sigma_min(mats):
-        lines.append(f"  {sparsevec._fmt(lam.real)}{lam.imag:+.17g}i : {sparsevec._fmt(sv)}")
+        label = f"{sparsevec._fmt(lam.real)}{lam.imag:+.17g}i"
+        lines.append(f"  {label} : {_fmt_unscaled(s, sv, 'probe sigma_min at ' + label)}")
     lines += [
         f"classification: {rep.classification}",
         "maximal dissipativity is automatic in finite dimensions (reported, not tested)",

@@ -56,9 +56,10 @@ class DHSectionMats:
 def dh_section_mats(s: SectionedPencil, dh: DHStructure) -> DHSectionMats:
     """Compress the dH factors onto the section's window.
 
-    BQ is formed as the product of the compressed factors; the compression
-    of the product can differ, and the mismatch against A is surfaced in
-    the diagnostics.  Every dH check works on the result, so a caller
+    B, J and R are taken to the section's stored units and Q is not, since
+    A = BQ.  BQ is the product of the compressed factors, which can differ
+    from the compressed product; the mismatch against A is surfaced in the
+    diagnostics.  Every dH check works on the result, so a caller
     compresses each section once.
     """
     if dh is None:
@@ -66,10 +67,10 @@ def dh_section_mats(s: SectionedPencil, dh: DHStructure) -> DHSectionMats:
     if not s.is_square or s.window_in.indices != s.window_out.indices:
         raise ValueError("dH checks need a square section on a common window")
     w = s.window_in
-    B = operator_matrix(dh.B, w, w)
+    B = s.stored(operator_matrix(dh.B, w, w))
     Q = operator_matrix(dh.Q, w, w)
-    J = operator_matrix(dh.J, w, w) if dh.J is not None else None
-    R = operator_matrix(dh.R, w, w) if dh.R is not None else None
+    J = s.stored(operator_matrix(dh.J, w, w)) if dh.J is not None else None
+    R = s.stored(operator_matrix(dh.R, w, w)) if dh.R is not None else None
     return DHSectionMats(section=s, B=B, Q=Q, BQ=B @ Q, J=J, R=R)
 
 
@@ -219,7 +220,8 @@ def dh_classify(
 ) -> DHReport:
     """Classify a dH section: point_singular / approx_singular_evidence / regular_candidate.
 
-    One values-only SVD of the stack [E; BQ] gives ``stacked_sigma_min``.
+    One values-only SVD of the stack [E; BQ] gives ``stacked_sigma_min``, in
+    the section's stored units; ``tol_ap`` is in the units of the pencil.
     The common kernel (``dh_common_kernel``, a vector SVD of the same stack)
     is computed only when that sigma_min is at most
     ``linalg.screen_margin(rank_tol, rank_tol)``; above it the kernel, which
@@ -234,13 +236,12 @@ def classify_mats(mats: DHSectionMats, tol_ap: float | None) -> DHReport:
     stacked = np.vstack([mats.section.E_mat, mats.BQ])
     svals = linalg.svdvals(stacked)
     stacked_smin = float(svals[-1])
-    # the kernel gate's scale, which can overflow where ||E||_2 and ||BQ||_2 do not
     rt = linalg.rank_tol(stacked.shape, linalg.finite_scale("dH sigma_max([E; BQ])", float(svals[0])))
     if stacked_smin <= linalg.screen_margin(rt, rt):
         kdim, basis = dh_common_kernel(mats)
     else:
         kdim, basis = 0, np.zeros((stacked.shape[1], 0), dtype=stacked.dtype)
-    ta = tol_ap if tol_ap is not None else linalg.TOL_APPROX * diag.scale
+    ta = linalg.TOL_APPROX * diag.scale if tol_ap is None else mats.section.stored(tol_ap)
     if kdim >= 1:
         classification = "point_singular"
     elif stacked_smin <= ta:

@@ -2,7 +2,8 @@
 
 Every factorization in the package goes through this module, and it is the
 only one that names scipy: singular values and vectors, nullspaces, matrix
-2-norms, eigenvalues, matrix exponentials and solves.
+2-norms, eigenvalues, matrix exponentials and solves.  No kernel rescales its
+input: ``sections`` stores each section with its largest entry in range.
 
 - Values only: ``svdvals`` and ``singular_values`` run
   ``numpy.linalg.svd`` without vectors, at every size.  They keep scipy's
@@ -34,9 +35,6 @@ only one that names scipy: singular values and vectors, nullspaces, matrix
   the values and ``Vh`` are bitwise equal; only Q and Q·U, which nothing
   reads, are no longer formed.  Below two rows per column the answers
   differ in the last digits, so the threshold stays at 2.
-- ``vector_norm`` is ``numpy.linalg.norm`` of a vector whose entries stay
-  below 1e150, bitwise; a larger vector is scaled by a power of two first,
-  so the norm of a finite vector overflows only when the norm itself does.
 - ``norm2``, ``eigvalsh``, ``eigh`` and ``standard_eigvals`` pass through
   to ``numpy.linalg``, and ``poly_roots`` to ``numpy.roots`` (an
   eigenvalue solve of the companion matrix), looked up at each call, so
@@ -56,8 +54,6 @@ import numpy as np
 EPS = 2.0**-52
 # Vector SVDs of matrices with at most this many entries run on numpy.
 NUMPY_CAP = 2**18
-# vector_norm rescales a vector with an entry this large before squaring.
-VECTOR_NORM_SAFE = 1e150
 
 
 def _scipy_linalg():
@@ -93,7 +89,8 @@ def screen_margin(thr: float, rt: float) -> float:
 def finite_scale(name: str, value: float) -> float:
     """``value``, or a ValueError naming the scale ``name`` when it is not finite.
 
-    A threshold formed from an infinite scale would call everything small.
+    A threshold formed from an infinite scale would call everything small.  Sections are
+    stored in range, so such a scale comes from a caller's lambda, tolerance or dH factor Q.
     """
     if not np.isfinite(value):
         raise ValueError(f"scale {name} = {value} is not finite: the input is too large")
@@ -163,19 +160,6 @@ def norm2(mat: np.ndarray) -> float:
     if mat.size and not mat.any():
         return np.float64(0.0)
     return np.linalg.norm(mat, 2)
-
-
-def vector_norm(x: np.ndarray) -> float:
-    """Euclidean norm of a vector: ``numpy.linalg.norm(x)`` while max |x_i| < 1e150.
-
-    From 1e150 on, ``x`` is divided by a power of two near max |x_i| before
-    the sum of squares, which then cannot overflow.
-    """
-    big = np.abs(x).max(initial=0.0)
-    if not VECTOR_NORM_SAFE <= big < np.inf:
-        return np.linalg.norm(x)
-    e = int(np.frexp(big)[1])
-    return np.ldexp(np.linalg.norm(x * 2.0**-e), e)
 
 
 def eigvalsh(mat: np.ndarray) -> np.ndarray:

@@ -341,7 +341,7 @@ def power_balance_residual(
 @dataclass
 class UniquenessReport:
     kernel_dim: int
-    margin: float
+    margin: float  # sigma_min([E; BQ]) of the section, in the pencil's units
     trajectories: list[Trajectory] = field(default_factory=list)
     max_distance: float = 0.0
     mild_residuals: list[float] = field(default_factory=list)
@@ -373,8 +373,9 @@ def uniqueness_demo(
     kdim = rep.common_kernel_dim
     times = np.asarray(list(t_grid), dtype=float)
     indices = s.window_in.indices
+    margin = s.unscaled(rep.stacked_sigma_min, "uniqueness margin")
     if kdim == 0:
-        return UniquenessReport(kernel_dim=0, margin=rep.stacked_sigma_min)
+        return UniquenessReport(kernel_dim=0, margin=margin)
     if vec_norm(x0) > 0:
         raise ValueError("non-uniqueness demo supports x0 = 0 only")
     v = {j: complex(c) for j, c in zip(indices, rep.kernel_basis[:, 0]) if c != 0}
@@ -387,7 +388,7 @@ def uniqueness_demo(
     )
     return UniquenessReport(
         kernel_dim=kdim,
-        margin=rep.stacked_sigma_min,
+        margin=margin,
         trajectories=[zero_traj, drift_traj],
         max_distance=float(dist),
         mild_residuals=[float(r0.max()), float(r1.max())],

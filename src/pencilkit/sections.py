@@ -6,12 +6,14 @@ for l2Z.  l2Z windows are stored in the interleaved order 0, -1, 1, -2, 2,
 ... so that nested windows are storage prefixes of one another; the window
 object records both storage and logical orderings.
 
-A section owns its scale: ``norm`` computes ||E||_2 or ||A||_2 on first use,
-keeps it and shares it with the adjoint, and ``scale`` is their sum, read by
-``chains``; ``dh`` and ``spectra.regularity_disc`` read ||E||_2 and a
-``fixtures`` check ||A||_2.  Lazy, because pointwise verdicts and stacked
-certificates (sweeps up to n = 800) read neither.  A scale that is not
-finite is refused (ValueError).
+A section owns its scale.  Verdicts do not change when lambda E - A is scaled,
+so a section whose largest real or imaginary part lies outside [2^-RANGE,
+2^RANGE] stores E and A divided by the 2^exponent that brings it into [1/2, 1);
+else ``exponent`` is 0 and E and A are kept bit for bit.  ``unscaled`` takes a
+value of the stored matrices to the input's units, ``stored`` a dH factor to
+theirs; no other module does power-of-two arithmetic.  ``norm`` computes
+||E||_2 or ||A||_2 on first use, keeps it and shares it with the adjoint, and
+``scale`` is their sum; lazy, as pointwise verdicts and certificates read neither.
 
 The distance-to-singularity certificate is the smallest singular value of
 the stacked matrix [A; E].  The Frobenius-nearest singular pencil itself is
@@ -21,6 +23,7 @@ window schedule, so does the true distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +41,8 @@ __all__ = [
     "StackedCertificate",
     "window_for",
 ]
+
+RANGE = 100  # stored parts below 2^100 keep the chain check's residual norms finite
 
 
 @dataclass(frozen=True)
@@ -114,18 +119,38 @@ class SectionedPencil:
     window_out: SectionWindow
     E_mat: np.ndarray
     A_mat: np.ndarray
+    exponent: int = field(default=0, init=False)
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        big = max(float(np.abs(part).max(initial=0.0))
+                  for mat in (self.E_mat, self.A_mat) for part in (mat.real, mat.imag))
+        if not 2.0**-RANGE <= big <= 2.0**RANGE:  # 0, inf and nan give exponent 0
+            object.__setattr__(self, "exponent", math.frexp(big)[1])
+            object.__setattr__(self, "E_mat", self.stored(self.E_mat))
+            object.__setattr__(self, "A_mat", self.stored(self.A_mat))
+
+    def stored(self, mat: np.ndarray) -> np.ndarray:
+        """``mat`` / 2^exponent, in two factors that stay normal for a subnormal part (2^1073)."""
+        e = self.exponent
+        return mat * 2.0**-(e // 2) * 2.0**-(e - e // 2) if e else mat
+
+    def unscaled(self, value: float, name: str) -> float:
+        """``value`` of the stored matrices times 2^exponent; ValueError naming it on overflow."""
+        if math.frexp(value)[1] + self.exponent > 1024:
+            raise ValueError(f"{name} = {float(value)!r} * 2^{self.exponent} is too large")
+        return math.ldexp(value, self.exponent)
+
     def norm(self, name: str) -> float:
-        """||E||_2 or ||A||_2 for ``name`` "E" or "A"."""
+        """||E||_2 or ||A||_2 of the stored matrices, for ``name`` "E" or "A"."""
         if name not in self._norms:
             mat = {"E": self.E_mat, "A": self.A_mat}[name]
-            self._norms[name] = linalg.finite_scale(f"||{name}||_2", float(linalg.norm2(mat)))
+            self._norms[name] = float(linalg.norm2(mat))
         return self._norms[name]
 
     @property
     def scale(self) -> float:
-        return linalg.finite_scale("||E||_2 + ||A||_2", self.norm("E") + self.norm("A"))
+        return self.norm("E") + self.norm("A")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -142,25 +167,23 @@ class SectionedPencil:
         return np.vstack([self.A_mat, self.E_mat])
 
     def reverse(self) -> "SectionedPencil":
-        return SectionedPencil(self.window_in, self.window_out, self.A_mat, self.E_mat)
+        rev = SectionedPencil(self.window_in, self.window_out, self.A_mat, self.E_mat)
+        object.__setattr__(rev, "exponent", self.exponent)  # the matrices are stored already
+        return rev
 
     def adjoint(self) -> "SectionedPencil":
         adj = SectionedPencil(self.window_out, self.window_in,
                               self.E_mat.conj().T, self.A_mat.conj().T)
+        object.__setattr__(adj, "exponent", self.exponent)
         object.__setattr__(adj, "_norms", self._norms)  # ||M*||_2 = ||M||_2
         return adj
 
 
 def section(p: Pencil, n: int) -> SectionedPencil:
     """Orthogonal compression of a pencil onto the canonical window of size n."""
-    win_in = window_for(p.space_in, n)
-    win_out = window_for(p.space_out, n)
-    return SectionedPencil(
-        window_in=win_in,
-        window_out=win_out,
-        E_mat=operator_matrix(p.E, win_out, win_in),
-        A_mat=operator_matrix(p.A, win_out, win_in),
-    )
+    win_in, win_out = window_for(p.space_in, n), window_for(p.space_out, n)
+    return SectionedPencil(win_in, win_out, operator_matrix(p.E, win_out, win_in),
+                           operator_matrix(p.A, win_out, win_in))
 
 
 def numerical_rank_tol(mat: np.ndarray) -> float:

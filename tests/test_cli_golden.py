@@ -16,7 +16,9 @@ The commands run in one child process with BLAS pinned to one thread: with
 more threads some chain vectors move in the last digit.  The digests in
 ``tests/data/cli_golden.json`` were recorded under the numpy and scipy
 versions and CPU features stored beside them; elsewhere a last digit may
-move, so the test skips there.
+move, so the test skips there.  The child also records the exponent of
+every section the commands build (``sections`` stores a section far from 1
+divided by 2^exponent); all are 0, so the digests pin sections stored as given.
 
 Regenerate the file after an intended output change with
 ``PYTHONPATH=src python tests/test_cli_golden.py --write``.
@@ -36,6 +38,7 @@ import pytest
 import scipy
 
 import pencilkit
+from pencilkit import sections
 from pencilkit.cli import main
 from pencilkit.fixtures import fixture_names, get_fixture
 
@@ -90,10 +93,18 @@ def _run(argv: list[str]) -> dict:
 
 
 def _record() -> dict:
-    return {
-        "environment": _environment(),
-        "digests": {" ".join(argv): _run(argv) for argv in CASES},
-    }
+    """Environment and digests, and the exponents of the sections built on the way."""
+    exponents = set()
+    post_init = sections.SectionedPencil.__post_init__
+
+    def recorded(self) -> None:
+        post_init(self)
+        exponents.add(self.exponent)
+
+    sections.SectionedPencil.__post_init__ = recorded  # this process runs nothing else
+    digests = {" ".join(argv): _run(argv) for argv in CASES}
+    return {"environment": _environment(), "digests": digests,
+            "section_exponents": sorted(exponents)}
 
 
 @pytest.fixture(scope="module")
@@ -105,14 +116,19 @@ def golden() -> dict:
 
 
 @pytest.fixture(scope="module")
-def current() -> dict:
+def child() -> dict:
     src = os.path.dirname(os.path.dirname(pencilkit.__file__))
     env = {**os.environ, "PYTHONPATH": src, **{v: "1" for v in BLAS_VARS}}
     out = subprocess.run(
         [sys.executable, __file__], capture_output=True, text=True, env=env
     )
     assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout)["digests"]
+    return json.loads(out.stdout)
+
+
+@pytest.fixture(scope="module")
+def current(child) -> dict:
+    return child["digests"]
 
 
 @pytest.mark.parametrize("argv", CASES, ids=[" ".join(a) for a in CASES])
@@ -122,16 +138,19 @@ def test_cli_stdout_matches_golden_digest(argv, golden, current):
     assert current[key] == golden[key]
 
 
+def test_golden_commands_store_every_section_as_given(child):
+    assert child["section_exponents"] == [0]
+
+
 if __name__ == "__main__":
     # Without arguments print the record; with --write store it (BLAS pinned first).
     if "--write" in sys.argv[1:]:
         env = {**os.environ, **{v: "1" for v in BLAS_VARS}}
         out = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
                              env=env, check=True)
+        record = json.loads(out.stdout)
+        del record["section_exponents"]
         GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(
-            json.dumps(json.loads(out.stdout), indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     else:
         print(json.dumps(_record()))

@@ -91,6 +91,46 @@ def test_only_sparsevec_chooses_between_a_plan_and_the_vec_iadd_loop():
     assert hits == []
 
 
+def _power_of_two_arithmetic(tree: ast.AST) -> list[str]:
+    """Functions that call ``frexp`` or ``ldexp`` or multiply by ``2.0 ** k``."""
+
+    def pow2(node: ast.AST) -> bool:
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.left, ast.Constant) and node.left.value == 2)
+
+    hits = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and ast.unparse(node.func).split(".")[-1] in ("frexp", "ldexp")
+                        or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                        and (pow2(node.left) or pow2(node.right))):
+                    hits.add(fn.name)
+    return sorted(hits)
+
+
+def test_only_sections_does_power_of_two_arithmetic():
+    # a section is stored divided by 2^exponent and its values are multiplied back by
+    # ``SectionedPencil.unscaled``; a rescale anywhere else handles the scale a second time
+    folder = os.path.dirname(pencilkit.__file__)
+    hits = []
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py") and name != "sections.py":
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                hits += [f"{name}:{fn}" for fn in _power_of_two_arithmetic(ast.parse(fh.read()))]
+    assert hits == []
+
+
+def test_power_of_two_check_flags_each_form():
+    source = ("def a(x):\n    return math.frexp(x)[1]\n"
+              "def b(x):\n    return np.ldexp(x, 3)\n"
+              "def c(m, e):\n    return m * 2.0**-e\n"
+              "def d(m, e):\n    return 2.0 ** e * m\n"
+              "def ok(m):\n    return m ** 2.0 + 2.0**-52 + m * EPS\n")
+    assert _power_of_two_arithmetic(ast.parse(source)) == ["a", "b", "c", "d"]
+
+
 def test_benchmark_tracer_names_resolve_in_the_package():
     # bench/tracer.py wraps these names for ``--trace 1``; it is parsed, not imported.
     path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
