@@ -167,7 +167,8 @@ def subspace_angle(a: np.ndarray, b: np.ndarray) -> float:
 def dh_kernel_EJR(s: SectionedPencil, dh: DHStructure) -> tuple[int, np.ndarray]:
     """Kernel of E^2 + R^2 - J^2 (Q = I, split supplied); checked against the stack.
 
-    Raises if the structure preconditions fail or if the two kernel
+    With Q = I the Q*E margins of ``verify_dh_structure`` are E's, so its
+    failures are the preconditions.  Raises if they fail or if the two kernel
     computations disagree beyond the subspace angle ``linalg.TOL_KERNEL_ANGLE``.
     """
     if not dh.q_is_identity:
@@ -175,11 +176,9 @@ def dh_kernel_EJR(s: SectionedPencil, dh: DHStructure) -> tuple[int, np.ndarray]
     if not dh.has_split:
         raise ValueError("requires the split B = J - R")
     mats = dh_section_mats(s, dh)
-    diag = verify_dh_structure(mats)
-    e_defect = float(linalg.norm2(s.E_mat - s.E_mat.conj().T))
-    e_min = float(linalg.eigvalsh(_herm(s.E_mat))[0])
-    if diag.failures() or e_defect > diag.tol or e_min < -diag.tol:
-        raise ValueError("structure preconditions fail: " + "; ".join(diag.failures() or ["E not selfadjoint nonnegative"]))
+    failures = verify_dh_structure(mats).failures()
+    if failures:
+        raise ValueError("structure preconditions fail: " + "; ".join(failures))
     m = s.E_mat @ s.E_mat + mats.R @ mats.R - mats.J @ mats.J
     m = _herm(m)
     evals, evecs = linalg.eigh(m)

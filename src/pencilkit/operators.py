@@ -234,20 +234,6 @@ class StructuredOperator(ABC):
             raise IndexError(f"index {j} outside {self.space_in}")
 
 
-class Diagonal(StructuredOperator):
-    def __init__(self, space: Space, weights: WeightRule):
-        self.space_in = self.space_out = space
-        self.weights = weights
-
-    def apply_basis(self, j: int) -> SparseVec:
-        self._check_index(j)
-        w = self.weights(j)
-        return {j: w} if w != 0 else {}
-
-    def adjoint(self) -> "Diagonal":
-        return Diagonal(self.space_in, self.weights.conjugated())
-
-
 class Shift(StructuredOperator):
     """e_j -> w(j) e_{j+offset}; out-of-space targets are dropped."""
 
@@ -270,6 +256,16 @@ class Shift(StructuredOperator):
             -self.offset,
             self.weights.shifted(-self.offset).conjugated(),
         )
+
+
+class Diagonal(Shift):
+    """The shift by 0: e_j -> w(j) e_j."""
+
+    def __init__(self, space: Space, weights: WeightRule):
+        super().__init__(space, 0, weights)
+
+    def adjoint(self) -> "Diagonal":
+        return Diagonal(self.space_in, self.weights.conjugated())
 
 
 class DenseBlock(StructuredOperator):

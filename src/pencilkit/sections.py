@@ -11,9 +11,11 @@ so a section whose largest real or imaginary part lies outside [2^-RANGE,
 2^RANGE] stores E and A divided by the 2^exponent that brings it into [1/2, 1);
 else ``exponent`` is 0 and E and A are kept bit for bit.  ``unscaled`` takes a
 value of the stored matrices to the input's units, ``stored`` a dH factor to
-theirs; no other module does power-of-two arithmetic.  ``norm`` computes
-||E||_2 or ||A||_2 on first use, keeps it and shares it with the adjoint, and
-``scale`` is their sum; lazy, as pointwise verdicts and certificates read neither.
+theirs; no other module does power-of-two arithmetic.  ``reverse`` and
+``adjoint`` are copies that carry the exponent, with no second range scan.
+``norm`` computes ||E||_2 or ||A||_2 on first use, keeps it and shares it with
+the adjoint, and ``scale`` is their sum; lazy, as pointwise verdicts and
+certificates read neither.
 
 The distance-to-singularity certificate is the smallest singular value of
 the stacked matrix [A; E].  The Frobenius-nearest singular pencil itself is
@@ -23,6 +25,7 @@ window schedule, so does the true distance.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -167,15 +170,14 @@ class SectionedPencil:
         return np.vstack([self.A_mat, self.E_mat])
 
     def reverse(self) -> "SectionedPencil":
-        rev = SectionedPencil(self.window_in, self.window_out, self.A_mat, self.E_mat)
-        object.__setattr__(rev, "exponent", self.exponent)  # the matrices are stored already
+        rev = copy.copy(self)  # no __post_init__: the matrices are stored already
+        rev.__dict__.update(E_mat=self.A_mat, A_mat=self.E_mat, _norms={})
         return rev
 
     def adjoint(self) -> "SectionedPencil":
-        adj = SectionedPencil(self.window_out, self.window_in,
-                              self.E_mat.conj().T, self.A_mat.conj().T)
-        object.__setattr__(adj, "exponent", self.exponent)
-        object.__setattr__(adj, "_norms", self._norms)  # ||M*||_2 = ||M||_2
+        adj = copy.copy(self)  # shares the norms, as ||M*||_2 = ||M||_2
+        adj.__dict__.update(window_in=self.window_out, window_out=self.window_in,
+                            E_mat=self.E_mat.conj().T, A_mat=self.A_mat.conj().T)
         return adj
 
 

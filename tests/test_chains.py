@@ -535,3 +535,18 @@ def test_null_basis_spans_the_small_singular_directions(rows, cols):
     _, svals, vh = scipy.linalg.svd(padded, full_matrices=False)
     reference = vh[int(np.sum(svals > 1e-9)) :].conj().T
     assert scipy.linalg.subspace_angles(basis, reference).max() <= 1e-8
+
+
+def test_polynomial_checks_refuse_what_they_cannot_judge():
+    s = section(_kronecker(2), 3)
+    q = VectorPolynomial([basis_vec(1), basis_vec(2)])
+    zero = VectorPolynomial([{}])
+    with pytest.raises(ValueError, match="^zero polynomial$"):
+        verify_singular_polynomial(s, zero, "right")
+    with pytest.raises(ValueError, match="^probes must be nonempty$"):
+        verify_singular_polynomial(s, q, "right", probes=[])
+    outside = VectorPolynomial([basis_vec(4)])
+    with pytest.raises(ValueError, match="^polynomial support index 4 outside section window$"):
+        verify_singular_polynomial(s, outside, "right")
+    with pytest.raises(ValueError, match="^cannot reduce the zero polynomial$"):
+        reduce_polynomial(zero)

@@ -274,6 +274,17 @@ def test_non_finite_chain_tol_is_input_error(capsys, value):
     assert f"argument --tol: must be finite, got '{value}'" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["chains", "--fixture", "kronecker_L", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+    (["approx", "--fixture", "approxchain", "--probes", "1,zz"],
+     "argument --probes: invalid complex value: 'zz'"),
+])
+def test_junk_number_is_input_error(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_INPUT and out == ""
+    assert message in err
+
+
 def test_non_finite_t_max_is_input_error(capsys):
     code, out, err = _run(capsys, "simulate", "--fixture", "shift_identity", "--t-max", "nan")
     assert code == EXIT_INPUT and out == ""

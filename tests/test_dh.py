@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -232,3 +234,65 @@ def test_kernel_screen_boundary(monkeypatch, factor, vector_svds, kdim):
     assert rep.common_kernel_dim == unscreened[0] == kdim
     assert rep.kernel_basis.shape == (4, kdim)
     assert np.array_equal(rep.kernel_basis, unscreened[1])
+
+
+def _dense_dh(e, j, r, q=None) -> Pencil:
+    """lambda E - (J - R) Q on finite(2), Q = I when q is None."""
+    sp = finite(2)
+    e, j, r = (np.array(m, dtype=float) for m in (e, j, r))
+    Q = Identity(sp) if q is None else DenseBlock(sp, sp, np.array(q, dtype=float))
+    b = j - r
+    bq = b if q is None else b @ np.array(q, dtype=float)
+    return Pencil(
+        E=DenseBlock(sp, sp, e),
+        A=DenseBlock(sp, sp, bq),
+        dh=DHStructure(B=DenseBlock(sp, sp, b), Q=Q, J=DenseBlock(sp, sp, j), R=DenseBlock(sp, sp, r)),
+    )
+
+
+_I2, _O2 = np.eye(2), np.zeros((2, 2))
+
+
+_BREAKS_ONE_RULE = {  # B = J - R stays dissipative in each
+    "Q*E not selfadjoint": _dense_dh([[1, 1], [0, 1]], _O2, _I2),
+    "Q*E not nonnegative": _dense_dh([[1, 0], [0, -1]], _O2, _I2),
+    "Q not invertible": _dense_dh(_I2, _O2, _I2, q=[[1, 0], [0, 0]]),
+    "J not anti-selfadjoint": _dense_dh(_I2, [[0, 0.5], [0.5, 0]], _I2),
+    "R not selfadjoint nonnegative": _dense_dh(_I2, _O2, [[1, 1], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("rule", list(_BREAKS_ONE_RULE))
+def test_each_structure_rule_fires_alone(rule):
+    pencil = _BREAKS_ONE_RULE[rule]
+    s = section(pencil, 2)
+    diag = verify_dh_structure(dh_section_mats(s, pencil.dh))
+    assert diag.failures() == [rule] and not diag.structure_ok
+    if rule.startswith("Q*E"):  # Q = I: the Q*E rules are the E preconditions of the kernel formula
+        with pytest.raises(ValueError, match=r"^structure preconditions fail: " + re.escape(rule) + "$"):
+            dh_kernel_EJR(s, pencil.dh)
+
+
+@pytest.mark.parametrize("engineered_kernel", [False, True])
+def test_kernel_EJR_reads_the_structure_margins(monkeypatch, engineered_kernel):
+    # with Q = I the Q*E margins are E's: no norm or eigenvalue beyond those of the structure check
+    calls = []
+    norm2, eigvalsh = linalg.norm2, linalg.eigvalsh
+    monkeypatch.setattr(linalg, "norm2", lambda m: calls.append("norm2") or norm2(m))
+    monkeypatch.setattr(linalg, "eigvalsh", lambda m: calls.append("eigvalsh") or eigvalsh(m))
+    p = _random_dh(9, engineered_kernel=engineered_kernel)
+    verify_dh_structure(dh_section_mats(section(p, 4), p.dh))
+    checked = sorted(calls)
+    calls.clear()
+    dh_kernel_EJR(section(p, 4), p.dh)
+    assert sorted(calls) == checked
+
+
+def test_dh_section_mats_refuses_a_section_it_cannot_compress():
+    p = _random_dh(3)
+    with pytest.raises(ValueError, match="^pencil carries no dissipative-Hamiltonian metadata$"):
+        dh_section_mats(section(p, 4), None)
+    sp, wide = finite(3), finite(2)
+    rect = Pencil(E=DenseBlock(sp, wide, np.ones((2, 3))), A=DenseBlock(sp, wide, np.ones((2, 3))))
+    with pytest.raises(ValueError, match="^dH checks need a square section on a common window$"):
+        dh_section_mats(section(rect, 3), DHStructure(B=Identity(sp), Q=Identity(sp)))

@@ -161,6 +161,22 @@ def test_simpson_matches_reference_loop_bitwise(kind, a, length, tol):
     assert [(j, repr(x)) for j, x in got.items()] == [(j, repr(x)) for j, x in want.items()]
 
 
+def test_simpson_sums_node_values_of_changing_key_order_along_a_plan(monkeypatch):
+    # the node values switch key order at t = 0.5, so no pass can zip one shared order
+    plans = []
+    coordinate_plan = odae.coordinate_plan
+    monkeypatch.setattr(odae, "coordinate_plan", lambda vs: plans.append(len(vs)) or coordinate_plan(vs))
+
+    def fn(t):
+        one, two = math.exp(t), complex(math.sin(3 * t), t**2)
+        return {1: one, 2: two} if t < 0.5 else {2: two, 1: one}
+
+    got = adaptive_simpson_vec(fn, 0.0, 1.0, 1e-10)
+    want = _reference_simpson(fn, 0.0, 1.0, 1e-10)
+    assert plans and plans[0] == 9
+    assert [(j, repr(x)) for j, x in got.items()] == [(j, repr(x)) for j, x in want.items()]
+
+
 # --- chain generators and series solutions -------------------------------
 
 
@@ -195,6 +211,16 @@ def test_generator_rejects_broken_link():
     bad = ChainGenerator(rule=lambda k: basis_vec(k + 1), c=0.1, n0=1)  # E a_1 = e_1 != 0
     with pytest.raises(ValueError):
         bad.validate(p, 3)
+
+
+@pytest.mark.parametrize("rule,message", [
+    (lambda k: {}, "^chain generator is identically zero up to the sampled order$"),
+    (lambda k: basis_vec(k, 1.0 if k <= 2 else 2.0), r"^chain link k=2 violated: defect 1\.000e\+00$"),
+], ids=["all_zero", "broken_link"])
+def test_generator_refusals_name_the_rule(rule, message):
+    p, _ = _shift_identity()
+    with pytest.raises(ValueError, match=message):
+        ChainGenerator(rule=rule, c=0.1, n0=1).validate(p, 3)
 
 
 def test_generator_rejects_growth_violation():

@@ -13,6 +13,7 @@ from pencilkit import (
     L2N,
     L2Z,
     Pencil,
+    RuleOperator,
     Scale,
     Shift,
     Sum,
@@ -25,6 +26,7 @@ from pencilkit import (
     vec_norm,
 )
 from pencilkit.operators import _SumIndexMap
+from pencilkit.serialize import op_from_json, op_to_json
 
 
 # --- spaces ---------------------------------------------------------------
@@ -101,6 +103,17 @@ def test_diagonal_action_and_index_check():
         d.apply_basis(0)
 
 
+def test_diagonal_is_the_shift_by_zero():
+    assert "apply_basis" not in vars(Diagonal)
+    w = constant_weight(2.0 - 1.0j)
+    d, s = Diagonal(L2Z, w), Shift(L2Z, 0, w)
+    assert all(d.apply_basis(j) == s.apply_basis(j) for j in range(-3, 4))
+    adj = d.adjoint()
+    assert type(adj) is Diagonal and adj.apply_basis(2) == {2: 2.0 + 1.0j}
+    doc = op_to_json(adj)
+    assert doc["node"] == "diagonal" and type(op_from_json(doc)) is Diagonal
+
+
 def test_dense_block_placement():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = DenseBlock(L2N, L2N, m, row_start=5, col_start=3)
@@ -141,7 +154,18 @@ def _ops_for_adjoint_test():
         Scale(1.0 + 3.0j, Shift(L2N, -1, constant_weight(1.0))),
         Sum([Identity(L2N), Shift(L2N, 1, constant_weight(0.5j))]),
         BlockDirectSum([Identity(finite(2)), Shift(L2N, -1, constant_weight(1.0))]),
+        Zero(finite(3), finite(2)),
+        RuleOperator(L2N, L2N, _rule_forward, _rule_adjoint),
     ]
+
+
+def _rule_forward(j):
+    """e_j -> (1 + j i) e_{j+1}."""
+    return {j + 1: 1.0 + j * 1.0j}
+
+
+def _rule_adjoint(j):
+    return {j - 1: 1.0 - (j - 1) * 1.0j} if j > 1 else {}
 
 
 sparse_vecs = st.dictionaries(
@@ -152,7 +176,7 @@ sparse_vecs = st.dictionaries(
 
 
 @settings(max_examples=60, deadline=None)
-@given(u=sparse_vecs, v=sparse_vecs, pick=st.integers(min_value=0, max_value=7))
+@given(u=sparse_vecs, v=sparse_vecs, pick=st.integers(min_value=0, max_value=9))
 def test_adjoint_inner_product_identity(u, v, pick):
     op = _ops_for_adjoint_test()[pick]
     if op.space_in.is_finite:

@@ -349,6 +349,20 @@ def test_reverse_and_adjoint_keep_the_exponent():
     assert s.reverse().E_mat is s.A_mat and np.array_equal(s.adjoint().A_mat, s.A_mat.conj().T)
 
 
+def test_reverse_and_adjoint_are_copies_without_a_second_range_scan(monkeypatch):
+    s = _direct([[2.0**-700, 0.0], [0.0, 0.0]], [[0.0, 2.0**-701], [0.0, 0.0]])
+    scans = []
+    post_init = SectionedPencil.__post_init__
+    monkeypatch.setattr(SectionedPencil, "__post_init__", lambda self: scans.append(self) or post_init(self))
+    rev, adj = s.reverse(), s.adjoint()
+    assert scans == []
+    assert (rev.exponent, adj.exponent) == (s.exponent, s.exponent) == (-699, -699)
+    assert (rev.window_in, adj.window_in, adj.window_out) == (s.window_in, s.window_out, s.window_in)
+    assert adj._norms is s._norms  # ||M*||_2 = ||M||_2
+    assert (rev.norm("E"), rev.norm("A")) == (0.25, 0.5) and s._norms == {}  # its E is the parent's A
+    assert (s.norm("E"), adj.norm("A")) == (0.5, 0.25)
+
+
 def test_unscaled_value_that_overflows_is_refused_naming_it():
     s = section(_rotation(1e308), 2)
     assert s.unscaled(0.5, "half") == math.ldexp(0.5, s.exponent)

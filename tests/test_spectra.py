@@ -18,6 +18,7 @@ from pencilkit import (
     section,
     spectra_grid,
 )
+from pencilkit.fixtures import get_fixture
 
 
 def _diag_pencil():
@@ -81,6 +82,20 @@ def test_rectangular_section_separates_sides():
     assert pc.verdict == "point_singular"
 
 
+def test_tall_section_of_full_column_rank_is_singular_only():
+    # the adjoint of the Kronecker block L_2 is 3 x 2 and injective: only its adjoint side is singular
+    s = section(get_fixture("kronecker_L").build(k=2)["pencil"].adjoint(), 3)
+    assert s.shape == (3, 2)
+    points = {0.5: math.sqrt(3) / 2, 1j: 1.0, INFINITY: 1.0}
+    for lam, smin in points.items():
+        pc = classify_point(s, lam)
+        assert pc.verdict == "singular_only" and pc.sigma_min_adjoint == 0.0
+        assert pc.sigma_min == pytest.approx(smin, rel=1e-14)
+    grid = spectra_grid(s, (0.0, 0.5, 0.0, 1.0), (2, 2))
+    assert {pc.verdict for pc in grid} == {"singular_only"}
+    assert (grid[1], grid[2]) == (classify_point(s, 1j), classify_point(s, 0.5))
+
+
 def test_grid_is_row_major_re_then_im():
     s = section(_diag_pencil(), 3)
     pts = [complex(pc.lam) for pc in spectra_grid(s, (-1.0, 1.0, -2.0, 2.0), (2, 3))]
@@ -94,6 +109,12 @@ def test_grid_step_validation():
     s = section(_diag_pencil(), 3)
     with pytest.raises(ValueError):
         spectra_grid(s, (-1.0, 1.0, -1.0, 1.0), (1, 3))
+
+
+@pytest.mark.parametrize("steps", [(1, 3), (3, 1), (0, 0)])
+def test_grid_with_fewer_than_two_steps_names_the_bound(steps):
+    with pytest.raises(ValueError, match="^need at least 2 steps per axis$"):
+        spectra_grid(section(_diag_pencil(), 3), (-1.0, 1.0, -1.0, 1.0), steps)
 
 
 def test_regularity_disc_radius_and_refusal():
