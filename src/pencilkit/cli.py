@@ -17,7 +17,9 @@ argument, and its errors read ``argument --X: ...`` (exit 2): numeric options
 (``--n``, ``--samples``, ``--n-values``, ``--sections``) positive,
 ``simulate --order`` at least 2, and ``spectra --steps`` at least 2 per axis.
 A pencil FILE and ``--fixture`` exclude each other, one of them is required,
-and ``examples run`` takes a fixture NAME or ``--all``.  The ``_cmd_*``
+and ``examples run`` takes a fixture NAME or ``--all``.  An option that a
+subcommand does not know is named first, with the values after it
+(``unrecognized arguments: --seed 0``).  The ``_cmd_*``
 functions receive checked values, and print values computed on a section in
 the input's units through ``_fmt_unscaled`` (one that overflows is exit 2).
 """
@@ -391,12 +393,38 @@ def _cmd_examples(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    class Command(argparse.ArgumentParser):
+        """Names an option it does not know, and the values after it, before any other error.
+
+        argparse hands those values to a positional, so ``examples run --all --seed 0``
+        read "argument name: not allowed with argument --all".  A parser with
+        subcommands leaves their options to them.
+        """
+
+        def parse_known_args(self, args, namespace):
+            unknown, stray, takes_next = [], False, False
+            for arg in args if self._subparsers is None else ():
+                if arg == "--":
+                    break
+                # None for a value; else (action, ..., "=value"), a list of them from Python 3.12.7
+                found = None if takes_next else self._parse_optional(arg)
+                takes_next = False  # "--rect -2,2,-2,2" stays "--rect: expected one argument"
+                if found is not None:
+                    action, *_, value = found[0] if isinstance(found, list) else found
+                    stray = action is None
+                    takes_next = not stray and value is None and action.nargs != 0
+                if stray:
+                    unknown.append(arg)
+            if unknown:
+                self.error(f"unrecognized arguments: {' '.join(unknown)}")
+            return super().parse_known_args(args, namespace)
+
     ap = argparse.ArgumentParser(
         prog="pencilkit",
         description="spectral analysis of operator pencils and their differential-algebraic equations",
     )
     ap.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=Command)
 
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", help="write output to a file instead of stdout")

@@ -20,6 +20,15 @@ input: ``sections`` stores each section with its largest entry in range.
   57 MB for an 800 x 800 triangle, and a plain numpy swap raised the peak
   memory of the large stacked certificates from 188.7 to 207.0 MB
   (measured on a 2-vCPU Xeon at one BLAS thread).  QR has no such buffer.
+  The layer overwrites only arrays it made.  Above the cap scipy factors
+  ``_svd``'s argument in place, and that argument is the triangle R of a QR
+  or ``_own``'s Fortran-ordered copy of a caller's matrix, the copy scipy
+  would make itself.  ``svals_vh`` drops a tall matrix once its R is taken,
+  so a stack that only it holds, such as the certificate's [A; E], is freed
+  before the SVD.  At n = 800 the SVD then holds neither the 1600 x 800
+  stack (20.5 MB) nor a second R (10.2 MB): the certificate's traced peak
+  went from 88 to 57 MB, and ``dense-sweep``'s peak RSS from 182-192 to
+  about 171 MB (``BENCH_29.json``).
   Both libraries call the same LAPACK routines (``gesdd``, ``geqrf``); at
   one BLAS thread their values and vectors were bitwise equal on every
   shape compared, but at two threads ``Vh`` can differ in the last digits.
@@ -103,9 +112,15 @@ def svdvals(mat: np.ndarray) -> np.ndarray:
 
 
 def _svd(mat: np.ndarray, full: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD of an array from ``_own``, which scipy overwrites above the cap."""
     if mat.size <= NUMPY_CAP:
         return np.linalg.svd(np.asarray_chkfinite(mat), full_matrices=full)
-    return _scipy_linalg().svd(mat, full_matrices=full)
+    return _scipy_linalg().svd(mat, full_matrices=full, overwrite_a=True)
+
+
+def _own(mat: np.ndarray) -> np.ndarray:
+    """``mat``, or above the cap the Fortran-ordered copy of it that scipy would make itself."""
+    return mat if mat.size <= NUMPY_CAP else np.array(mat, order="F")
 
 
 def _qr_r(mat: np.ndarray) -> np.ndarray:
@@ -115,14 +130,15 @@ def _qr_r(mat: np.ndarray) -> np.ndarray:
 
 def thin_svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``U, s, Vh`` of the thin SVD."""
-    return _svd(mat, False)
+    return _svd(_own(mat), False)
 
 
 def svals_vh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values and all right singular vectors (the rows of ``Vh``), from one SVD."""
     rows, cols = mat.shape
     if cols and rows >= 2 * cols:
-        mat = _qr_r(mat)
+        mat = _qr_r(mat)  # frees a stack that only this call holds, such as the certificate's
+    mat = _own(mat)  # above the cap R's C-ordered original goes before the SVD
     _, svals, vh = _svd(mat, rows < cols)
     return svals, vh
 
@@ -138,10 +154,14 @@ def singular_values(mat: np.ndarray) -> np.ndarray:
     return _padded(svdvals(mat), mat.shape[1])
 
 
+def smallest_of(svals: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Of ``svals_vh``: values zero-padded to the column count, and the last right vector."""
+    return _padded(svals, vh.shape[1]), vh[-1].conj()
+
+
 def smallest_right(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values zero-padded to the column count, and the last right singular vector."""
-    svals, vh = svals_vh(mat)
-    return _padded(svals, mat.shape[1]), vh[-1].conj()
+    return smallest_of(*svals_vh(mat))
 
 
 def kernel(mat: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ the adjoint, and ``scale`` is their sum; lazy, as pointwise verdicts and
 certificates read neither.
 
 The distance-to-singularity certificate is the smallest singular value of
-the stacked matrix [A; E].  The Frobenius-nearest singular pencil itself is
+the stacked matrix [A; E].  The stack goes straight to ``linalg.svals_vh``,
+its one holder, which frees it after the QR that leaves the square triangle
+for the SVD.  The Frobenius-nearest singular pencil itself is
 not computed (NP-hard in general); if the certificate tends to zero along a
 window schedule, so does the true distance.
 """
@@ -209,7 +211,7 @@ def distance_to_singularity_bound(s: SectionedPencil) -> StackedCertificate:
     0 along a window schedule, the true distance to singularity of the
     sections tends to 0 as well.
     """
-    svals, witness = linalg.smallest_right(s.stacked())
+    svals, witness = linalg.smallest_of(*linalg.svals_vh(s.stacked()))
     return StackedCertificate(value=float(svals[-1]), witness=witness)
 
 

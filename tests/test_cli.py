@@ -360,10 +360,30 @@ def test_distance_offers_no_window_option(capsys):
     # distance sizes its sections with --sections; a --n would be ignored
     code, out, err = _run(capsys, "distance", "--fixture", "kronecker_L", "--n", "4")
     assert code == EXIT_INPUT and out == ""
-    assert "argument pencil: not allowed with argument --fixture" in err  # the stray 4
+    assert "unrecognized arguments: --n 4" in err  # not a clash of the stray 4 with --fixture
     code, out, err = _run(capsys, "distance", "--fixture", "kronecker_L", "--n=4")
     assert code == EXIT_INPUT and out == ""
     assert "unrecognized arguments: --n=4" in err
+
+
+@pytest.mark.parametrize(
+    "argv,stray",
+    [
+        (("examples", "run", "--all", "--seed", "0"), "--seed 0"),  # --seed belongs before the command
+        (("analyze", "--fixture", "kronecker_L", "--bogus", "3", "--n", "4"), "--bogus 3"),
+        (("analyze", "pencil.json", "--bogus", "3"), "--bogus 3"),
+    ],
+)
+def test_unknown_option_is_named_before_the_clash_its_values_cause(capsys, argv, stray):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_INPUT and out == ""
+    assert err.endswith(f"error: unrecognized arguments: {stray}\n")
+
+
+def test_option_value_that_looks_like_an_option_is_still_a_missing_value(capsys):
+    code, out, err = _run(capsys, "spectra", "--fixture", "kronecker_L", "--rect", "-2,2,-2,2")
+    assert code == EXIT_INPUT and out == ""
+    assert err.endswith("error: argument --rect: expected one argument\n")
 
 
 @pytest.mark.parametrize("steps", ["1,1", "2,1", "0,5"])
@@ -437,7 +457,7 @@ def test_linalg_failure_is_internal_error(capsys, monkeypatch, pencil_file):
     def no_convergence(mat):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(linalg, "smallest_right", no_convergence)
+    monkeypatch.setattr(linalg, "svals_vh", no_convergence)
     code, out, err = _run(capsys, "analyze", pencil_file, "--n", "4")
     assert code == EXIT_INTERNAL
     assert err == "internal error: SVD did not converge\n"

@@ -199,12 +199,14 @@ shapes = [(r, c, rank, dtype) for r, c in shapes for rank in {min(r, c), max(min
 # at the cap, then just above it: the SVD, and the QR of a tall matrix
 shapes += [(512, 512, 512, "float"), (1024, 256, 250, "complex"), (513, 512, 512, "float"),
            (1028, 256, 256, "float")]
+# tall, with a triangle above the cap that scipy factors in place
+shapes += [(1040, 520, 520, "float"), (1040, 520, 515, "complex")]
 cases = []
 for i, (rows, cols, rank, dtype) in enumerate(shapes):
     mat = of_rank(np.random.default_rng(i), rows, cols, rank, dtype)
     cases.append((f"{rows}x{cols} rank {rank} {dtype}", mat,
                   linalg.thin_svd(mat), linalg.smallest_right(mat), linalg.kernel(mat),
-                  linalg._qr_r(mat) if rows >= cols else None))
+                  linalg._qr_r(mat) if rows >= cols else None, linalg.svals_vh(mat)))
     if mat.size <= cap:
         assert "scipy.linalg" not in sys.modules, cases[-1][0]
 assert "scipy.linalg" in sys.modules
@@ -212,7 +214,7 @@ assert "scipy.linalg" in sys.modules
 import scipy.linalg
 
 differ = []
-for label, mat, thin, smallest, null, r in cases:
+for label, mat, thin, smallest, null, r, values_vh in cases:
     rows, cols = mat.shape
     u, s, vh = scipy.linalg.svd(mat, full_matrices=False)
     full_vh = scipy.linalg.svd(mat)[2]
@@ -226,6 +228,10 @@ for label, mat, thin, smallest, null, r in cases:
         "qr_r": r is None
         or np.array_equal(r, np.triu(scipy.linalg.qr(mat, mode="r")[0][:cols])),
     }
+    if rows >= 2 * cols:  # the vector SVDs factor numpy's R
+        _, r_s, r_vh = scipy.linalg.svd(np.linalg.qr(mat, mode="r"), full_matrices=False)
+        checks["triangle"] = all(np.array_equal(a, b) for a, b in
+                                 zip(values_vh + smallest, (r_s, r_vh, r_s, r_vh[-1].conj())))
     differ += [f"{label}: {name}" for name, same in checks.items() if not same]
 print(json.dumps({"cases": len(cases), "differ": differ}))
 """
@@ -238,7 +244,20 @@ def test_vector_svds_are_bitwise_scipy_on_both_sides_of_the_cap():
     out = subprocess.run([sys.executable, "-c", _BITWISE_SCRIPT],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == {"cases": 40, "differ": []}
+    assert json.loads(out.stdout) == {"cases": 42, "differ": []}
+
+
+@pytest.mark.parametrize("helper", [linalg.thin_svd, linalg.svals_vh, linalg.smallest_right,
+                                    linalg.kernel])
+def test_vector_svds_leave_the_callers_matrix_unchanged_above_the_cap(helper):
+    # scipy overwrites what it factors above the cap; only the layer's own arrays qualify
+    rng = np.random.default_rng(5)
+    square = rng.standard_normal((520, 520))
+    for mat in (square, square.T, _of_rank(rng, 1040, 520, 520, complex)):
+        assert mat.size > linalg.NUMPY_CAP
+        before = mat.copy()
+        helper(mat)
+        assert np.array_equal(mat, before)
 
 
 @pytest.mark.parametrize("helper", [linalg.smallest_right, linalg.kernel])

@@ -1,5 +1,7 @@
 import ast
 import math
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +23,20 @@ from pencilkit import (
     distance_to_singularity_bound,
     finite,
     joint_kernel_defect,
+    linalg,
     operator_matrix,
     section,
     window_for,
 )
+from pencilkit.chains import _null_basis
+from pencilkit.fixtures import get_fixture
+from pencilkit.sections import SectionedPencil
+
+
+def _diag_reciprocal(n):
+    """An l2N section, so [A; E] is 2n x n and its triangle n x n."""
+    fx = get_fixture("diag_reciprocal")
+    return section(fx.build(**fx.default_params)["pencil"], n)
 
 
 def test_nested_l2z_windows_are_storage_prefixes():
@@ -213,3 +225,51 @@ def test_only_sections_takes_the_norm_of_a_section_matrix():
                             for a in node.args)):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+@pytest.mark.parametrize("n", [12, 520])  # the triangle below and above linalg.NUMPY_CAP
+def test_certificate_frees_its_stack_before_the_svd(monkeypatch, n):
+    s = _diag_reciprocal(n)
+    stacks, alive = [], []
+    stacked, svd = SectionedPencil.stacked, linalg._svd
+
+    def recording_stacked(self):
+        mat = stacked(self)
+        stacks.append(weakref.ref(mat))
+        return mat
+
+    def checking_svd(mat, full):
+        alive.append([ref() is not None for ref in stacks])
+        return svd(mat, full)
+
+    monkeypatch.setattr(SectionedPencil, "stacked", recording_stacked)
+    monkeypatch.setattr(linalg, "_svd", checking_svd)
+    distance_to_singularity_bound(s)
+    assert alive == [[False]]
+
+
+def test_certificate_peak_memory_above_the_cap():
+    # n = 600: the 600 x 600 triangle is above linalg.NUMPY_CAP, so scipy factors it.
+    # Holding the stack and a second triangle through the SVD peaked at 4.3 stacks.
+    s = _diag_reciprocal(600)
+    assert 600 * 600 > linalg.NUMPY_CAP
+    expected = distance_to_singularity_bound(s)  # loads scipy.linalg outside the trace
+    tracemalloc.start()
+    try:
+        cert = distance_to_singularity_bound(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.value == expected.value and np.array_equal(cert.witness, expected.witness)
+    assert peak < 3.5 * s.stacked().nbytes
+
+
+def test_null_basis_leaves_section_matrices_unchanged_above_the_cap():
+    rng = np.random.default_rng(3)
+    e, a = rng.standard_normal((2, 520, 520))
+    s = section(Pencil(E=DenseBlock(finite(520), finite(520), e),
+                       A=DenseBlock(finite(520), finite(520), a)), 520)
+    for mat in (s.A_mat, s.adjoint().A_mat, s.stacked()):  # C-ordered, Fortran-ordered, tall
+        before = mat.copy()
+        _null_basis(mat, 1e-12)
+        assert np.array_equal(mat, before)
