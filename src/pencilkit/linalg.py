@@ -9,26 +9,33 @@ input: ``sections`` stores each section with its largest entry in range.
   ``numpy.linalg.svd`` without vectors, at every size.  They keep scipy's
   contract: NaN or Inf input raises ``ValueError``, not ``LinAlgError``,
   and an empty matrix has no singular values.
-- Singular vectors: ``svals_vh``, ``smallest_right``, ``kernel`` and
-  ``thin_svd`` go through two kernels, ``_svd`` and ``_qr_r``.  ``_qr_r``
-  runs ``numpy.linalg.qr`` at every size.  ``_svd`` runs ``numpy.linalg``
-  on a matrix of at most ``NUMPY_CAP`` (2^18) entries and ``scipy.linalg``,
-  imported on first use, above it.  Both keep the NaN and Inf contract.
-  So a command whose SVDs stay below the cap never loads ``scipy.linalg``
-  (about 0.3 s of cold start).  The cap is there for memory: numpy's
-  ``gesdd`` allocates one work buffer and copies U and Vh out of it, about
-  57 MB for an 800 x 800 triangle, and a plain numpy swap raised the peak
-  memory of the large stacked certificates from 188.7 to 207.0 MB
-  (measured on a 2-vCPU Xeon at one BLAS thread).  QR has no such buffer.
+- Singular vectors: ``svals_vh``, ``svals_vh_stacked``, ``smallest_right``,
+  ``kernel`` and ``thin_svd`` go through two kernels, ``_svd`` and
+  ``_qr_r``.  ``_qr_r`` runs ``numpy.linalg.qr``, which copies its input
+  before ``geqrf``.  ``_svd`` runs ``numpy.linalg`` on a matrix of at most
+  ``NUMPY_CAP`` (2^18) entries and ``scipy.linalg``, imported on first use,
+  above it.  Both keep the NaN and Inf contract.  So a command whose SVDs
+  stay below the cap never loads ``scipy.linalg`` (about 0.3 s of cold
+  start).  The cap is there for memory: numpy's ``gesdd`` allocates one
+  work buffer and copies U and Vh out of it, about 57 MB for an 800 x 800
+  triangle, and a plain numpy swap raised the peak memory of the large
+  stacked certificates from 188.7 to 207.0 MB (measured on a 2-vCPU Xeon at
+  one BLAS thread).
   The layer overwrites only arrays it made.  Above the cap scipy factors
   ``_svd``'s argument in place, and that argument is the triangle R of a QR
   or ``_own``'s Fortran-ordered copy of a caller's matrix, the copy scipy
   would make itself.  ``svals_vh`` drops a tall matrix once its R is taken,
-  so a stack that only it holds, such as the certificate's [A; E], is freed
-  before the SVD.  At n = 800 the SVD then holds neither the 1600 x 800
-  stack (20.5 MB) nor a second R (10.2 MB): the certificate's traced peak
-  went from 88 to 57 MB, and ``dense-sweep``'s peak RSS from 182-192 to
-  about 171 MB (``BENCH_29.json``).
+  so a matrix that only it holds is freed before the SVD.
+  ``svals_vh_stacked`` makes the certificate's stack [A; E] itself.  With
+  two rows per column and a triangle above the cap, the stack is made in
+  Fortran order and ``scipy.linalg.qr(mode="raw")`` overwrites it
+  (``mode="r"`` would return the triangle of the whole stack, a second
+  stack), so it never exists twice.  Else it goes through ``numpy.vstack``
+  and ``svals_vh``: a stack whose triangle is at the cap, such as the
+  1024 x 512 one of ``distance --sections 512``, loads no ``scipy.linalg``.
+  At n = 800 one certificate peaked 39 MB above setup in a fresh process,
+  against 61 MB when numpy's QR copied the stack, and ``dense-sweep``'s
+  median peak RSS went from 170.8 to 153.3 MB (``BENCH_30.json``).
   Both libraries call the same LAPACK routines (``gesdd``, ``geqrf``); at
   one BLAS thread their values and vectors were bitwise equal on every
   shape compared, but at two threads ``Vh`` can differ in the last digits.
@@ -140,6 +147,24 @@ def svals_vh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mat = _qr_r(mat)  # frees a stack that only this call holds, such as the certificate's
     mat = _own(mat)  # above the cap R's C-ordered original goes before the SVD
     _, svals, vh = _svd(mat, rows < cols)
+    return svals, vh
+
+
+def svals_vh_stacked(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``svals_vh`` of the blocks stacked on top of each other, a stack that only this call holds.
+
+    With at least two rows per column and a triangle above the cap, the stack is made in
+    Fortran order and scipy's QR overwrites it, so it never exists twice.
+    """
+    rows, cols = sum(len(b) for b in blocks), blocks[0].shape[1]
+    if cols * cols <= NUMPY_CAP or rows < 2 * cols:
+        return svals_vh(np.vstack(blocks))
+    stack = np.empty((rows, cols), np.result_type(*blocks), order="F")
+    np.concatenate(blocks, out=stack)
+    r = _scipy_linalg().qr(stack, mode="raw", overwrite_a=True)[1]
+    del stack  # it holds the Householder vectors now; they go before R's Fortran copy
+    r = np.asfortranarray(r)  # a C-ordered R goes before the SVD
+    _, svals, vh = _svd(r, False)
     return svals, vh
 
 

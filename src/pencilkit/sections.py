@@ -18,9 +18,10 @@ the adjoint, and ``scale`` is their sum; lazy, as pointwise verdicts and
 certificates read neither.
 
 The distance-to-singularity certificate is the smallest singular value of
-the stacked matrix [A; E].  The stack goes straight to ``linalg.svals_vh``,
-its one holder, which frees it after the QR that leaves the square triangle
-for the SVD.  The Frobenius-nearest singular pencil itself is
+the stacked matrix [A; E].  ``linalg.svals_vh_stacked`` makes the stack
+from E_mat and A_mat and is its one holder: it frees the stack after the QR
+that leaves the square triangle for the SVD, and above the cap that QR
+overwrites it.  The Frobenius-nearest singular pencil itself is
 not computed (NP-hard in general); if the certificate tends to zero along a
 window schedule, so does the true distance.
 """
@@ -168,9 +169,6 @@ class SectionedPencil:
     def evaluate(self, lam: complex) -> np.ndarray:
         return lam * self.E_mat - self.A_mat
 
-    def stacked(self) -> np.ndarray:
-        return np.vstack([self.A_mat, self.E_mat])
-
     def reverse(self) -> "SectionedPencil":
         rev = copy.copy(self)  # no __post_init__: the matrices are stored already
         rev.__dict__.update(E_mat=self.A_mat, A_mat=self.E_mat, _norms={})
@@ -211,7 +209,7 @@ def distance_to_singularity_bound(s: SectionedPencil) -> StackedCertificate:
     0 along a window schedule, the true distance to singularity of the
     sections tends to 0 as well.
     """
-    svals, witness = linalg.smallest_of(*linalg.svals_vh(s.stacked()))
+    svals, witness = linalg.smallest_of(*linalg.svals_vh_stacked((s.A_mat, s.E_mat)))
     return StackedCertificate(value=float(svals[-1]), witness=witness)
 
 

@@ -557,7 +557,8 @@ def test_values_only_commands_leave_scipy_linalg_unimported(tmp_path):
 
 
 def test_vector_svd_commands_leave_scipy_linalg_unimported(tmp_path):
-    # their matrices stay below linalg.NUMPY_CAP, so numpy takes the vector SVDs
+    # their matrices, or for a stack the triangle of its QR, stay at or below linalg.NUMPY_CAP,
+    # so numpy takes the vector SVDs; the 1024 x 512 stack of a 512 window is above the cap
     rng = np.random.default_rng(0)
     sp = finite(12)
     regular, chained = str(tmp_path / "regular.json"), str(tmp_path / "chained.json")
@@ -569,6 +570,7 @@ def test_vector_svd_commands_leave_scipy_linalg_unimported(tmp_path):
         ["analyze", regular, "--n", "12"],
         ["chains", chained, "--n", "7"],
         ["distance", "--fixture", "diag_reciprocal", "--sections", "4,8,16,32"],
+        ["distance", "--fixture", "diag_reciprocal", "--sections", "512"],
         ["dh-check", "--fixture", "stokes_skeleton"],
     ]
     code = (

@@ -171,7 +171,8 @@ def test_tall_vector_svds_are_bitwise_scipy_svd(ratio, cols, dtype):
 @pytest.mark.parametrize("name,pencil", list(_fixture_pencils()))
 def test_vector_svds_are_bitwise_scipy_svd_on_fixture_stacks(name, pencil):
     for n in (4, 7, 12):
-        _assert_vector_svds_are_bitwise_scipy_svd(section(pencil, n).stacked())
+        s = section(pencil, n)
+        _assert_vector_svds_are_bitwise_scipy_svd(np.vstack([s.A_mat, s.E_mat]))
 
 
 # Run at one BLAS thread: at two, Vh can differ between numpy and scipy in the
@@ -201,6 +202,24 @@ shapes += [(512, 512, 512, "float"), (1024, 256, 250, "complex"), (513, 512, 512
            (1028, 256, 256, "float")]
 # tall, with a triangle above the cap that scipy factors in place
 shapes += [(1040, 520, 520, "float"), (1040, 520, 515, "complex")]
+svd, handed = linalg._svd, []
+
+def recording_svd(mat, full):  # keeps the triangle the layer hands to the SVD
+    handed.append(mat.copy())
+    return svd(mat, full)
+
+def stacked_case(i, n, dtype):
+    rng = np.random.default_rng(100 + i)
+    blocks = (of_rank(rng, n, n, n - 3, dtype), of_rank(rng, n, n, n, dtype))
+    handed.clear()
+    linalg._svd = recording_svd
+    values_vh = linalg.svals_vh_stacked(blocks)
+    linalg._svd = svd
+    return f"[A; E] {2 * n}x{n} {dtype}", blocks, handed[0], values_vh
+
+# [A; E] stacked by the layer: with its triangle at the cap it stays on numpy
+stacked = [stacked_case(i, 512, dtype) for i, dtype in enumerate(("float", "complex"))]
+assert "scipy.linalg" not in sys.modules
 cases = []
 for i, (rows, cols, rank, dtype) in enumerate(shapes):
     mat = of_rank(np.random.default_rng(i), rows, cols, rank, dtype)
@@ -210,6 +229,8 @@ for i, (rows, cols, rank, dtype) in enumerate(shapes):
     if mat.size <= cap:
         assert "scipy.linalg" not in sys.modules, cases[-1][0]
 assert "scipy.linalg" in sys.modules
+# above the cap the stack is made in Fortran order and scipy's QR overwrites it
+stacked += [stacked_case(i, 520, dtype) for i, dtype in enumerate(("float", "complex"), 2)]
 
 import scipy.linalg
 
@@ -233,7 +254,13 @@ for label, mat, thin, smallest, null, r, values_vh in cases:
         checks["triangle"] = all(np.array_equal(a, b) for a, b in
                                  zip(values_vh + smallest, (r_s, r_vh, r_s, r_vh[-1].conj())))
     differ += [f"{label}: {name}" for name, same in checks.items() if not same]
-print(json.dumps({"cases": len(cases), "differ": differ}))
+for label, blocks, r, values_vh in stacked:
+    numpy_r = np.linalg.qr(np.vstack(blocks), mode="r")
+    _, r_s, r_vh = scipy.linalg.svd(numpy_r, full_matrices=False)
+    checks = {"stacked_r": np.array_equal(r, numpy_r),
+              "stacked": np.array_equal(values_vh[0], r_s) and np.array_equal(values_vh[1], r_vh)}
+    differ += [f"{label}: {name}" for name, same in checks.items() if not same]
+print(json.dumps({"cases": len(cases) + len(stacked), "differ": differ}))
 """
 
 
@@ -244,7 +271,7 @@ def test_vector_svds_are_bitwise_scipy_on_both_sides_of_the_cap():
     out = subprocess.run([sys.executable, "-c", _BITWISE_SCRIPT],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == {"cases": 42, "differ": []}
+    assert json.loads(out.stdout) == {"cases": 46, "differ": []}
 
 
 @pytest.mark.parametrize("helper", [linalg.thin_svd, linalg.svals_vh, linalg.smallest_right,
@@ -253,11 +280,35 @@ def test_vector_svds_leave_the_callers_matrix_unchanged_above_the_cap(helper):
     # scipy overwrites what it factors above the cap; only the layer's own arrays qualify
     rng = np.random.default_rng(5)
     square = rng.standard_normal((520, 520))
-    for mat in (square, square.T, _of_rank(rng, 1040, 520, 520, complex)):
+    tall = _of_rank(rng, 1040, 520, 520, complex)
+    wide = _of_rank(rng, 520, 1040, 520, complex)
+    # C- and Fortran-ordered, and tall in C order, Fortran order and as a transposed wide matrix
+    for mat in (square, square.T, tall, np.asfortranarray(tall), wide.T):
         assert mat.size > linalg.NUMPY_CAP
         before = mat.copy()
         helper(mat)
         assert np.array_equal(mat, before)
+
+
+def test_stacked_vector_svd_leaves_the_callers_blocks_unchanged_above_the_cap():
+    # the triangle is above the cap, so the stack is QR'd in place: it must be the layer's own
+    rng = np.random.default_rng(6)
+    a, e = (_of_rank(rng, 520, 520, 520, complex) for _ in range(2))
+    for blocks in ((a, e), (np.asfortranarray(a), e.T), (a[:260], e, a[260:])):
+        before = [b.copy() for b in blocks]
+        linalg.svals_vh_stacked(blocks)
+        assert all(np.array_equal(b, c) for b, c in zip(blocks, before))
+
+
+@pytest.mark.parametrize("rows", [(5, 4), (3, 3, 6), (2, 2), (1, 1)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stacked_vector_svd_is_svals_vh_of_the_stack(rows, dtype):
+    # below the cap, with and without the QR (two rows per column), and wide
+    rng = np.random.default_rng(sum(rows))
+    blocks = tuple(_of_rank(rng, r, 6, min(r, 5), dtype) for r in rows)
+    ours = linalg.svals_vh_stacked(blocks)
+    expected = linalg.svals_vh(np.vstack(blocks))
+    assert all(np.array_equal(a, b) for a, b in zip(ours, expected))
 
 
 @pytest.mark.parametrize("helper", [linalg.smallest_right, linalg.kernel])

@@ -1,5 +1,9 @@
 import ast
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -30,7 +34,6 @@ from pencilkit import (
 )
 from pencilkit.chains import _null_basis
 from pencilkit.fixtures import get_fixture
-from pencilkit.sections import SectionedPencil
 
 
 def _diag_reciprocal(n):
@@ -204,7 +207,7 @@ def test_stacked_certificate_on_wide_section():
     a = rng.standard_normal((2, 5))
     p = Pencil(E=DenseBlock(finite(5), finite(2), e), A=DenseBlock(finite(5), finite(2), a))
     s = section(p, 5)
-    assert s.stacked().shape == (4, 5)
+    assert np.vstack([s.A_mat, s.E_mat]).shape == (4, 5)
     cert = distance_to_singularity_bound(s)
     assert cert.value == 0.0
     x = cert.witness
@@ -229,20 +232,25 @@ def test_only_sections_takes_the_norm_of_a_section_matrix():
 
 @pytest.mark.parametrize("n", [12, 520])  # the triangle below and above linalg.NUMPY_CAP
 def test_certificate_frees_its_stack_before_the_svd(monkeypatch, n):
+    import scipy.linalg
+
     s = _diag_reciprocal(n)
     stacks, alive = [], []
-    stacked, svd = SectionedPencil.stacked, linalg._svd
+    svd = linalg._svd
 
-    def recording_stacked(self):
-        mat = stacked(self)
-        stacks.append(weakref.ref(mat))
-        return mat
+    def recording(qr):  # the stack the kernel makes goes to numpy's QR or, above the cap, scipy's
+        def wrapped(mat, *args, **kwargs):
+            stacks.append(weakref.ref(mat))
+            return qr(mat, *args, **kwargs)
+
+        return wrapped
 
     def checking_svd(mat, full):
         alive.append([ref() is not None for ref in stacks])
         return svd(mat, full)
 
-    monkeypatch.setattr(SectionedPencil, "stacked", recording_stacked)
+    monkeypatch.setattr(linalg, "_qr_r", recording(linalg._qr_r))
+    monkeypatch.setattr(scipy.linalg, "qr", recording(scipy.linalg.qr))
     monkeypatch.setattr(linalg, "_svd", checking_svd)
     distance_to_singularity_bound(s)
     assert alive == [[False]]
@@ -261,7 +269,42 @@ def test_certificate_peak_memory_above_the_cap():
     finally:
         tracemalloc.stop()
     assert cert.value == expected.value and np.array_equal(cert.witness, expected.witness)
-    assert peak < 3.5 * s.stacked().nbytes
+    assert peak < 3.5 * np.vstack([s.A_mat, s.E_mat]).nbytes
+
+
+# Peak RSS counts the pages a process touched, which tracemalloc cannot see: the SVD's work
+# arrays are allocated in full but not all touched.  It is read as VmHWM, the peak of this
+# process's own memory: ru_maxrss starts from the size of the process that spawned it.
+_CERTIFICATE_RSS_SCRIPT = """
+import json
+import scipy.linalg
+from pencilkit import distance_to_singularity_bound, get_fixture, section
+
+def peak_rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+fx = get_fixture("diag_reciprocal")
+s = section(fx.build(**fx.default_params)["pencil"], 600)
+before = peak_rss()
+distance_to_singularity_bound(s)
+print(json.dumps({"dtype": str(s.A_mat.dtype), "stacks": (peak_rss() - before) / (2 * s.A_mat.nbytes)}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_certificate_touches_no_second_stack_above_the_cap():
+    # n = 600, complex: the 1200 x 600 stack is 11.0 MB.  The certificate's peak RSS above
+    # setup was 2.2 stacks with the stack QR'd in place, 3.2 when numpy's QR copied it first.
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env.update(PYTHONPATH=str(Path(pencilkit.__file__).parents[1]), PENCILKIT_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _CERTIFICATE_RSS_SCRIPT],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["dtype"] == "complex128"
+    assert result["stacks"] < 2.7, result
 
 
 def test_null_basis_leaves_section_matrices_unchanged_above_the_cap():
@@ -269,7 +312,8 @@ def test_null_basis_leaves_section_matrices_unchanged_above_the_cap():
     e, a = rng.standard_normal((2, 520, 520))
     s = section(Pencil(E=DenseBlock(finite(520), finite(520), e),
                        A=DenseBlock(finite(520), finite(520), a)), 520)
-    for mat in (s.A_mat, s.adjoint().A_mat, s.stacked()):  # C-ordered, Fortran-ordered, tall
+    stack = np.vstack([s.A_mat, s.E_mat])
+    for mat in (s.A_mat, s.adjoint().A_mat, stack):  # C-ordered, Fortran-ordered, tall
         before = mat.copy()
         _null_basis(mat, 1e-12)
         assert np.array_equal(mat, before)
