@@ -150,7 +150,7 @@ def verify_dh_structure(mats: DHSectionMats) -> DHDiagnostics:
 
 def dh_common_kernel(mats: DHSectionMats) -> tuple[int, np.ndarray]:
     """Orthonormal basis of ker E intersect ker(BQ), via the stacked matrix."""
-    basis = linalg.kernel(np.vstack([mats.section.E_mat, mats.BQ]))
+    basis = linalg.kernel(mats.section.E_mat, mats.BQ)
     return basis.shape[1], basis
 
 
@@ -185,7 +185,7 @@ def dh_kernel_EJR(s: SectionedPencil, dh: DHStructure) -> tuple[int, np.ndarray]
     thr = linalg.rank_tol(m.shape, max(abs(evals[0]), evals[-1], 1e-300))
     kdim = int(np.sum(evals <= thr))
     basis = evecs[:, :kdim]
-    stacked = linalg.kernel(np.vstack([s.E_mat, mats.J, mats.R]))
+    stacked = linalg.kernel(s.E_mat, mats.J, mats.R)
     if basis.shape[1] != stacked.shape[1] or subspace_angle(basis, stacked) > linalg.TOL_KERNEL_ANGLE:
         raise ValueError("E^2+R^2-J^2 kernel disagrees with ker E ∩ ker J ∩ ker R")
     return kdim, basis

@@ -9,33 +9,32 @@ input: ``sections`` stores each section with its largest entry in range.
   ``numpy.linalg.svd`` without vectors, at every size.  They keep scipy's
   contract: NaN or Inf input raises ``ValueError``, not ``LinAlgError``,
   and an empty matrix has no singular values.
-- Singular vectors: ``svals_vh``, ``svals_vh_stacked``, ``smallest_right``,
-  ``kernel`` and ``thin_svd`` go through two kernels, ``_svd`` and
-  ``_qr_r``.  ``_qr_r`` runs ``numpy.linalg.qr``, which copies its input
-  before ``geqrf``.  ``_svd`` runs ``numpy.linalg`` on a matrix of at most
-  ``NUMPY_CAP`` (2^18) entries and ``scipy.linalg``, imported on first use,
-  above it.  Both keep the NaN and Inf contract.  So a command whose SVDs
-  stay below the cap never loads ``scipy.linalg`` (about 0.3 s of cold
-  start).  The cap is there for memory: numpy's ``gesdd`` allocates one
-  work buffer and copies U and Vh out of it, about 57 MB for an 800 x 800
-  triangle, and a plain numpy swap raised the peak memory of the large
-  stacked certificates from 188.7 to 207.0 MB (measured on a 2-vCPU Xeon at
-  one BLAS thread).
-  The layer overwrites only arrays it made.  Above the cap scipy factors
-  ``_svd``'s argument in place, and that argument is the triangle R of a QR
-  or ``_own``'s Fortran-ordered copy of a caller's matrix, the copy scipy
-  would make itself.  ``svals_vh`` drops a tall matrix once its R is taken,
-  so a matrix that only it holds is freed before the SVD.
-  ``svals_vh_stacked`` makes the certificate's stack [A; E] itself.  With
-  two rows per column and a triangle above the cap, the stack is made in
-  Fortran order and ``scipy.linalg.qr(mode="raw")`` overwrites it
-  (``mode="r"`` would return the triangle of the whole stack, a second
-  stack), so it never exists twice.  Else it goes through ``numpy.vstack``
-  and ``svals_vh``: a stack whose triangle is at the cap, such as the
-  1024 x 512 one of ``distance --sections 512``, loads no ``scipy.linalg``.
-  At n = 800 one certificate peaked 39 MB above setup in a fresh process,
-  against 61 MB when numpy's QR copied the stack, and ``dense-sweep``'s
-  median peak RSS went from 170.8 to 153.3 MB (``BENCH_30.json``).
+- Singular vectors: ``svals_vh``, ``smallest_right`` and ``kernel`` take
+  the blocks of the matrix they factorize, stacked on top of each other,
+  such as [A; E] or [E; BQ]; ``thin_svd`` takes one matrix.  They go
+  through two kernels, ``_qr_r`` and ``_svd``, with one rule for both.  A
+  factorization of at most ``NUMPY_CAP`` (2^18) entries, the triangle
+  counted for a QR, runs ``numpy.linalg`` on the caller's array, or on
+  ``numpy.vstack`` of several blocks.  Above the cap ``scipy.linalg``,
+  imported on first use, overwrites an array the layer made: ``_own``'s
+  Fortran-ordered stack of the blocks, the copy scipy would make itself,
+  or the triangle R of a QR.  ``svals_vh`` drops a stack once its R is
+  taken, so a stack that only it holds is freed before the SVD.  Both
+  keep the NaN and Inf contract.  So a command whose factorizations stay
+  below the cap never loads ``scipy.linalg`` (about 0.3 s of cold start):
+  the 1024 x 512 stack of ``distance --sections 512`` has its triangle at
+  the cap.  The cap is
+  there for memory.  numpy's ``gesdd`` allocates one work buffer and
+  copies U and Vh out of it, about 57 MB for an 800 x 800 triangle, and a
+  plain numpy swap raised the peak memory of the large stacked
+  certificates from 188.7 to 207.0 MB.  ``numpy.linalg.qr`` copies its
+  input before ``geqrf``; ``scipy.linalg.qr(mode="raw")`` overwrites the
+  stack (``mode="r"`` would return the triangle of the whole stack, a
+  second stack), and the stack is dropped before R's Fortran copy, so it
+  never exists twice.  At n = 800 one certificate peaked 39 MB above setup
+  in a fresh process, against 61 MB when numpy's QR copied the stack, and
+  ``dense-sweep``'s median peak RSS went from 170.8 to 153.3 MB
+  (``BENCH_30.json``; 2-vCPU Xeon, one BLAS thread).
   Both libraries call the same LAPACK routines (``gesdd``, ``geqrf``); at
   one BLAS thread their values and vectors were bitwise equal on every
   shape compared, but at two threads ``Vh`` can differ in the last digits.
@@ -119,52 +118,54 @@ def svdvals(mat: np.ndarray) -> np.ndarray:
 
 
 def _svd(mat: np.ndarray, full: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of an array from ``_own``, which scipy overwrites above the cap."""
+    """SVD of an array from ``_own`` or ``_qr_r``, which scipy overwrites above the cap."""
     if mat.size <= NUMPY_CAP:
         return np.linalg.svd(np.asarray_chkfinite(mat), full_matrices=full)
     return _scipy_linalg().svd(mat, full_matrices=full, overwrite_a=True)
 
 
-def _own(mat: np.ndarray) -> np.ndarray:
-    """``mat``, or above the cap the Fortran-ordered copy of it that scipy would make itself."""
-    return mat if mat.size <= NUMPY_CAP else np.array(mat, order="F")
+def _shape(blocks: tuple[np.ndarray, ...]) -> tuple[int, int]:
+    """Shape of the blocks stacked on top of each other."""
+    return sum(len(b) for b in blocks), blocks[0].shape[1]
 
 
-def _qr_r(mat: np.ndarray) -> np.ndarray:
-    """The square triangle R of a matrix with at least as many rows as columns."""
-    return np.linalg.qr(np.asarray_chkfinite(mat), mode="r")
+def _own(blocks: tuple[np.ndarray, ...], size: int) -> np.ndarray:
+    """The blocks stacked, for a factorization of ``size`` entries.
+
+    At or below the cap the one block as given, or numpy's stack of several; above it a
+    Fortran-ordered stack of the layer's own, the copy scipy would make itself.
+    """
+    if size <= NUMPY_CAP:
+        return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+    stack = np.empty(_shape(blocks), np.result_type(*blocks), order="F")
+    return np.concatenate(blocks, out=stack)
+
+
+def _qr_r(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The square triangle R of the blocks stacked, with at least as many rows as columns."""
+    cols = blocks[0].shape[1]
+    stack = _own(blocks, cols * cols)
+    if cols * cols <= NUMPY_CAP:
+        return np.linalg.qr(np.asarray_chkfinite(stack), mode="r")
+    r = _scipy_linalg().qr(stack, mode="raw", overwrite_a=True)[1]
+    del stack  # it holds the Householder vectors now; they go before R's Fortran copy
+    return np.asfortranarray(r)  # a C-ordered R goes before the SVD
 
 
 def thin_svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``U, s, Vh`` of the thin SVD."""
-    return _svd(_own(mat), False)
+    return _svd(_own((mat,), mat.size), False)
 
 
-def svals_vh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and all right singular vectors (the rows of ``Vh``), from one SVD."""
-    rows, cols = mat.shape
+def svals_vh(*blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and all right singular vectors (the rows of ``Vh``) of the blocks
+    stacked on top of each other, from one SVD."""
+    rows, cols = _shape(blocks)
     if cols and rows >= 2 * cols:
-        mat = _qr_r(mat)  # frees a stack that only this call holds, such as the certificate's
-    mat = _own(mat)  # above the cap R's C-ordered original goes before the SVD
+        mat = _qr_r(blocks)  # frees a stack that only this call holds
+    else:
+        mat = _own(blocks, rows * cols)
     _, svals, vh = _svd(mat, rows < cols)
-    return svals, vh
-
-
-def svals_vh_stacked(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """``svals_vh`` of the blocks stacked on top of each other, a stack that only this call holds.
-
-    With at least two rows per column and a triangle above the cap, the stack is made in
-    Fortran order and scipy's QR overwrites it, so it never exists twice.
-    """
-    rows, cols = sum(len(b) for b in blocks), blocks[0].shape[1]
-    if cols * cols <= NUMPY_CAP or rows < 2 * cols:
-        return svals_vh(np.vstack(blocks))
-    stack = np.empty((rows, cols), np.result_type(*blocks), order="F")
-    np.concatenate(blocks, out=stack)
-    r = _scipy_linalg().qr(stack, mode="raw", overwrite_a=True)[1]
-    del stack  # it holds the Householder vectors now; they go before R's Fortran copy
-    r = np.asfortranarray(r)  # a C-ordered R goes before the SVD
-    _, svals, vh = _svd(r, False)
     return svals, vh
 
 
@@ -179,24 +180,21 @@ def singular_values(mat: np.ndarray) -> np.ndarray:
     return _padded(svdvals(mat), mat.shape[1])
 
 
-def smallest_of(svals: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Of ``svals_vh``: values zero-padded to the column count, and the last right vector."""
+def smallest_right(*blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Of the blocks stacked: singular values zero-padded to the column count, and the last
+    right singular vector."""
+    svals, vh = svals_vh(*blocks)
     return _padded(svals, vh.shape[1]), vh[-1].conj()
 
 
-def smallest_right(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values zero-padded to the column count, and the last right singular vector."""
-    return smallest_of(*svals_vh(mat))
-
-
-def kernel(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical nullspace, from one SVD.
+def kernel(*blocks: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical nullspace of the blocks stacked, from one SVD.
 
     Singular values at or below ``rank_tol``, with sigma_max taken from that
     SVD, count as zero.
     """
-    svals, vh = svals_vh(mat)
-    tol = rank_tol(mat.shape, svals[0] if svals.size else 0.0)
+    svals, vh = svals_vh(*blocks)
+    tol = rank_tol(_shape(blocks), svals[0] if svals.size else 0.0)
     return vh[int(np.sum(svals > tol)):].conj().T
 
 

@@ -18,8 +18,8 @@ the adjoint, and ``scale`` is their sum; lazy, as pointwise verdicts and
 certificates read neither.
 
 The distance-to-singularity certificate is the smallest singular value of
-the stacked matrix [A; E].  ``linalg.svals_vh_stacked`` makes the stack
-from E_mat and A_mat and is its one holder: it frees the stack after the QR
+the stacked matrix [A; E].  ``linalg.smallest_right`` takes A_mat and E_mat
+and makes the stack itself, its one holder: it frees the stack after the QR
 that leaves the square triangle for the SVD, and above the cap that QR
 overwrites it.  The Frobenius-nearest singular pencil itself is
 not computed (NP-hard in general); if the certificate tends to zero along a
@@ -209,7 +209,7 @@ def distance_to_singularity_bound(s: SectionedPencil) -> StackedCertificate:
     0 along a window schedule, the true distance to singularity of the
     sections tends to 0 as well.
     """
-    svals, witness = linalg.smallest_of(*linalg.svals_vh_stacked((s.A_mat, s.E_mat)))
+    svals, witness = linalg.smallest_right(s.A_mat, s.E_mat)
     return StackedCertificate(value=float(svals[-1]), witness=witness)
 
 

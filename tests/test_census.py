@@ -3,9 +3,10 @@
 The census wraps the SVD entry points of ``pencilkit.linalg`` (``svdvals``,
 ``norm2``, ``thin_svd`` and ``svals_vh``, through which ``singular_values``,
 ``smallest_right`` and ``kernel`` go) with a counter that hashes each input
-matrix, runs every golden ``analyze`` and ``chains`` command in this
-process, and counts a call as repeated when the same command has already
-passed a bitwise-equal matrix to one of them.  The counts were the same at
+matrix, for ``svals_vh`` the stack of its blocks, runs every golden
+``analyze`` and ``chains`` command in this process, and counts a call as
+repeated when the same command has already passed a bitwise-equal matrix
+to one of them.  The counts were the same at
 one and two BLAS threads.  A change that adds a factorization, or removes
 one, updates the pins here deliberately.
 
@@ -41,13 +42,14 @@ def census():
     current: dict = {}
 
     def counting(name, fn):
-        def wrapped(mat, *args):
+        def wrapped(*blocks):
+            mat = np.vstack(blocks)  # the vector kernels take the blocks of a stack
             key = hashlib.sha1(repr((mat.shape, mat.dtype.str)).encode()
                                + np.ascontiguousarray(mat).tobytes()).digest()
             current["calls"][name] = current["calls"].get(name, 0) + 1
             current["repeats"] += key in seen
             seen.add(key)
-            return fn(mat, *args)
+            return fn(*blocks)
 
         return wrapped
 

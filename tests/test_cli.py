@@ -454,7 +454,7 @@ def test_non_finite_rect_is_input_error_without_warnings(capsys, pencil_file, re
 
 
 def test_linalg_failure_is_internal_error(capsys, monkeypatch, pencil_file):
-    def no_convergence(mat):
+    def no_convergence(*blocks):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(linalg, "svals_vh", no_convergence)

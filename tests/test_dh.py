@@ -1,4 +1,9 @@
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,3 +301,61 @@ def test_dh_section_mats_refuses_a_section_it_cannot_compress():
     rect = Pencil(E=DenseBlock(sp, wide, np.ones((2, 3))), A=DenseBlock(sp, wide, np.ones((2, 3))))
     with pytest.raises(ValueError, match="^dH checks need a square section on a common window$"):
         dh_section_mats(section(rect, 3), DHStructure(B=Identity(sp), Q=Identity(sp)))
+
+
+def test_dh_kernels_leave_their_blocks_unchanged_above_the_cap(monkeypatch):
+    # d = 180: the triangles of the 1080 x 540 stack [E; BQ] and the 1620 x 540 stack [E; J; R]
+    # are above the cap, so scipy's QR overwrites a stack that the layer made of the blocks
+    data = get_fixture("poroelasticity_template").build(d=180, singular_pressure=True)
+    p, s = data["pencil"], section(data["pencil"], data["dim"])
+    assert s.E_mat.shape[1] ** 2 > linalg.NUMPY_CAP
+    kernel, checked = linalg.kernel, []
+
+    def checking(*blocks):
+        before = [b.copy() for b in blocks]
+        basis = kernel(*blocks)
+        assert all(np.array_equal(b, c) for b, c in zip(blocks, before))
+        assert np.array_equal(basis, kernel(np.vstack(blocks)))
+        checked.append(len(blocks))
+        return basis
+
+    monkeypatch.setattr(linalg, "kernel", checking)
+    assert dh_common_kernel(dh_section_mats(s, p.dh))[0] == 1
+    assert dh_kernel_EJR(s, p.dh)[0] == 1
+    assert checked == [2, 3]
+
+
+# VmHWM is this process's own peak resident memory (see tests/test_sections.py).
+_KERNEL_RSS_SCRIPT = """
+import json
+import scipy.linalg
+from pencilkit import dh_common_kernel, dh_section_mats, get_fixture, section
+
+def peak_rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+data = get_fixture("poroelasticity_template").build(d=200, singular_pressure=True)
+p = data["pencil"]
+mats = dh_section_mats(section(p, data["dim"]), p.dh)
+before = peak_rss()
+kdim = dh_common_kernel(mats)[0]
+stacks = (peak_rss() - before) / (2 * mats.BQ.nbytes)
+print(json.dumps({"dtype": str(mats.BQ.dtype), "kdim": kdim, "stacks": stacks}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_dh_common_kernel_touches_no_second_stack_above_the_cap():
+    # d = 200, complex: the 1200 x 600 stack [E; BQ] is 11.5 MB.  The kernel's peak RSS above
+    # setup was 2.8 stacks with the stack QR'd in place, 3.85 when numpy.vstack made the stack
+    # and numpy's QR copied it.
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env.update(PYTHONPATH=str(Path(pencilkit.__file__).parents[1]), PENCILKIT_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _KERNEL_RSS_SCRIPT],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["dtype"] == "complex128" and result["kdim"] == 1
+    assert result["stacks"] < 3.3, result

@@ -139,9 +139,17 @@ def test_svdvals_of_empty_matrix_is_empty(shape):
 def test_non_finite_input_is_value_error_not_linalg_error(bad, helper):
     mat = np.eye(6, 3, dtype=complex)  # tall: the vector SVDs run a QR first
     mat[1, 2] = bad
-    with pytest.raises(ValueError, match="array must not contain infs or NaNs") as exc:
-        helper(mat)
-    assert not isinstance(exc.value, np.linalg.LinAlgError)
+    cases = [(mat,)]
+    if helper in (linalg.smallest_right, linalg.kernel):  # the bad entry in a later block
+        wide, tall = np.eye(300, 600, dtype=complex), np.eye(520, dtype=complex)
+        wide[1, 2] = tall[1, 2] = bad
+        # below the cap; a stack above it with numpy's QR, scipy's SVD and scipy's QR
+        cases += [(np.eye(3), mat), (np.eye(400), tall[:400, :400]), (np.eye(300, 600), wide),
+                  (np.eye(520), tall, np.eye(520))]
+    for blocks in cases:
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs") as exc:
+            helper(*blocks)
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
 
 
 def _of_rank(rng, rows, cols, rank, dtype):
@@ -208,16 +216,17 @@ def recording_svd(mat, full):  # keeps the triangle the layer hands to the SVD
     handed.append(mat.copy())
     return svd(mat, full)
 
-def stacked_case(i, n, dtype):
+def stacked_case(i, n, dtype, parts=2):
     rng = np.random.default_rng(100 + i)
-    blocks = (of_rank(rng, n, n, n - 3, dtype), of_rank(rng, n, n, n, dtype))
+    blocks = (of_rank(rng, n, n, n - 3, dtype),) + tuple(of_rank(rng, n, n, n, dtype)
+                                                          for _ in range(parts - 1))
     handed.clear()
     linalg._svd = recording_svd
-    values_vh = linalg.svals_vh_stacked(blocks)
+    values_vh = linalg.svals_vh(*blocks)
     linalg._svd = svd
-    return f"[A; E] {2 * n}x{n} {dtype}", blocks, handed[0], values_vh
+    return f"{parts} blocks {parts * n}x{n} {dtype}", blocks, handed[0], values_vh
 
-# [A; E] stacked by the layer: with its triangle at the cap it stays on numpy
+# blocks such as [A; E] stacked by the layer: with the triangle at the cap it stays on numpy
 stacked = [stacked_case(i, 512, dtype) for i, dtype in enumerate(("float", "complex"))]
 assert "scipy.linalg" not in sys.modules
 cases = []
@@ -225,12 +234,13 @@ for i, (rows, cols, rank, dtype) in enumerate(shapes):
     mat = of_rank(np.random.default_rng(i), rows, cols, rank, dtype)
     cases.append((f"{rows}x{cols} rank {rank} {dtype}", mat,
                   linalg.thin_svd(mat), linalg.smallest_right(mat), linalg.kernel(mat),
-                  linalg._qr_r(mat) if rows >= cols else None, linalg.svals_vh(mat)))
+                  linalg._qr_r((mat,)) if rows >= cols else None, linalg.svals_vh(mat)))
     if mat.size <= cap:
         assert "scipy.linalg" not in sys.modules, cases[-1][0]
 assert "scipy.linalg" in sys.modules
 # above the cap the stack is made in Fortran order and scipy's QR overwrites it
 stacked += [stacked_case(i, 520, dtype) for i, dtype in enumerate(("float", "complex"), 2)]
+stacked.append(stacked_case(4, 520, "complex", 3))
 
 import scipy.linalg
 
@@ -271,7 +281,7 @@ def test_vector_svds_are_bitwise_scipy_on_both_sides_of_the_cap():
     out = subprocess.run([sys.executable, "-c", _BITWISE_SCRIPT],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == {"cases": 46, "differ": []}
+    assert json.loads(out.stdout) == {"cases": 47, "differ": []}
 
 
 @pytest.mark.parametrize("helper", [linalg.thin_svd, linalg.svals_vh, linalg.smallest_right,
@@ -296,7 +306,7 @@ def test_stacked_vector_svd_leaves_the_callers_blocks_unchanged_above_the_cap():
     a, e = (_of_rank(rng, 520, 520, 520, complex) for _ in range(2))
     for blocks in ((a, e), (np.asfortranarray(a), e.T), (a[:260], e, a[260:])):
         before = [b.copy() for b in blocks]
-        linalg.svals_vh_stacked(blocks)
+        linalg.svals_vh(*blocks)
         assert all(np.array_equal(b, c) for b, c in zip(blocks, before))
 
 
@@ -306,7 +316,7 @@ def test_stacked_vector_svd_is_svals_vh_of_the_stack(rows, dtype):
     # below the cap, with and without the QR (two rows per column), and wide
     rng = np.random.default_rng(sum(rows))
     blocks = tuple(_of_rank(rng, r, 6, min(r, 5), dtype) for r in rows)
-    ours = linalg.svals_vh_stacked(blocks)
+    ours = linalg.svals_vh(*blocks)
     expected = linalg.svals_vh(np.vstack(blocks))
     assert all(np.array_equal(a, b) for a, b in zip(ours, expected))
 
