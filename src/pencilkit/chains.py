@@ -161,7 +161,7 @@ def _jump_target(E: np.ndarray, A: np.ndarray, thr: float) -> int:
     T = _chain_system(E, A, eps - 1)
     if T.shape[0] < T.shape[1]:
         return HINT_DEGREE
-    screen = linalg.singular_values(T)
+    screen = linalg.svdvals(T)
     rt = linalg.rank_tol(T.shape, screen[0])
     return eps if screen[-1] > linalg.screen_margin(thr, rt) + 2 * rt else HINT_DEGREE
 
@@ -234,14 +234,14 @@ def extract_right_chain(s: SectionedPencil, tol: float = linalg.TOL_CHAIN) -> Ch
     scale = s.scale or 1.0
     thr = linalg.finite_scale("tol * (||E||_2 + ||A||_2)", tol * scale)
     if 0 < k <= m and all(
-        linalg.singular_values(lam * E - A)[-1] > np.sqrt(tol) * scale for lam in RANK_PROBES
+        linalg.svdvals(lam * E - A)[-1] > np.sqrt(tol) * scale for lam in RANK_PROBES
     ):
         return None
     screening = True
     for d in _scan_degrees(E, A, thr):
         T = _chain_system(E, A, d)
         if screening and T.shape[0] >= T.shape[1]:
-            screen = linalg.singular_values(T)
+            screen = linalg.svdvals(T)
             if screen[-1] > linalg.screen_margin(thr, linalg.rank_tol(T.shape, screen[0])):
                 continue
             screening = False
@@ -252,7 +252,7 @@ def extract_right_chain(s: SectionedPencil, tol: float = linalg.TOL_CHAIN) -> Ch
         norm = max(np.linalg.norm(v) for v in chain)
         chain = [v / norm for v in chain]
         stackmat = np.column_stack(chain)
-        indep = linalg.singular_values(stackmat)[-1] if d > 0 else np.linalg.norm(chain[0])
+        indep = linalg.svdvals(stackmat)[-1] if d > 0 else np.linalg.norm(chain[0])
         if indep <= tol:
             continue  # degenerate null vector; a genuine chain shows at higher d
         return ChainReport(

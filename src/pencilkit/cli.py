@@ -340,7 +340,7 @@ def _cmd_simulate(args) -> int:
         pbe = ham = None
     elif "x0" in data:
         traj = fixtures.integrator_trajectory(data, t_grid, data["x0"])
-        mild = odae.mild_residual(p, traj, tol=1e-8)
+        mild = odae.mild_residual(p, traj)
         pbe, ham = odae.power_balance_residual(p, traj)
     else:
         raise CLIError(f"fixture {args.fixture!r} has no simulation recipe")

@@ -160,8 +160,7 @@ def subspace_angle(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.pi / 2)
     if a.shape[1] == 0:
         return 0.0
-    angles = linalg.subspace_angles(a, b)
-    return float(angles[0]) if angles.size else 0.0
+    return float(linalg.subspace_angles(a, b)[0])
 
 
 def dh_kernel_EJR(s: SectionedPencil, dh: DHStructure) -> tuple[int, np.ndarray]:

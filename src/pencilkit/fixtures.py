@@ -379,7 +379,7 @@ def _check_poroelasticity(data: dict) -> list[CheckResult]:
             )
         )
         traj = integrator_trajectory(data, np.linspace(0.0, 1.0, 6), data["x0"])
-        res, ham = odae.power_balance_residual(p, traj, tol=1e-8)
+        res, ham = odae.power_balance_residual(p, traj)
         out.append(
             CheckResult(
                 "power balance residual small",

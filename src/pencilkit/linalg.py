@@ -5,10 +5,10 @@ only one that names scipy: singular values and vectors, nullspaces, matrix
 2-norms, eigenvalues, matrix exponentials and solves.  No kernel rescales its
 input: ``sections`` stores each section with its largest entry in range.
 
-- Values only: ``svdvals`` and ``singular_values`` run
-  ``numpy.linalg.svd`` without vectors, at every size.  They keep scipy's
-  contract: NaN or Inf input raises ``ValueError``, not ``LinAlgError``,
-  and an empty matrix has no singular values.
+- Values only: ``svdvals`` runs ``numpy.linalg.svd`` without vectors, at
+  every size.  It keeps scipy's contract: NaN or Inf input raises
+  ``ValueError``, not ``LinAlgError``, and an empty matrix has no singular
+  values.
 - Singular vectors: ``svals_vh``, ``smallest_right`` and ``kernel`` take
   the blocks of the matrix they factorize, stacked on top of each other,
   such as [A; E] or [E; BQ]; ``thin_svd`` takes one matrix.  They go
@@ -169,22 +169,11 @@ def svals_vh(*blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return svals, vh
 
 
-def _padded(svals: np.ndarray, cols: int) -> np.ndarray:
-    if len(svals) < cols:
-        svals = np.concatenate([svals, np.zeros(cols - len(svals))])
-    return svals
-
-
-def singular_values(mat: np.ndarray) -> np.ndarray:
-    """Singular values only, descending and zero-padded to the column count."""
-    return _padded(svdvals(mat), mat.shape[1])
-
-
 def smallest_right(*blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Of the blocks stacked: singular values zero-padded to the column count, and the last
     right singular vector."""
     svals, vh = svals_vh(*blocks)
-    return _padded(svals, vh.shape[1]), vh[-1].conj()
+    return np.concatenate([svals, np.zeros(vh.shape[1] - len(svals))]), vh[-1].conj()
 
 
 def kernel(*blocks: np.ndarray) -> np.ndarray:

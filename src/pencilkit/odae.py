@@ -46,7 +46,12 @@ __all__ = [
 ]
 
 LINK_TOL = 1e-12
+# Relative slack of ChainGenerator.validate's growth bound (k/c)^k.
+GROWTH_SLACK = 1e-12
 POLYNOMIAL_VERIFY_TOL = 1e-8
+# Quadrature of a trajectory known only by its states; cross-check of an exact integral.
+QUADRATURE_TOL = 1e-8
+CROSS_CHECK_TOL = 1e-10
 RADIUS_MARGIN = 0.1
 # Lowest truncation order of series_solution.
 MIN_SERIES_ORDER = 2
@@ -137,7 +142,8 @@ def adaptive_simpson_vec(fn, a: float, b: float, tol: float) -> SparseVec:
     of one pass are bitwise nodes of the next, so fn is called once per
     distinct node (the final m + 1 calls in all); fn must be pure.  tol must
     be finite and positive, else a ValueError is raised before fn is called.
-    A missed tolerance raises QuadratureError.
+    A missed tolerance raises QuadratureError, a non-finite estimate
+    OverflowError.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -150,6 +156,8 @@ def adaptive_simpson_vec(fn, a: float, b: float, tol: float) -> SparseVec:
         m *= 2
         cur = _simpson_pass(fn, values, a, b, m)
         est = vec_norm(vec_sub(cur, prev)) / 15.0
+        if not math.isfinite(est):
+            raise OverflowError(f"quadrature estimate {est} is not finite: the input overflows")
         if est < 0.1 * tol:
             return cur
         prev = cur
@@ -158,7 +166,7 @@ def adaptive_simpson_vec(fn, a: float, b: float, tol: float) -> SparseVec:
 
 def adaptive_simpson_scalar(fn, a: float, b: float, tol: float) -> float:
     val = adaptive_simpson_vec(lambda t: {0: fn(t)}, a, b, tol)
-    return float(val.get(0, 0.0).real) if val else 0.0
+    return float(val.get(0, 0.0).real)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +230,7 @@ class ChainGenerator:
                 ("||A a_k||", vec_norm(aa[k])),
                 ("||E a_k||", vec_norm(ea[k])),
             ):
-                if val > bound * (1 + 1e-12):
+                if val > bound * (1 + GROWTH_SLACK):
                     raise ValueError(
                         f"growth certificate violated at k={k}: {label}={val:.3e} > (k/c)^k={bound:.3e}"
                     )
@@ -278,12 +286,13 @@ def polynomial_solution(p: Pencil, sp, t_grid: Sequence[float]) -> Trajectory:
     return _monomial_trajectory(p, form, times)
 
 
-def mild_residual(p: Pencil, traj: Trajectory, tol: float = 1e-10) -> np.ndarray:
+def mild_residual(p: Pencil, traj: Trajectory) -> np.ndarray:
     """||E x(t) - A \\int_0^t x - E x(0)|| per sample.
 
-    Uses the exact term-wise integral when the trajectory carries one
-    (cross-checked by quadrature at the final time); otherwise integrates
-    the state function by adaptive Simpson.
+    Uses the exact term-wise integral when the trajectory carries one,
+    cross-checked at the final time by quadrature to CROSS_CHECK_TOL;
+    otherwise integrates the state function by adaptive Simpson to
+    QUADRATURE_TOL.  The trajectory, not the caller, sets the tolerance.
     """
     ex0 = p.E.apply(traj.states[0])
     out = []
@@ -292,23 +301,23 @@ def mild_residual(p: Pencil, traj: Trajectory, tol: float = 1e-10) -> np.ndarray
         if traj.integral_fn is not None:
             integral = traj.integral_fn(t)
         else:
-            integral = adaptive_simpson_vec(traj.state_fn, 0.0, t, tol)
+            integral = adaptive_simpson_vec(traj.state_fn, 0.0, t, QUADRATURE_TOL)
         res = vec_sub(vec_sub(p.E.apply(x), p.A.apply(integral)), ex0)
         out.append(vec_norm(res))
     if traj.integral_fn is not None:
         t_end = float(traj.times[-1])
         if t_end != 0.0:
-            quad = adaptive_simpson_vec(traj.state_fn, 0.0, t_end, tol)
+            quad = adaptive_simpson_vec(traj.state_fn, 0.0, t_end, CROSS_CHECK_TOL)
             drift = vec_norm(vec_sub(quad, traj.integral_fn(t_end)))
-            if drift > tol:
+            if drift > CROSS_CHECK_TOL:
                 raise QuadratureError(
-                    f"quadrature cross-check drift {drift:.3e} above {tol:.1e}"
+                    f"quadrature cross-check drift {drift:.3e} above {CROSS_CHECK_TOL:.1e}"
                 )
     return np.asarray(out)
 
 
 def power_balance_residual(
-    p: Pencil, traj: Trajectory, tol: float = 1e-8
+    p: Pencil, traj: Trajectory, tol: float = QUADRATURE_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """|energy change - accumulated dissipation| per time, plus the Hamiltonian trace.
 

@@ -1,8 +1,8 @@
 """Factorizations over the golden ``analyze`` and ``chains`` commands are counted and pinned.
 
 The census wraps the SVD entry points of ``pencilkit.linalg`` (``svdvals``,
-``norm2``, ``thin_svd`` and ``svals_vh``, through which ``singular_values``,
-``smallest_right`` and ``kernel`` go) with a counter that hashes each input
+``norm2``, ``thin_svd`` and ``svals_vh``, through which ``smallest_right``
+and ``kernel`` go) with a counter that hashes each input
 matrix, for ``svals_vh`` the stack of its blocks, runs every golden
 ``analyze`` and ``chains`` command in this process, and counts a call as
 repeated when the same command has already passed a bitwise-equal matrix

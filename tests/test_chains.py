@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -336,7 +338,7 @@ def test_exit_margin_boundary(chain_systems, factor, scanned):
     lam0 = RANK_PROBES[0]
     a = np.diag([lam0 + delta, 3.0, 3.0, 3.0])
     s = _dense_section(np.eye(4, dtype=complex), a)
-    assert linalg.singular_values(lam0 * s.E_mat - s.A_mat)[-1] == pytest.approx(delta, rel=1e-9)
+    assert linalg.svdvals(lam0 * s.E_mat - s.A_mat)[-1] == pytest.approx(delta, rel=1e-9)
     assert extract_right_chain(s, tol) is None
     assert bool(chain_systems) == scanned
 
@@ -368,6 +370,32 @@ def test_high_index_chain_extraction_matches_reference_scan(shape, eps, etas, re
 @pytest.mark.parametrize("k", [7, 10, 15])
 def test_kronecker_fixture_matches_reference_scan(k):
     _assert_matches_reference(section(get_fixture("kronecker_L").build(k=k)["pencil"], k + 1))
+
+
+def test_values_only_svds_of_the_scan_have_as_many_rows_as_columns(monkeypatch):
+    # so sigma_min is the last value ``svdvals`` returns, with no zero padded in
+    sums = [([2], [], 2, 0.0), ([3, 1], [], 0, 1e-8), ([8], [], 1, 0.0), ([10], [], 0, 1e-13),
+            ([], [2], 2, 0.0), ([], [1, 3], 0, 1e-3), ([], [8], 1, 0.0), ([], [10], 0, 0.0)]
+    secs = [_dense_section(*_kronecker_sum(np.random.default_rng(seed), *args))
+            for seed, args in enumerate(sums)]
+    for name in _pencil_fixtures():
+        fx = get_fixture(name)
+        secs += [section(fx.build(**fx.default_params)["pencil"], n) for n in (4, 7, 12)]
+    shapes, callers = [], set()
+    svdvals = linalg.svdvals
+
+    def recorded(mat):
+        shapes.append(mat.shape)
+        callers.add(sys._getframe(1).f_code.co_name)
+        return svdvals(mat)
+
+    monkeypatch.setattr(linalg, "svdvals", recorded)
+    for s in secs:
+        extract_right_chain(s)
+        extract_left_chain(s)
+    # the per-degree screen and the independence check, the jump screen, the exit's probes
+    assert callers == {"extract_right_chain", "_jump_target", "<genexpr>"}
+    assert shapes and all(rows >= cols for rows, cols in shapes)
 
 
 @pytest.mark.parametrize(
@@ -409,7 +437,7 @@ def test_jump_certificate_margin_boundary(chain_systems, factor, jumped):
     E, A = s.E_mat, s.A_mat
     scale = linalg.norm2(E) + linalg.norm2(A)
     T = _chain_system(E, A, k - 1)
-    screen = linalg.singular_values(T)
+    screen = linalg.svdvals(T)
     rt = linalg.rank_tol(T.shape, screen[0])
     tol = (screen[-1] - factor * 2 * rt) / (10 * scale)
     thr = tol * scale
@@ -461,7 +489,7 @@ def test_low_index_scans_compute_no_hint(hint_calls, chain_systems):
 
 def test_kronecker_k15_screens_below_gate_then_jumps(monkeypatch, hint_calls):
     built, screened, vector_svds = [], [], []
-    chain_system, singular_values = _chain_system, linalg.singular_values
+    chain_system, svdvals = _chain_system, linalg.svdvals
     smallest_right = linalg.smallest_right
 
     def building(E, A, d):
@@ -471,14 +499,14 @@ def test_kronecker_k15_screens_below_gate_then_jumps(monkeypatch, hint_calls):
     def screening(mat):
         if any(mat is T for T in built):
             screened.append(mat.shape)
-        return singular_values(mat)
+        return svdvals(mat)
 
     def vectors(mat):
         vector_svds.append(mat.shape)
         return smallest_right(mat)
 
     monkeypatch.setattr(chains, "_chain_system", building)
-    monkeypatch.setattr(linalg, "singular_values", screening)
+    monkeypatch.setattr(linalg, "svdvals", screening)
     monkeypatch.setattr(linalg, "smallest_right", vectors)
     k = 15
     s = section(get_fixture("kronecker_L").build(k=k)["pencil"], k + 1)
@@ -496,7 +524,7 @@ def test_no_screen_after_the_first_that_skips_nothing(monkeypatch):
     tol = 0.04
     s = section(get_fixture("kronecker_L").build(k=4)["pencil"], 5)
     built, events = [], []
-    chain_system, singular_values = _chain_system, linalg.singular_values
+    chain_system, svdvals = _chain_system, linalg.svdvals
     smallest_right = linalg.smallest_right
 
     def building(E, A, d):
@@ -505,14 +533,14 @@ def test_no_screen_after_the_first_that_skips_nothing(monkeypatch):
 
     def screening(mat):
         events.extend(("screen", d) for d, T in built if T is mat)
-        return singular_values(mat)
+        return svdvals(mat)
 
     def vectors(mat):
         events.extend(("vector", d) for d, T in built if T is mat)
         return smallest_right(mat)
 
     monkeypatch.setattr(chains, "_chain_system", building)
-    monkeypatch.setattr(linalg, "singular_values", screening)
+    monkeypatch.setattr(linalg, "svdvals", screening)
     monkeypatch.setattr(linalg, "smallest_right", vectors)
     rep = extract_right_chain(s, tol)
     monkeypatch.undo()

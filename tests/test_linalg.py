@@ -81,10 +81,9 @@ def test_singular_values_agree_with_vector_svd_within_rank_tol(seed, rows, cols,
     rng = np.random.default_rng(seed)
     for mat in (_complex_of_rank(rng, rows, cols, min(rows, cols)),
                 _complex_of_rank(rng, rows, cols, rank)):
-        values = linalg.singular_values(mat)
-        with_vectors = linalg.smallest_right(mat)[0]
-        assert values.shape == (cols,)
-        assert np.all(values[min(rows, cols):] == 0.0)
+        values = linalg.svdvals(mat)
+        with_vectors = linalg.smallest_right(mat)[0][: min(rows, cols)]
+        assert values.shape == with_vectors.shape == (min(rows, cols),)
         bound = linalg.rank_tol(mat.shape, with_vectors[0])
         assert np.max(np.abs(values - with_vectors)) <= bound
 
@@ -129,12 +128,11 @@ def test_svdvals_is_bitwise_scipy_svdvals_on_fixture_sections(name, pencil):
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
 def test_svdvals_of_empty_matrix_is_empty(shape):
     assert linalg.svdvals(np.zeros(shape)).shape == (0,)
-    assert linalg.singular_values(np.zeros(shape)).shape == (shape[1],)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
-    "helper", [linalg.svdvals, linalg.singular_values, linalg.smallest_right, linalg.kernel]
+    "helper", [linalg.svdvals, linalg.smallest_right, linalg.kernel]
 )
 def test_non_finite_input_is_value_error_not_linalg_error(bad, helper):
     mat = np.eye(6, 3, dtype=complex)  # tall: the vector SVDs run a QR first

@@ -99,6 +99,19 @@ def test_simpson_rejects_bad_arguments_before_evaluating(kwargs):
     assert calls == []
 
 
+def test_simpson_stops_at_the_first_non_finite_estimate():
+    # the flow at t = 1e300 overflows: the second pass shows it, after 9 + 8 evaluations
+    from pencilkit.fixtures import get_fixture, integrator_trajectory
+
+    data = get_fixture("poroelasticity_template").build()
+    traj = integrator_trajectory(data, np.linspace(0.0, 1e300, 3), data["x0"])
+    traj.state_fn, calls = _counting(traj.state_fn)
+    with pytest.raises((OverflowError, QuadratureError)) as exc:
+        power_balance_residual(data["pencil"], traj)
+    assert (exc.type, len(calls)) == (OverflowError, 17)
+    assert "quadrature estimate nan is not finite" in str(exc.value)
+
+
 def _reference_simpson(fn, a, b, tol, m0=8, max_m=4096):
     """Plain dyadic Simpson: every pass evaluates every node and rebuilds the
     running sum with vec_add; adaptive_simpson_vec must match it bit for bit."""
@@ -334,6 +347,32 @@ def test_mild_residual_cross_checks_inconsistent_integral():
     )
     with pytest.raises(QuadratureError):
         mild_residual(p, traj)
+
+
+def test_mild_residual_cross_check_is_1e_10():
+    p = Pencil(E=Identity(L2N), A=Identity(L2N))
+    for drift, raises in ((1e-9, True), (1e-11, False)):
+        traj = Trajectory(
+            times=np.array([0.0, 1.0]),
+            state_fn=lambda t: {1: math.exp(t)},
+            integral_fn=lambda t, drift=drift: {1: math.exp(t) - 1.0 + drift * t},
+        )
+        if raises:
+            with pytest.raises(QuadratureError, match="above 1.0e-10"):
+                mild_residual(p, traj)
+        else:
+            mild_residual(p, traj)
+
+
+def test_mild_residual_integrates_a_trajectory_of_states_to_1e_8():
+    p = Pencil(E=Identity(L2N), A=Diagonal(L2N, WeightRule("reciprocal_index")))
+    traj = Trajectory(times=np.linspace(0.0, 1.0, 5), state_fn=lambda t: {1: math.exp(t)})
+    ex0 = p.E.apply(traj.states[0])
+    ref = []
+    for t, x in zip(traj.times, traj.states):
+        integral = adaptive_simpson_vec(traj.state_fn, 0.0, float(t), 1e-8)
+        ref.append(vec_norm(vec_sub(vec_sub(p.E.apply(x), p.A.apply(integral)), ex0)))
+    assert np.array_equal(mild_residual(p, traj), np.asarray(ref))
 
 
 def test_mild_residual_calls_state_fn_only_in_the_cross_check(monkeypatch):

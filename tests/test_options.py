@@ -35,7 +35,6 @@ OPTIONS = {
         "max_distance": "0.0",
         "mild_residuals": "<factory>",
     },
-    "odae.mild_residual": {"tol": "1e-10"},
     "odae.power_balance_residual": {"tol": "1e-08"},
     "odae.uniqueness_demo": {"n": "12"},
     "operators.DHStructure": {"J": "None", "R": "None"},

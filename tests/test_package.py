@@ -57,18 +57,45 @@ def test_no_function_imports_a_sibling_module():
     assert sorted(hits) == []
 
 
+def _tolerance_literals(tree: ast.AST) -> list[int]:
+    """Lines of the float literals from 1e-15 up to 1e-3 in ``tree``: tolerance factors."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+            and 1e-15 <= abs(node.value) < 1e-3]
+
+
 def test_verdict_modules_read_their_tolerances_from_the_linalg_table():
-    # A float literal from 1e-15 up to 1e-3 in these modules is a tolerance factor that
-    # bypasses the verdict table of ``linalg``; the 1e-300 floors are outside the range.
+    # A tolerance factor in these modules bypasses the verdict table of ``linalg``; the
+    # 1e-300 floors are outside the range.
     folder = os.path.dirname(pencilkit.__file__)
     hits = []
     for name in ("spectra.py", "dh.py", "chains.py"):
         with open(os.path.join(folder, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        hits += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                 if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
-                 and 1e-15 <= abs(node.value) < 1e-3]
+            hits += [f"{name}:{line}" for line in _tolerance_literals(ast.parse(fh.read()))]
     assert hits == []
+
+
+def _function_tolerance_literals(tree: ast.AST) -> list[str]:
+    """Tolerance literals inside a function's body or defaults, not in a named constant."""
+    return sorted({f"{fn.name}:{line}" for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for line in _tolerance_literals(fn)})
+
+
+def test_odae_states_each_tolerance_once():
+    # ``odae`` names its tolerances at module level; a literal in a function is a second,
+    # unnamed copy of one of them, or a knob a caller's value would have to follow
+    with open(os.path.join(os.path.dirname(pencilkit.__file__), "odae.py"), encoding="utf-8") as fh:
+        assert _function_tolerance_literals(ast.parse(fh.read())) == []
+
+
+def test_odae_tolerance_check_flags_each_form():
+    source = ("TOL = 1e-8\n"
+              "def a(p, traj):\n    return mild_residual(p, traj, tol=1e-8)\n"
+              "def b(p, traj, tol=1e-10):\n    return tol\n"
+              "def c(val, bound):\n    return val > bound * (1 + 1e-12)\n"
+              "def ok(x, tol=TOL):\n    return 0.1 * tol + 2.0**-52 + x / 15.0\n")
+    assert _function_tolerance_literals(ast.parse(source)) == ["a:3", "b:4", "c:7"]
 
 
 def test_only_sparsevec_chooses_between_a_plan_and_the_vec_iadd_loop():
