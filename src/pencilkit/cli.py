@@ -9,9 +9,10 @@ across thread counts the last digits of near-singular results can move.
 Exit codes: 0 success, 1 verdict failure in ``examples run``, 2 input
 error (an OS error on a pencil path or ``--out`` path among them), 3
 internal failure (a linear-algebra kernel that did not converge, a
-quadrature that missed its tolerance, or a ``KeyError``: no input reaches
-one, since unknown fixture names and malformed pencil files are reported
-as input errors first).  ``_build_parser`` checks the shape of every
+quadrature that missed its tolerance, a ``chains`` report holding a
+non-finite number, or a ``KeyError``: no input reaches one, since unknown
+fixture names and malformed pencil files are reported as input errors
+first).  ``_build_parser`` checks the shape of every
 argument, and its errors read ``argument --X: ...`` (exit 2): numeric options
 (``--rect``, ``--probes``, ``--tol``, ``--t-max``) must be finite, counts
 (``--n``, ``--samples``, ``--n-values``, ``--sections``) positive,
@@ -242,7 +243,11 @@ def _cmd_chains(args) -> int:
             "window_indices": list(rep.window_indices),
             "vectors": [[[z.real, z.imag] for z in v] for v in rep.chain],
         }
-    _emit([json.dumps(report, sort_keys=True, allow_nan=False)], args.out)
+    try:
+        line = json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a non-finite number in the report is the code's fault
+        raise RuntimeError(f"chains report: {exc}") from exc
+    _emit([line], args.out)
     return EXIT_OK
 
 
@@ -517,9 +522,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FloatingPointError, OverflowError) as exc:  # finite input, out-of-range result
         print(f"error: {exc}: the input is too large for double precision", file=sys.stderr)
         return EXIT_INPUT
-    except (np.linalg.LinAlgError, KeyError, odae.QuadratureError) as exc:
-        # LinAlgError subclasses ValueError, so it must be caught first; odae's code runs
-        # only when an exception reaches this clause
+    except (np.linalg.LinAlgError, KeyError, RuntimeError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first; RuntimeError
+        # covers odae.QuadratureError
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, OSError) as exc:

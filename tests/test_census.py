@@ -110,7 +110,7 @@ def test_series_trajectory_sums_are_pinned(monkeypatch):
         traj = odae.series_solution(p, data["generator"], np.linspace(0.0, 1.0, 16), 38)
         odae.mild_residual(p, traj)
 
-    assert _count_vec_iadd(monkeypatch, run) == 374
+    assert _count_vec_iadd(monkeypatch, run) == 336
 
 
 def test_polynomial_trajectory_sums_are_pinned(monkeypatch):
@@ -121,7 +121,7 @@ def test_polynomial_trajectory_sums_are_pinned(monkeypatch):
         traj = odae.polynomial_solution(p, poly, np.linspace(0.0, 1.0, 12))
         odae.mild_residual(p, traj)
 
-    assert _count_vec_iadd(monkeypatch, run) == 195
+    assert _count_vec_iadd(monkeypatch, run) == 188
 
 
 def test_power_balance_sums_are_pinned(monkeypatch):

@@ -21,7 +21,7 @@ from pencilkit import (
     finite,
     save_pencil,
 )
-from pencilkit import cli, linalg, odae
+from pencilkit import chains, cli, linalg, odae
 from pencilkit.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -473,6 +473,14 @@ def test_quadrature_failure_is_internal_error(capsys, monkeypatch):
     )
     assert code == EXIT_INTERNAL
     assert err == "internal error: quadrature estimate above tolerance\n"
+
+
+def test_non_finite_chains_report_is_internal_error(capsys, monkeypatch):
+    # a finite input that yields a NaN residual is the code's fault, not the input's
+    monkeypatch.setattr(chains, "verify_singular_polynomial", lambda *args, **kwargs: float("nan"))
+    code, out, err = _run(capsys, "chains", "--fixture", "kronecker_L", "--n", "4")
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("internal error: chains report: ") and err.count("\n") == 1
 
 
 def test_misspelled_pencil_key_is_input_error(capsys, tmp_path):

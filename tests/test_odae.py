@@ -190,6 +190,80 @@ def test_simpson_sums_node_values_of_changing_key_order_along_a_plan(monkeypatch
     assert [(j, repr(x)) for j, x in got.items()] == [(j, repr(x)) for j, x in want.items()]
 
 
+_COEFF = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.integers(0, 6), st.dictionaries(st.integers(1, 4), _COEFF, min_size=1, max_size=3)),
+        max_size=4,
+    ),
+    a=st.floats(min_value=-1.0, max_value=1.0),
+    length=st.floats(min_value=-1.0, max_value=1.0),
+    tol=st.sampled_from([1e-4, 1e-6, 1e-8, None]),
+)
+def test_monomial_simpson_matches_the_node_wise_passes(terms, a, length, tol):
+    # A MonomialForm is integrated term by term, its bound evaluate node by node.
+    # tol None asks for 1e-300 with a t^24 term on its own index and an interval
+    # of length 1.5: the estimate stays far above it, so both must give up.
+    if tol is None:
+        terms, length, tol = terms + [(24, {9: 1.0})], 1.5, 1e-300
+    form = MonomialForm(tuple(terms))
+    b = a + length
+    runs = {}
+    for fn in (form, form.evaluate):
+        passes = []
+        with pytest.MonkeyPatch.context() as mp:
+            simpson, node_pass = MonomialForm.simpson, odae._simpson_pass
+            mp.setattr(MonomialForm, "simpson", lambda f, a, b, m: passes.append(m) or simpson(f, a, b, m))
+            mp.setattr(odae, "_simpson_pass", lambda *args: passes.append(args[-1]) or node_pass(*args))
+            try:
+                runs[fn is form] = passes, adaptive_simpson_vec(fn, a, b, tol)
+            except QuadratureError:
+                runs[fn is form] = passes, None
+    (fast_passes, fast), (node_passes, node) = runs[True], runs[False]
+    assert fast_passes == node_passes
+    if a == b:
+        assert fast == node == {} and fast_passes == []
+    elif tol == 1e-300:
+        assert fast is node is None and fast_passes[-1] == 8192
+    else:
+        # both sum the same m + 1 weighted terms per coordinate, in different orders
+        scale = abs(length) * sum(vec_norm(c) * max(abs(a), abs(b)) ** p for p, c in terms)
+        assert vec_norm(vec_sub(fast, node)) <= 1e-12 * scale
+
+
+def test_mild_residual_evaluates_a_series_state_at_no_simpson_node(monkeypatch):
+    p, gen = _shift_identity()
+    traj = series_solution(p, gen, np.linspace(0.0, 1.0, 5), order=20)
+    inside, quadratures = [], []  # evaluations made inside the quadrature; its calls
+    depth = [0]
+    evaluate = MonomialForm.evaluate
+
+    def counted(form, t):
+        if depth[0]:
+            inside.append(t)
+        return evaluate(form, t)
+
+    def quadrature(fn, a, b, tol):
+        quadratures.append((a, b, tol))
+        depth[0] += 1
+        try:
+            return adaptive_simpson_vec(fn, a, b, tol)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(MonomialForm, "evaluate", counted)
+    monkeypatch.setattr(MonomialForm, "__call__", counted)
+    monkeypatch.setattr(odae, "adaptive_simpson_vec", quadrature)
+    assert float(mild_residual(p, traj).max()) <= 1e-10
+    assert quadratures == [(0.0, 1.0, odae.CROSS_CHECK_TOL)] and inside == []
+
+
 # --- chain generators and series solutions -------------------------------
 
 
@@ -357,6 +431,20 @@ def test_mild_residual_cross_check_is_1e_10():
             state_fn=lambda t: {1: math.exp(t)},
             integral_fn=lambda t, drift=drift: {1: math.exp(t) - 1.0 + drift * t},
         )
+        if raises:
+            with pytest.raises(QuadratureError, match="above 1.0e-10"):
+                mild_residual(p, traj)
+        else:
+            mild_residual(p, traj)
+
+
+def test_mild_residual_cross_check_of_a_monomial_form_is_1e_10():
+    # the partial exponential sum at index 1, with a drifted exact integral
+    p = Pencil(E=Identity(L2N), A=Identity(L2N))
+    form = MonomialForm(tuple((k, {1: 1.0 / math.factorial(k)}) for k in range(13)))
+    for drift, raises in ((1e-9, True), (1e-11, False)):
+        integral = MonomialForm(form.integral().terms + ((1, {1: drift}),))
+        traj = Trajectory(times=np.array([0.0, 1.0]), state_fn=form, integral_fn=integral)
         if raises:
             with pytest.raises(QuadratureError, match="above 1.0e-10"):
                 mild_residual(p, traj)
