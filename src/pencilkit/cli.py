@@ -51,10 +51,7 @@ class CLIError(Exception):
 def _load(path: str):
     if not os.path.exists(path):
         raise CLIError(f"{path}: file not found")
-    try:
-        return serialize.load_pencil(path)
-    except serialize.FormatError as exc:
-        raise CLIError(str(exc)) from exc
+    return serialize.load_pencil(path)
 
 
 def _seed_param(name: str, seed: int) -> dict:
@@ -297,11 +294,8 @@ def _cmd_dh_check(args) -> int:
     data = _target_data(args)
     notes = data.get("notes", ())
     target = data.get("dh_pencil", data["pencil"]) if args.use_companion else data["pencil"]
-    if target.dh is None:
-        raise CLIError("pencil carries no dissipative-Hamiltonian metadata")
-    mats = dh.dh_section_mats(sections.section(target, args.n), target.dh)
-    rep = dh.classify_mats(mats, None)
-    s = mats.section
+    rep = dh.dh_classify(sections.section(target, args.n), target.dh)
+    s = rep.mats.section
 
     def margin(label: str, value: float) -> str:
         return f"  {label}: {_fmt_unscaled(s, value, label.strip())}"
@@ -324,7 +318,7 @@ def _cmd_dh_check(args) -> int:
         f"stacked sigma_min      : {_fmt_unscaled(s, rep.stacked_sigma_min, 'stacked sigma_min')}",
         "probe sigma_min:",
     ]
-    for lam, sv in dh.probe_sigma_min(mats):
+    for lam, sv in dh.probe_sigma_min(rep.mats):
         label = f"{sparsevec._fmt(lam.real)}{lam.imag:+.17g}i"
         lines.append(f"  {label} : {_fmt_unscaled(s, sv, 'probe sigma_min at ' + label)}")
     lines += [

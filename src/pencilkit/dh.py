@@ -59,8 +59,8 @@ def dh_section_mats(s: SectionedPencil, dh: DHStructure) -> DHSectionMats:
     B, J and R are taken to the section's stored units and Q is not, since
     A = BQ.  BQ is the product of the compressed factors, which can differ
     from the compressed product; the mismatch against A is surfaced in the
-    diagnostics.  Every dH check works on the result, so a caller
-    compresses each section once.
+    diagnostics.  Every dH check works on the result; ``dh_classify``
+    keeps it in its report, where ``dh-check`` reads its probes.
     """
     if dh is None:
         raise ValueError("pencil carries no dissipative-Hamiltonian metadata")
@@ -204,6 +204,7 @@ def probe_sigma_min(mats: DHSectionMats) -> tuple[tuple[complex, float], ...]:
 
 @dataclass(frozen=True)
 class DHReport:
+    mats: DHSectionMats  # the compressed section that was classified
     diagnostics: DHDiagnostics
     common_kernel_dim: int
     kernel_basis: np.ndarray
@@ -223,13 +224,10 @@ def dh_classify(
     The common kernel (``dh_common_kernel``, a vector SVD of the same stack)
     is computed only when that sigma_min is at most
     ``linalg.screen_margin(rank_tol, rank_tol)``; above it the kernel, which
-    keeps the singular values at or below rank_tol, is empty.
+    keeps the singular values at or below rank_tol, is empty.  The report
+    carries the compressed ``mats``, for ``probe_sigma_min`` among others.
     """
-    return classify_mats(dh_section_mats(s, dh), tol_ap)
-
-
-def classify_mats(mats: DHSectionMats, tol_ap: float | None) -> DHReport:
-    """``dh_classify`` on sections already compressed by ``dh_section_mats``."""
+    mats = dh_section_mats(s, dh)
     diag = verify_dh_structure(mats)
     stacked = np.vstack([mats.section.E_mat, mats.BQ])
     svals = linalg.svdvals(stacked)
@@ -247,6 +245,7 @@ def classify_mats(mats: DHSectionMats, tol_ap: float | None) -> DHReport:
     else:
         classification = "regular_candidate"
     return DHReport(
+        mats=mats,
         diagnostics=diag,
         common_kernel_dim=kdim,
         kernel_basis=basis,

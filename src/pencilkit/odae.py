@@ -315,12 +315,13 @@ def polynomial_solution(p: Pencil, sp, t_grid: Sequence[float]) -> Trajectory:
 def mild_residual(p: Pencil, traj: Trajectory) -> np.ndarray:
     """||E x(t) - A \\int_0^t x - E x(0)|| per sample.
 
+    x(0) is the first state when the grid starts at 0, else ``state_fn(0.0)``.
     Uses the exact term-wise integral when the trajectory carries one,
     cross-checked at the final time by quadrature to CROSS_CHECK_TOL;
     otherwise integrates the state function by adaptive Simpson to
     QUADRATURE_TOL.  The trajectory, not the caller, sets the tolerance.
     """
-    ex0 = p.E.apply(traj.states[0])
+    ex0 = p.E.apply(traj.states[0] if traj.times[0] == 0.0 else traj.state_fn(0.0))
     out = []
     for t, x in zip(traj.times, traj.states):
         t = float(t)
@@ -334,7 +335,7 @@ def mild_residual(p: Pencil, traj: Trajectory) -> np.ndarray:
         t_end = float(traj.times[-1])
         if t_end != 0.0:
             quad = adaptive_simpson_vec(traj.state_fn, 0.0, t_end, CROSS_CHECK_TOL)
-            drift = vec_norm(vec_sub(quad, traj.integral_fn(t_end)))
+            drift = vec_norm(vec_sub(quad, integral))
             if drift > CROSS_CHECK_TOL:
                 raise QuadratureError(
                     f"quadrature cross-check drift {drift:.3e} above {CROSS_CHECK_TOL:.1e}"
@@ -347,8 +348,8 @@ def power_balance_residual(
 ) -> tuple[np.ndarray, np.ndarray]:
     """|energy change - accumulated dissipation| per time, plus the Hamiltonian trace.
 
-    The balance compares <E f(t0), Q f(t0)> - <E f(0), Q f(0)> against
-    2 Re int_0^{t0} <B Q f, Q f>; the Hamiltonian is H = 1/2 <E f, Q f>.
+    The balance compares <E f(t), Q f(t)> - <E f(t0), Q f(t0)> against
+    2 Re int_{t0}^t <B Q f, Q f>, t0 the first sample time; H = 1/2 <E f, Q f>.
     """
     if p.dh is None:
         raise ValueError("pencil carries no dissipative-Hamiltonian metadata")

@@ -708,3 +708,68 @@ def test_pencilkit_threads_caps_blas_threads():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["1"]
+
+
+def _cli_error_rewraps(tree: ast.AST) -> list[str]:
+    """Functions with an ``except`` that raises ``CLIError``, save ``get_fixture``'s ``KeyError``.
+
+    ``main`` reports a library ``ValueError`` as the same ``error: ...`` line with
+    exit 2, so a handler that turns one into ``CLIError`` repeats it.  Only an
+    unknown fixture name needs it: ``get_fixture`` raises ``KeyError``, which
+    ``main`` reports as internal (exit 3).
+    """
+    hits = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Try):
+                continue
+            called = {ast.unparse(sub.func) for stmt in node.body for sub in ast.walk(stmt)
+                      if isinstance(sub, ast.Call)}
+            for handler in node.handlers:
+                rewraps = any(isinstance(sub, ast.Raise) and isinstance(sub.exc, ast.Call)
+                              and ast.unparse(sub.exc.func) == "CLIError"
+                              for sub in ast.walk(handler))
+                unknown_fixture = (called == {"fixtures.get_fixture"}
+                                   and handler.type is not None
+                                   and ast.unparse(handler.type) == "KeyError")
+                if rewraps and not unknown_fixture:
+                    hits.add(fn.name)
+    return sorted(hits)
+
+
+def test_cli_does_not_rewrap_library_errors():
+    with open(cli.__file__, encoding="utf-8") as fh:
+        assert _cli_error_rewraps(ast.parse(fh.read())) == []
+
+
+def test_rewrap_check_flags_each_form():
+    source = ("def a(path):\n    try:\n        return serialize.load_pencil(path)\n"
+              "    except serialize.FormatError as exc:\n        raise CLIError(str(exc)) from exc\n"
+              "def b():\n    try:\n        run()\n    except ValueError:\n"
+              "        raise CLIError('x')\n"
+              "def c(name):\n    try:\n        fixtures.get_fixture(name)\n"
+              "    except (KeyError, ValueError) as exc:\n        raise CLIError(exc.args[0])\n"
+              "def d(name):\n    try:\n        fixtures.get_fixture(name).build()\n"
+              "    except KeyError as exc:\n        raise CLIError(exc.args[0])\n"
+              "def ok(name):\n    try:\n        fx = fixtures.get_fixture(name)\n"
+              "    except KeyError as exc:\n        raise CLIError(exc.args[0]) from exc\n"
+              "def ok2():\n    try:\n        run()\n    except ValueError as exc:\n"
+              "        raise RuntimeError(str(exc)) from exc\n")
+    assert _cli_error_rewraps(ast.parse(source)) == ["a", "b", "c", "d"]
+
+
+def test_malformed_pencil_file_is_the_library_message(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"format_version": 1}')
+    with pytest.raises(pencilkit.FormatError) as caught:
+        pencilkit.load_pencil(str(path))
+    code, out, err = _run(capsys, "analyze", str(path))
+    assert (code, out, err) == (EXIT_INPUT, "", f"error: {caught.value}\n")
+
+
+def test_dh_check_without_metadata_prints_one_error_line(capsys, pencil_file):
+    code, out, err = _run(capsys, "dh-check", pencil_file)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: pencil carries no dissipative-Hamiltonian metadata\n"

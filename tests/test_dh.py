@@ -359,3 +359,14 @@ def test_dh_common_kernel_touches_no_second_stack_above_the_cap():
     result = json.loads(out.stdout)
     assert result["dtype"] == "complex128" and result["kdim"] == 1
     assert result["stacks"] < 3.3, result
+
+
+@pytest.mark.parametrize("engineered_kernel", [True, False])
+def test_report_carries_the_mats_it_classified(engineered_kernel):
+    # dh-check reads its probes from the report instead of compressing the section again
+    p = _random_dh(11, engineered_kernel=engineered_kernel)
+    s = section(p, 4)
+    rep = dh_classify(s, p.dh)
+    assert rep.mats.section is s
+    probe = pencilkit.dh.probe_sigma_min
+    assert probe(rep.mats) == probe(dh_section_mats(s, p.dh))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pencilkit import fixture_names, get_fixture, run_fixture, series_solution, verify_singular_function
-from pencilkit import fixtures
+from pencilkit import fixtures, odae
 from pencilkit.fixtures import SingularFunctionData, integrator_trajectory
 
 
@@ -128,3 +128,16 @@ def test_integrator_trajectory_matches_dop853(seed, d):
         state = traj.states[i]
         got = np.array([state.get(j + 1, 0.0) for j in range(data["dim"])])
         assert np.linalg.norm(got - ref.y[:, i]) <= 1e-9
+
+
+def test_shift_identity_builds_each_series_once(monkeypatch):
+    orders = []
+    series = odae.series_solution
+
+    def counting(*args, **kwargs):
+        orders.append(kwargs["order"])
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(odae, "series_solution", counting)
+    assert all(res.passed for res in run_fixture("shift_identity"))
+    assert orders == [10, 15]

@@ -487,6 +487,30 @@ def test_mild_residual_calls_state_fn_only_in_the_cross_check(monkeypatch):
     assert outside == [] and inside
 
 
+def test_mild_residual_calls_integral_fn_once_per_sample():
+    p = Pencil(E=Identity(L2N), A=Diagonal(L2N, WeightRule("reciprocal_index")))
+    traj = _exp_traj(1.0, np.linspace(0.0, 1.0, 5))
+    calls = []
+    integral_fn = traj.integral_fn
+    traj.integral_fn = lambda t: calls.append(t) or integral_fn(t)
+    assert float(mild_residual(p, traj).max()) <= 1e-10
+    assert calls == [float(t) for t in traj.times]
+
+
+def test_mild_residual_takes_x0_at_time_zero():
+    # a grid that starts after 0 still integrates from 0 and subtracts E x(0)
+    p, gen = _shift_identity()
+    late = mild_residual(p, series_solution(p, gen, [0.5, 1.0], order=15))
+    full = mild_residual(p, series_solution(p, gen, [0.0, 0.5, 1.0], order=15))
+    assert np.array_equal(late, full[1:]) and float(late.max()) <= 1e-12
+
+    from pencilkit.fixtures import get_fixture, integrator_trajectory
+
+    data = get_fixture("poroelasticity_template").build()
+    traj = integrator_trajectory(data, np.linspace(0.5, 1.0, 3), data["x0"])
+    assert float(mild_residual(data["pencil"], traj).max()) <= 1e-8
+
+
 # --- power balance --------------------------------------------------------
 
 
