@@ -328,15 +328,26 @@ def integrator_trajectory(data: dict, t_grid: np.ndarray, x0: np.ndarray) -> oda
     """Exact flow x(t) = expm((t - t0) E^-1 B) x0 of E x' = B x for a finite dH fixture.
 
     The trajectory carries a state function but no term-wise integral, so
-    mild residuals of it are computed by adaptive Simpson quadrature.
+    mild residuals of it are computed by adaptive Simpson quadrature.  Its
+    batch form ``state_fn.many`` takes a Simpson pass in one ``expm`` of the
+    stack of its unseen times; each distinct time, samples included, once.
     """
     gen = linalg.solve(data["E_mat"], data["B_mat"])
     t0 = float(t_grid[0])
+    seen: dict[float, SparseVec] = {}
+
+    def many(times) -> list[SparseVec]:
+        fresh = [t for t in dict.fromkeys(times) if t not in seen]
+        if fresh:
+            arrs = linalg.expm(np.multiply.outer(np.subtract(fresh, t0), gen)) @ x0
+            for t, arr in zip(fresh, arrs.tolist()):
+                seen[t] = {i + 1: complex(c) for i, c in enumerate(arr) if c != 0}
+        return [seen[t] for t in times]
 
     def state_fn(t: float) -> SparseVec:
-        arr = linalg.expm((t - t0) * gen) @ x0
-        return {i + 1: complex(c) for i, c in enumerate(arr) if c != 0}
+        return many([t])[0]
 
+    state_fn.many = many
     return odae.Trajectory(times=np.asarray(t_grid, dtype=float), state_fn=state_fn)
 
 

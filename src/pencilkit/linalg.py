@@ -59,7 +59,7 @@ input: ``sections`` stores each section with its largest entry in range.
   SVD.
 - ``expm``, ``solve``, generalized ``eigvals`` (QZ) and
   ``subspace_angles`` pass through to ``scipy.linalg``, imported on first
-  use.
+  use.  ``expm`` also takes a stack; each slice is bitwise its own call.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ flow of the finite poroelasticity fixture) are integrated by composite
 Simpson with dyadic refinement until the Richardson estimate drops below a
 tenth of the requested tolerance.  Halving the step is exact, so every node
 of one pass is a node of the next: such a call evaluates the integrand once
-per distinct node, and only the new odd nodes of a refinement are fresh.
+per distinct node, and only the new odd nodes of a refinement are fresh; an
+integrand with a batch form ``many``, such as the flow, gets them in one call.
 The cross-check of a monomial trajectory's exact integral integrates its
 form term by term, with one weighted power sum per term and pass: it
 evaluates the state at no node, and its value is compared, never printed.
@@ -135,18 +136,18 @@ class MonomialForm:
 def _simpson_pass(fn, values: dict, a: float, b: float, m: int) -> SparseVec:
     """Composite Simpson with m subintervals (even); fn(t) is memoized in values.
 
-    The weighted sum of the nonempty node values is taken by
-    ``sparsevec.vec_combine``, along a plan zipped from their values when
-    they share one key order.  The memoized values are only read, never
-    mutated.
+    The fresh nodes go to one ``fn.many`` call when fn has that batch form.
+    The weighted sum of the nonempty node values is taken by ``vec_combine``,
+    along a plan zipped from their values when they share one key order.
+    The memoized values are only read, never mutated.
     """
     h = (b - a) / m
+    ts = [a + i * h for i in range(m + 1)]
+    fresh = list(dict.fromkeys(t for t in ts if t not in values))
+    values.update(zip(fresh, fn.many(fresh) if hasattr(fn, "many") else map(fn, fresh)))
     weights, nodes = [], []
-    for i in range(m + 1):
-        t = a + i * h
-        ft = values.get(t)
-        if ft is None:
-            ft = values[t] = fn(t)
+    for i, t in enumerate(ts):
+        ft = values[t]
         if ft:
             weights.append(1 if i in (0, m) else (4 if i % 2 else 2))
             nodes.append(ft)
@@ -164,7 +165,8 @@ def adaptive_simpson_vec(fn, a: float, b: float, tol: float) -> SparseVec:
     Starts with SIMPSON_M0 subintervals and doubles while m <= SIMPSON_MAX_M,
     so the last pass tried has 2 * SIMPSON_MAX_M at most.  The nodes a + i*h
     of one pass are bitwise nodes of the next, so fn is called once per
-    distinct node (the final m + 1 calls in all); fn must be pure.  A
+    distinct node (the final m + 1 calls in all); fn must be pure.  With a
+    batch form ``fn.many`` each pass makes one call for its fresh nodes.  A
     ``MonomialForm`` fn is integrated term by term by ``MonomialForm.simpson``
     and is not called at all; the passes, the estimate and the errors are
     the same.  tol must be finite and positive, else a ValueError is raised
@@ -190,8 +192,19 @@ def adaptive_simpson_vec(fn, a: float, b: float, tol: float) -> SparseVec:
     raise QuadratureError(f"quadrature estimate {est:.3e} above tolerance {tol:.3e}")
 
 
+def _pointwise(g, fn):
+    """t -> g(fn(t)), with the batch form ``many`` when fn has one."""
+
+    def h(t):
+        return g(fn(t))
+
+    if hasattr(fn, "many"):
+        h.many = lambda ts: [g(v) for v in fn.many(ts)]
+    return h
+
+
 def adaptive_simpson_scalar(fn, a: float, b: float, tol: float) -> float:
-    val = adaptive_simpson_vec(lambda t: {0: fn(t)}, a, b, tol)
+    val = adaptive_simpson_vec(_pointwise(lambda v: {0: v}, fn), a, b, tol)
     return float(val.get(0, 0.0).real)
 
 
@@ -350,16 +363,17 @@ def power_balance_residual(
 
     The balance compares <E f(t), Q f(t)> - <E f(t0), Q f(t0)> against
     2 Re int_{t0}^t <B Q f, Q f>, t0 the first sample time; H = 1/2 <E f, Q f>.
+    The rate forwards the flow's batches and skips Q when Q = I.
     """
     if p.dh is None:
         raise ValueError("pencil carries no dissipative-Hamiltonian metadata")
     E, Q, B = p.E, p.dh.Q, p.dh.B
 
-    def dissipation(t: float) -> float:
-        f = traj.state_fn(t)
-        qf = Q.apply(f)
+    def rate(f: SparseVec) -> float:
+        qf = f if p.dh.q_is_identity else Q.apply(f)
         return 2.0 * float(vec_inner(B.apply(qf), qf).real)
 
+    dissipation = _pointwise(rate, traj.state_fn)
     times = [float(t) for t in traj.times]
     energies = [float(vec_inner(E.apply(f), Q.apply(f)).real) for f in traj.states]
     e0 = energies[0]

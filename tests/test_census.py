@@ -15,6 +15,10 @@ module that binds the function, over a series and a polynomial trajectory
 with their mild residuals, and over the power balance of an integrated
 trajectory, whose sums go through ``StructuredOperator.apply`` and the
 Simpson passes.
+
+The exponential census counts ``linalg.expm`` calls and the matrices they
+exponentiate, a stack counting each slice, over ``simulate`` of the
+poroelasticity fixture and over one power balance of its flow.
 """
 
 import contextlib
@@ -132,3 +136,57 @@ def test_power_balance_sums_are_pinned(monkeypatch):
         odae.power_balance_residual(data["pencil"], traj, tol=1e-8)
 
     assert _count_vec_iadd(monkeypatch, run) == 18
+
+
+def _count_expm(monkeypatch, run) -> tuple[int, int]:
+    """``linalg.expm`` calls over run(), and the matrices they exponentiate."""
+    counts = [0, 0]
+    expm = linalg.expm
+
+    def counted(mat):
+        counts[0] += 1
+        counts[1] += len(mat) if mat.ndim == 3 else 1
+        return expm(mat)
+
+    monkeypatch.setattr(linalg, "expm", counted)
+    run()
+    return tuple(counts)
+
+
+def test_simulate_exponentials_are_pinned(monkeypatch):
+    # one expm per stored sample and per Simpson pass; each distinct time once
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--seed", "0", "simulate", "--fixture", "poroelasticity_template"]) == EXIT_OK
+
+    assert _count_expm(monkeypatch, run) == (61, 472)
+
+
+def _power_balance(data):
+    traj = fixtures.integrator_trajectory(data, np.linspace(0.0, 1.0, 6), data["x0"])
+    odae.power_balance_residual(data["pencil"], traj, tol=1e-8)
+    return traj
+
+
+def test_power_balance_exponentials_are_pinned(monkeypatch):
+    data = fixtures.get_fixture("poroelasticity_template").build()
+    assert _count_expm(monkeypatch, lambda: _power_balance(data)) == (20, 145)
+
+
+def test_power_balance_exponentiates_each_time_once(monkeypatch):
+    # a slice (t - t0) * G stands for its time t: no slice twice, and after the
+    # states are stored no slice of a sample time
+    data = fixtures.get_fixture("poroelasticity_template").build()
+    slices = []
+    expm = linalg.expm
+
+    def recording(mat):
+        slices.extend(m.tobytes() for m in (mat if mat.ndim == 3 else [mat]))
+        return expm(mat)
+
+    monkeypatch.setattr(linalg, "expm", recording)
+    traj = _power_balance(data)
+    gen = linalg.solve(data["E_mat"], data["B_mat"])
+    samples = {m.tobytes() for m in np.multiply.outer(traj.times - traj.times[0], gen)}
+    assert len(slices) == len(set(slices)) == 145
+    assert set(slices[:6]) == samples and samples.isdisjoint(slices[6:])

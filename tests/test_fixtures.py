@@ -7,6 +7,7 @@ import pytest
 from pencilkit import fixture_names, get_fixture, run_fixture, series_solution, verify_singular_function
 from pencilkit import fixtures, odae
 from pencilkit.fixtures import SingularFunctionData, integrator_trajectory
+from test_linalg import run_at_one_blas_thread
 
 
 def test_registry_contents():
@@ -110,6 +111,38 @@ def test_states_are_the_state_function_at_the_stored_times(produce):
     traj = produce(np.linspace(0.0, 1.0, 7))
     again = [traj.state_fn(t) for t in traj.times]
     assert traj.states == again and repr(traj.states) == repr(again)
+
+
+# Times out of order and repeated, on and off the grid [0.25, 0.5, 0.75, 1], t0 = 0.25
+# among them; the reference is a fresh trajectory's state function, called one
+# time at a time, and the flow's formula with one expm per time.
+_FLOW_SCRIPT = """
+import json
+import numpy as np
+from pencilkit import linalg
+from pencilkit.fixtures import get_fixture, integrator_trajectory
+
+times = [0.9, 0.5, 0.3, 0.9, 1.0, -0.4, 0.3, 0.25, 2.0, 0.5, 0.0]
+differ = []
+for params in ({"d": 3}, {"d": 4}, {"d": 3, "singular_pressure": True}):
+    data = get_fixture("poroelasticity_template").build(seed=2, **params)
+    flow = lambda: integrator_trajectory(data, np.linspace(0.25, 1.0, 4), data["x0"]).state_fn
+    batch = flow().many(times)
+    state_fn = flow()
+    one_by_one = [state_fn(t) for t in times]
+    gen = linalg.solve(data["E_mat"], data["B_mat"])
+    formula = [linalg.expm((t - 0.25) * gen) @ data["x0"] for t in times]
+    formula = [{i + 1: complex(c) for i, c in enumerate(arr) if c != 0} for arr in formula]
+    for name, ref in (("state_fn", one_by_one), ("formula", formula)):
+        same = (batch == ref and [list(v) for v in batch] == [list(v) for v in ref]
+                and repr(batch) == repr(ref))
+        differ += [] if same else [f"{params}: {name}"]
+print(json.dumps({"differ": differ}))
+"""
+
+
+def test_flow_batch_states_are_the_state_function_one_time_at_a_time():
+    assert run_at_one_blas_thread(_FLOW_SCRIPT) == {"differ": []}
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -272,14 +272,44 @@ print(json.dumps({"cases": len(cases) + len(stacked), "differ": differ}))
 """
 
 
-def test_vector_svds_are_bitwise_scipy_on_both_sides_of_the_cap():
+def run_at_one_blas_thread(script: str):
+    """The JSON that ``script`` prints, run in a fresh interpreter at one BLAS thread."""
     blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in blas}
     env.update(PYTHONPATH=str(Path(pencilkit.__file__).parents[1]), PENCILKIT_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", _BITWISE_SCRIPT],
-                         capture_output=True, text=True, env=env)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == {"cases": 47, "differ": []}
+    return json.loads(out.stdout)
+
+
+def test_vector_svds_are_bitwise_scipy_on_both_sides_of_the_cap():
+    assert run_at_one_blas_thread(_BITWISE_SCRIPT) == {"cases": 47, "differ": []}
+
+
+# A stack of (t - t0) * G, as a Simpson pass of the poroelasticity flow hands it
+# over; the slice at t = t0 is zero, and its exponential the identity.
+_EXPM_SCRIPT = """
+import json
+import numpy as np
+from pencilkit import linalg
+
+rng = np.random.default_rng(11)
+differ = []
+for n, dtype in ((2, float), (9, float), (12, float), (5, complex)):
+    gen = rng.standard_normal((n, n)).astype(dtype)
+    if dtype is complex:
+        gen = gen + 1j * rng.standard_normal((n, n))
+    stack = np.multiply.outer([0.4, 0.0, -1.5, 30.0, 1e-9, 0.4], gen)
+    batch = linalg.expm(stack)
+    differ += [f"{n}x{n} {dtype.__name__} slice {k}" for k, mat in enumerate(stack)
+               if not np.array_equal(batch[k], linalg.expm(mat))]
+    differ += [] if np.array_equal(batch[1], np.eye(n)) else [f"{n}x{n} zero slice"]
+print(json.dumps({"slices": 4 * len(stack), "differ": differ}))
+"""
+
+
+def test_expm_of_a_stack_is_bitwise_the_per_slice_calls():
+    assert run_at_one_blas_thread(_EXPM_SCRIPT) == {"slices": 24, "differ": []}
 
 
 @pytest.mark.parametrize("helper", [linalg.thin_svd, linalg.svals_vh, linalg.smallest_right,
