@@ -329,8 +329,8 @@ def integrator_trajectory(data: dict, t_grid: np.ndarray, x0: np.ndarray) -> oda
 
     The trajectory carries a state function but no term-wise integral, so
     mild residuals of it are computed by adaptive Simpson quadrature.  Its
-    batch form ``state_fn.many`` takes a Simpson pass in one ``expm`` of the
-    stack of its unseen times; each distinct time, samples included, once.
+    batch form ``state_fn.many`` takes the samples, then each Simpson pass, in
+    one ``expm`` of the stack of its unseen times: each distinct time once.
     """
     gen = linalg.solve(data["E_mat"], data["B_mat"])
     t0 = float(t_grid[0])
@@ -348,7 +348,9 @@ def integrator_trajectory(data: dict, t_grid: np.ndarray, x0: np.ndarray) -> oda
         return many([t])[0]
 
     state_fn.many = many
-    return odae.Trajectory(times=np.asarray(t_grid, dtype=float), state_fn=state_fn)
+    times = np.asarray(t_grid, dtype=float)
+    many(times.tolist())
+    return odae.Trajectory(times=times, state_fn=state_fn)
 
 
 def _check_poroelasticity(data: dict) -> list[CheckResult]:

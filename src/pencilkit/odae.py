@@ -13,10 +13,11 @@ by ``vec_iadd``, so its entries are Python floats and complexes.
 Trajectories without a term-wise integral (the exact matrix-exponential
 flow of the finite poroelasticity fixture) are integrated by composite
 Simpson with dyadic refinement until the Richardson estimate drops below a
-tenth of the requested tolerance.  Halving the step is exact, so every node
-of one pass is a node of the next: such a call evaluates the integrand once
-per distinct node, and only the new odd nodes of a refinement are fresh; an
-integrand with a batch form ``many``, such as the flow, gets them in one call.
+tenth of the requested tolerance.  Every pass takes its nodes and weights
+from ``_simpson_grid`` and combines its vectors along a ``coordinate_plan``.
+Halving the step is exact, so every node of one pass is a node of the next:
+the integrand is evaluated once per distinct node, and a batch form
+``many`` of it, such as the flow's, takes the fresh nodes of a pass at once.
 The cross-check of a monomial trajectory's exact integral integrates its
 form term by term, with one weighted power sum per term and pass: it
 evaluates the state at no node, and its value is compared, never printed.
@@ -100,15 +101,11 @@ class MonomialForm:
     def simpson(self, a: float, b: float, m: int) -> SparseVec:
         """Composite Simpson of the form over m subintervals (even), term by term.
 
-        Term p contributes h/3 * sum_i w_i t_i^p times its coefficient, at
-        the nodes a + i*h of ``_simpson_pass``.  An overflow leaves an inf
-        or nan in the result rather than raising.
+        Term p contributes h/3 * sum_i w_i t_i^p times its coefficient, on
+        the grid of ``_simpson_grid``.  An overflow leaves an inf or nan in
+        the result rather than raising.
         """
-        h = (b - a) / m
-        weights = np.full(m + 1, 2.0)
-        weights[1::2] = 4.0
-        weights[[0, m]] = 1.0
-        nodes = a + np.arange(m + 1) * h
+        h, nodes, weights = _simpson_grid(a, b, m)
         coeffs, plan = self._combine
         with np.errstate(over="ignore", invalid="ignore"):
             sums = h / 3.0 * (weights @ np.power.outer(nodes, [p for p, _ in self.terms]))
@@ -133,30 +130,28 @@ class MonomialForm:
 # quadrature
 
 
+def _simpson_grid(a: float, b: float, m: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Step h, nodes a + i*h (bitwise) and weights 1, 4, 2, ..., 4, 1 of m subintervals (even)."""
+    h = (b - a) / m
+    weights = np.full(m + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, m]] = 1.0
+    return h, a + np.arange(m + 1) * h, weights
+
+
 def _simpson_pass(fn, values: dict, a: float, b: float, m: int) -> SparseVec:
     """Composite Simpson with m subintervals (even); fn(t) is memoized in values.
 
-    The fresh nodes go to one ``fn.many`` call when fn has that batch form.
-    The weighted sum of the nonempty node values is taken by ``vec_combine``,
-    along a plan zipped from their values when they share one key order.
-    The memoized values are only read, never mutated.
+    The fresh nodes of ``_simpson_grid`` go to one ``fn.many`` call when fn
+    has that batch form.  The node values, only read, never mutated, are
+    summed by ``vec_combine`` along their ``coordinate_plan``.
     """
-    h = (b - a) / m
-    ts = [a + i * h for i in range(m + 1)]
+    h, ts, weights = _simpson_grid(a, b, m)
+    ts = ts.tolist()
     fresh = list(dict.fromkeys(t for t in ts if t not in values))
     values.update(zip(fresh, fn.many(fresh) if hasattr(fn, "many") else map(fn, fresh)))
-    weights, nodes = [], []
-    for i, t in enumerate(ts):
-        ft = values[t]
-        if ft:
-            weights.append(1 if i in (0, m) else (4 if i % 2 else 2))
-            nodes.append(ft)
-    keys = list(nodes[0]) if nodes else []
-    if all(list(ft) == keys for ft in nodes):
-        plan = zip(keys, map(enumerate, zip(*(ft.values() for ft in nodes))))
-    else:
-        plan = coordinate_plan(nodes)
-    return vec_scale(h / 3.0, vec_combine(nodes, weights, plan))
+    nodes = [values[t] for t in ts]
+    return vec_scale(h / 3.0, vec_combine(nodes, weights.tolist(), coordinate_plan(nodes)))
 
 
 def adaptive_simpson_vec(fn, a: float, b: float, tol: float) -> SparseVec:

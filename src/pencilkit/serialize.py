@@ -132,7 +132,7 @@ def _weights_out(w: WeightRule) -> dict:
 
 
 def _weights_in(v: Any) -> WeightRule:
-    if not isinstance(v, dict) or v.get("kind") not in _KINDS:
+    if not (isinstance(v, dict) and isinstance(v.get("kind"), str) and v["kind"] in _KINDS):
         raise FormatError(f"not a weight rule: {v!r}")
     keys = {**_KINDS[v["kind"]], **_COMMON}
     _keys_in(v, f"weight rule {v['kind']!r}", ("kind", "conjugate", *keys), ())
@@ -193,7 +193,7 @@ def op_to_json(op: StructuredOperator) -> dict:
 
 
 def op_from_json(v: Any) -> StructuredOperator:
-    if not isinstance(v, dict) or v.get("node") not in _NODES:
+    if not (isinstance(v, dict) and isinstance(v.get("node"), str) and v["node"] in _NODES):
         raise FormatError(f"not an operator node: {v!r}")
     return _read(v, f"node {v['node']!r}", _NODES[v["node"]])
 

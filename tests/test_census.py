@@ -154,12 +154,12 @@ def _count_expm(monkeypatch, run) -> tuple[int, int]:
 
 
 def test_simulate_exponentials_are_pinned(monkeypatch):
-    # one expm per stored sample and per Simpson pass; each distinct time once
+    # one expm for the stored samples and one per Simpson pass; each distinct time once
     def run():
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["--seed", "0", "simulate", "--fixture", "poroelasticity_template"]) == EXIT_OK
 
-    assert _count_expm(monkeypatch, run) == (61, 472)
+    assert _count_expm(monkeypatch, run) == (51, 472)
 
 
 def _power_balance(data):
@@ -170,7 +170,7 @@ def _power_balance(data):
 
 def test_power_balance_exponentials_are_pinned(monkeypatch):
     data = fixtures.get_fixture("poroelasticity_template").build()
-    assert _count_expm(monkeypatch, lambda: _power_balance(data)) == (20, 145)
+    assert _count_expm(monkeypatch, lambda: _power_balance(data)) == (15, 145)
 
 
 def test_power_balance_exponentiates_each_time_once(monkeypatch):

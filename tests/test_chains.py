@@ -16,6 +16,7 @@ from pencilkit import (
     WeightRule,
     basis_vec,
     chain_to_polynomial,
+    classify_point,
     extract_left_chain,
     extract_right_chain,
     finite,
@@ -102,6 +103,23 @@ def test_chain_polynomial_verifies_on_pencil_and_section():
     poly = chain_to_polynomial(extract_right_chain(s))
     assert verify_singular_polynomial(p, poly, side="right") <= 1e-12
     assert verify_singular_polynomial(s, poly, side="right") <= 1e-12
+
+
+def test_left_chain_polynomial_verifies_on_pencil_and_section():
+    # E = [I; 0] and A the down shift, 4 x 3 of full column rank: the left kernel
+    # is (1, lam, lam^2, lam^3), and verifying on the pencil goes through its adjoint
+    k = 3
+    e, a = np.eye(k + 1, k), np.eye(k + 1, k, -1)
+    p = Pencil(E=DenseBlock(finite(k), finite(k + 1), e), A=DenseBlock(finite(k), finite(k + 1), a))
+    s = section(p, k + 1)
+    assert classify_point(s, 0.5).verdict == "singular_only"
+    poly = chain_to_polynomial(extract_left_chain(s))
+    assert verify_singular_polynomial(s, poly, side="left") <= 1e-12
+    assert verify_singular_polynomial(p, poly, side="left") <= 1e-12
+    first = poly.coeffs[0]
+    bad = VectorPolynomial([{**first, 1: first[1] + 1e-3}, *poly.coeffs[1:]])
+    assert verify_singular_polynomial(s, bad, side="left") > 1e-4
+    assert verify_singular_polynomial(p, bad, side="left") > 1e-4
 
 
 def test_verify_rejects_repeated_probes():

@@ -496,6 +496,16 @@ def test_misspelled_pencil_key_is_input_error(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_non_string_tag_is_input_error(capsys, tmp_path):
+    path = tmp_path / "tag.json"
+    identity = {"node": "identity", "space": "l2N"}
+    path.write_text(json.dumps({"format": 1, "E": identity, "A": {"node": ["identity"], "space": "l2N"}}))
+    code, out, err = _run(capsys, "analyze", str(path), "--n", "4")
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(f"error: {path}: not an operator node: ")
+    assert err.count("\n") == 1
+
+
 def test_key_error_is_internal_error(capsys, monkeypatch):
     def lookup_fault(args):
         raise KeyError("missing")

@@ -174,6 +174,20 @@ def test_simpson_matches_reference_loop_bitwise(kind, a, length, tol):
     assert [(j, repr(x)) for j, x in got.items()] == [(j, repr(x)) for j, x in want.items()]
 
 
+_GRID_END = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(half_m=st.integers(1, 4096), a=_GRID_END, b=_GRID_END)
+def test_simpson_grid_is_the_reference_grid(half_m, a, b):
+    # the one grid of both pass producers: nodes bitwise a + i*h, weights 1, 4, 2, ..., 4, 1
+    m = 2 * half_m
+    h, nodes, weights = odae._simpson_grid(a, b, m)
+    assert h.hex() == ((b - a) / m).hex()
+    assert [t.hex() for t in nodes.tolist()] == [(a + i * h).hex() for i in range(m + 1)]
+    assert weights.tolist() == [1.0] + [4.0, 2.0] * (half_m - 1) + [4.0, 1.0]
+
+
 def test_simpson_sums_node_values_of_changing_key_order_along_a_plan(monkeypatch):
     # the node values switch key order at t = 0.5, so no pass can zip one shared order
     plans = []

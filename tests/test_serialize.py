@@ -133,6 +133,23 @@ def test_bare_real_scalars_accepted():
     assert op_from_json(raw).apply_basis(3) == {3: 2.5}
 
 
+_IDENTITY = {"node": "identity", "space": "l2N"}
+# tags that are not strings: a table lookup would hash them and raise TypeError
+_NON_STRING_TAGS = [
+    ({"node": ["identity"], "space": "l2N"}, "not an operator node: "),
+    ({"node": {}, "space": "l2N"}, "not an operator node: "),
+    ({"node": "diagonal", "space": "l2N", "weights": {"kind": ["constant"], "value": 2}},
+     "not a weight rule: "),
+]
+
+
+@pytest.mark.parametrize("op, message", _NON_STRING_TAGS)
+def test_non_string_tag_is_named(op, message):
+    with pytest.raises(FormatError) as caught:
+        pencil_from_json({"format": 1, "E": _IDENTITY, "A": op})
+    assert str(caught.value).startswith(message)
+
+
 def test_errors_are_format_errors(tmp_path):
     with pytest.raises(FormatError):
         pencil_from_json({"format": 99, "E": {}, "A": {}})

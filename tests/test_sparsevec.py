@@ -291,7 +291,7 @@ def test_vec_combine_matches_vec_iadd_loop(case):
     assert _hex_entries(vec_combine(vs, scales, coordinate_plan(vs))) == want
     keys = list(vs[0]) if vs else []
     if all(list(v) == keys for v in vs):
-        # the plan ``_simpson_pass`` zips from node values in one key order
+        # any plan with the pairs of ``coordinate_plan``: here one zipped from a shared key order
         zipped = zip(keys, map(enumerate, zip(*(v.values() for v in vs))))
         assert _hex_entries(vec_combine(vs, scales, zipped)) == want
 
