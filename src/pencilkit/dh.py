@@ -12,7 +12,9 @@ equivalent to a constant right singular polynomial and to
 sigma_min(lam E - BQ) = 0 at every right-half-plane probe
 (``probe_sigma_min`` reports them; ``dh_classify`` reads only the kernel);
 a small stacked sigma_min without an exact kernel is evidence of
-approximate singularity.
+approximate singularity.  The common kernel is ``linalg.kernel``'s, on the
+``point_singular`` rule ``linalg.TOL_POINT`` times sigma_max([E; BQ]); this
+module states no kernel threshold of its own.
 Structure margins are judged against ``linalg.TOL_STRUCTURE`` times max(||E||_2, ||BQ||_2),
 sigma_min(Q) against it times sigma_max(Q); every factor and ``rank_tol`` come from ``linalg``.
 """
@@ -167,8 +169,14 @@ def dh_kernel_EJR(s: SectionedPencil, dh: DHStructure) -> tuple[int, np.ndarray]
     """Kernel of E^2 + R^2 - J^2 (Q = I, split supplied); checked against the stack.
 
     With Q = I the Q*E margins of ``verify_dh_structure`` are E's, so its
-    failures are the preconditions.  Raises if they fail or if the two kernel
-    computations disagree beyond the subspace angle ``linalg.TOL_KERNEL_ANGLE``.
+    failures are the preconditions.  The formula's kernel is its eigenvalues
+    at or below ``rank_tol``, the stack's is ``linalg.kernel`` of [E; J; R].
+    The formula squares the stack's singular values, so it resolves them only
+    down to about sqrt(n * EPS) * sigma_max([E; J; R]): it agrees with the
+    stack below ``linalg.TOL_POINT`` * sigma_max([E; J; R]), and refuses
+    ("disagrees") between that and its resolution.  Raises if the
+    preconditions fail or the two kernels differ in dimension or beyond the
+    subspace angle ``linalg.TOL_KERNEL_ANGLE``.
     """
     if not dh.q_is_identity:
         raise ValueError("E/J/R kernel formula requires Q = identity")
@@ -223,17 +231,18 @@ def dh_classify(
     the section's stored units; ``tol_ap`` is in the units of the pencil.
     The common kernel (``dh_common_kernel``, a vector SVD of the same stack)
     is computed only when that sigma_min is at most
-    ``linalg.screen_margin(rank_tol, rank_tol)``; above it the kernel, which
-    keeps the singular values at or below rank_tol, is empty.  The report
-    carries the compressed ``mats``, for ``probe_sigma_min`` among others.
+    ``linalg.screen_margin(thr, rank_tol)`` with thr = ``linalg.TOL_POINT``
+    times sigma_max of the values-only SVD; above it the kernel, which keeps
+    the singular values at or below that rule, is empty.  The report carries
+    the compressed ``mats``, for ``probe_sigma_min`` among others.
     """
     mats = dh_section_mats(s, dh)
     diag = verify_dh_structure(mats)
     stacked = np.vstack([mats.section.E_mat, mats.BQ])
     svals = linalg.svdvals(stacked)
     stacked_smin = float(svals[-1])
-    rt = linalg.rank_tol(stacked.shape, linalg.finite_scale("dH sigma_max([E; BQ])", float(svals[0])))
-    if stacked_smin <= linalg.screen_margin(rt, rt):
+    thr = linalg.TOL_POINT * linalg.finite_scale("dH sigma_max([E; BQ])", float(svals[0]))
+    if stacked_smin <= linalg.screen_margin(thr, linalg.rank_tol(stacked.shape, svals[0])):
         kdim, basis = dh_common_kernel(mats)
     else:
         kdim, basis = 0, np.zeros((stacked.shape[1], 0), dtype=stacked.dtype)

@@ -50,6 +50,10 @@ input: ``sections`` stores each section with its largest entry in range.
   the values and ``Vh`` are bitwise equal; only Q and Q·U, which nothing
   reads, are no longer formed.  Below two rows per column the answers
   differ in the last digits, so the threshold stays at 2.
+- ``kernel`` keeps the singular values at or below ``TOL_POINT`` times
+  sigma_max, the ``point_singular`` rule of the verdict table: one answer to
+  "exactly singular".  ``rank_tol`` is the rounding slack of ``screen_margin``
+  and the rank rule of ``reduce_polynomial`` and of ``dh_kernel_EJR``.
 - ``norm2``, ``eigvalsh``, ``eigh`` and ``standard_eigvals`` pass through
   to ``numpy.linalg``, and ``poly_roots`` to ``numpy.roots`` (an
   eigenvalue solve of the companion matrix), looked up at each call, so
@@ -96,7 +100,8 @@ def rank_tol(shape: tuple[int, ...], smax: float) -> float:
 def screen_margin(thr: float, rt: float) -> float:
     """A values-only sigma_min above this proves no vector-SVD value at or below ``thr``.
 
-    The two SVDs differ by less than the rank tolerance ``rt``; thr = rt proves an empty kernel.
+    The two SVDs differ by less than the rank tolerance ``rt``; thr = TOL_POINT * sigma_max
+    proves an empty ``kernel``.
     """
     return max(10 * thr, thr + 2 * rt)
 
@@ -179,12 +184,11 @@ def smallest_right(*blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def kernel(*blocks: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical nullspace of the blocks stacked, from one SVD.
 
-    Singular values at or below ``rank_tol``, with sigma_max taken from that
-    SVD, count as zero.
+    Singular values at or below ``TOL_POINT`` times sigma_max of that SVD count as zero, the
+    rule of ``point_singular``.
     """
     svals, vh = svals_vh(*blocks)
-    tol = rank_tol(_shape(blocks), svals[0] if svals.size else 0.0)
-    return vh[int(np.sum(svals > tol)):].conj().T
+    return vh[int(np.sum(svals > TOL_POINT * (svals[0] if svals.size else 0.0))):].conj().T
 
 
 def norm2(mat: np.ndarray) -> float:

@@ -12,6 +12,7 @@ import pytest
 import pencilkit
 from pencilkit import (
     DenseBlock,
+    DHStructure,
     Diagonal,
     Identity,
     L2N,
@@ -231,6 +232,32 @@ def test_dh_check_compresses_the_section_once(capsys, monkeypatch):
     code, out, _ = _run(capsys, "dh-check", "--fixture", "stokes_skeleton")
     assert code == EXIT_OK and "probe sigma_min:" in out
     assert len(calls) == 1
+
+
+def test_analyze_and_dh_check_agree_on_a_perturbed_common_kernel(capsys, tmp_path):
+    # E, J and R share the kernel vector v, then E and R are shifted by 1e-12 times their
+    # norm: sigma_min([E; BQ]) is about 1e-12 * sigma_max, far above rank_tol, below TOL_POINT
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((3, 6, 6))
+    v = rng.standard_normal(6)
+    proj = np.eye(6) - np.outer(v, v) / (v @ v)
+    e, r = (proj @ (x @ x.T + 6 * np.eye(6)) @ proj for x in m[:2])
+    e, r = (x + 1e-12 * np.linalg.norm(x, 2) * np.eye(6) for x in (e, r))
+    j = proj @ (m[2] - m[2].T) @ proj
+    sp = finite(6)
+    b = DenseBlock(sp, sp, j - r)
+    dh = DHStructure(B=b, Q=Identity(sp), J=DenseBlock(sp, sp, j), R=DenseBlock(sp, sp, r))
+    p = Pencil(E=DenseBlock(sp, sp, e), A=b, dh=dh)
+    path = tmp_path / "dh.json"
+    save_pencil(p, str(path))
+    code, out, _ = _run(capsys, "analyze", str(path), "--n", "6")
+    assert code == EXIT_OK
+    assert [line.split("verdict=")[1] for line in out.splitlines() if "verdict=" in line] == [
+        "point_singular"] * 4
+    assert "right singular chain: minimal index 0" in out
+    assert "common kernel dim 1, classification point_singular" in out
+    code, out, _ = _run(capsys, "dh-check", str(path), "--n", "6")
+    assert code == EXIT_OK and "common kernel dimension: 1" in out
 
 
 def test_dh_check_requires_metadata(capsys, pencil_file):

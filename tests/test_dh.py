@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pencilkit.dh
 from pencilkit import linalg
+from pencilkit.chains import extract_right_chain
 from pencilkit.fixtures import get_fixture
 from pencilkit import (
     DenseBlock,
@@ -27,6 +30,7 @@ from pencilkit import (
     uniqueness_demo,
     verify_dh_structure,
 )
+from pencilkit.spectra import classify_point
 
 
 def _random_dh(seed: int, dim: int = 4, engineered_kernel: bool = False) -> Pencil:
@@ -120,6 +124,74 @@ def test_kernel_EJR_preconditions():
     not_identity = DHStructure(B=p.dh.B, Q=p.dh.B, J=p.dh.J, R=p.dh.R)
     with pytest.raises(ValueError):
         dh_kernel_EJR(s, not_identity)
+
+
+def _dh_with_common_kernel(seed, dim, kdim, spd_q, scale, delta) -> Pencil:
+    """lambda E - BQ on finite(dim) with ker E ∩ ker BQ of dimension kdim, then perturbed.
+
+    Q is I or SPD, and Q*E = S and R are PSD, all with eigenvalues in [1, 2] off the kernel;
+    J is skew with norm at most 1.  S and R are shifted by delta times their 2-norm times I,
+    so the kernel's singular values of [E; BQ] are about delta * sigma_max.  E, J and R are
+    multiplied by ``scale``.
+    """
+    rng = np.random.default_rng(seed)
+
+    def orth(m):
+        return np.linalg.qr(m)[0]
+
+    def spd():
+        u = orth(rng.standard_normal((dim, dim)))
+        return u @ np.diag(rng.uniform(1.0, 2.0, dim)) @ u.T
+
+    q = spd() if spd_q else np.eye(dim)
+    v = orth(rng.standard_normal((dim, kdim)))  # ker E ∩ ker BQ, as Q v spans ker B
+    pv, pw = (np.eye(dim) - u @ u.T for u in (v, orth(q @ v)))
+    k = rng.standard_normal((dim, dim))
+    j = pw @ (k - k.T) @ pw
+    j /= max(1.0, np.linalg.norm(j, 2))
+    s, r = (m + delta * np.linalg.norm(m, 2) * np.eye(dim)
+            for m in (pv @ spd() @ pv, pw @ spd() @ pw))
+    e, j, r = scale * np.linalg.solve(q, s), scale * j, scale * r
+    sp = finite(dim)
+    J, R = DenseBlock(sp, sp, j), DenseBlock(sp, sp, r)
+    Q = DenseBlock(sp, sp, q) if spd_q else Identity(sp)
+    return Pencil(E=DenseBlock(sp, sp, e), A=DenseBlock(sp, sp, (j - r) @ q),
+                  dh=DHStructure(B=DenseBlock(sp, sp, j - r), Q=Q, J=J, R=R))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 12),
+    kdim=st.integers(0, 2),
+    spd_q=st.booleans(),
+    scale=st.sampled_from([1.0, 1e-3, 2.0**-60, 2.0**80]),
+    delta=st.sampled_from([0.0, 1e-14, 1e-12, 1e-9, 1e-7, 1e-4]),
+)
+def test_every_path_agrees_on_exactly_singular(seed, dim, kdim, spd_q, scale, delta):
+    # no delta lies within 10x of TOL_POINT, so the paths' scales cannot split a verdict
+    kdim = min(kdim, dim - 1)
+    p = _dh_with_common_kernel(seed, dim, kdim, spd_q, scale, delta)
+    s = section(p, dim)
+    chain = extract_right_chain(s)
+    singular = {
+        "dh_classify": dh_classify(s, p.dh).classification == "point_singular",
+        "classify_point": classify_point(s, 1 + 0.5j).verdict == "point_singular",
+        "chain of degree 0": chain is not None and chain.minimal_index == 0,
+        "uniqueness_demo": uniqueness_demo(p, {}, [0.0, 1.0], n=dim).kernel_dim > 0,
+    }
+    assert set(singular.values()) == {kdim > 0 and delta < linalg.TOL_POINT}, singular
+
+
+def test_kernel_EJR_agrees_below_the_point_rule_and_refuses_above_it():
+    # E^2 + R^2 - J^2 squares the stack's delta-sized singular value: at 1e-12 both kernels
+    # keep it; at 1e-9 the stack's TOL_POINT rule drops it, but the formula, which resolves
+    # only down to about sqrt(n * EPS), still keeps it
+    near = _dh_with_common_kernel(3, 4, 1, False, 1.0, 1e-12)
+    assert dh_kernel_EJR(section(near, 4), near.dh)[0] == 1
+    far = _dh_with_common_kernel(3, 4, 1, False, 1.0, 1e-9)
+    with pytest.raises(ValueError, match="disagrees"):
+        dh_kernel_EJR(section(far, 4), far.dh)
 
 
 def test_classification_branches():
@@ -220,9 +292,10 @@ def test_singular_fixtures_keep_their_one_dimensional_kernel(name, params):
 
 @pytest.mark.parametrize("factor,vector_svds,kdim", [(0.5, 1, 1), (9.0, 1, 0), (11.0, 0, 0)])
 def test_kernel_screen_boundary(monkeypatch, factor, vector_svds, kdim):
-    # [E; BQ] has orthogonal columns: sigma_min is exactly delta, sigma_max is sqrt(2)
-    rt = linalg.rank_tol((8, 4), np.sqrt(2.0))
-    delta = factor * rt
+    # [E; BQ] has orthogonal columns: sigma_min is exactly delta, sigma_max is sqrt(2); the
+    # kernel keeps sigma <= thr, and the screen skips its SVD above 10 * thr
+    thr = linalg.TOL_POINT * np.sqrt(2.0)
+    delta = factor * thr
     sp = finite(4)
     b = np.diag([-1.0, -1.0, -1.0, 0.0])
     p = Pencil(

@@ -25,11 +25,11 @@ def _complex_of_rank(rng, rows, cols, rank):
 
 
 def _full_reference(mat):
-    """Padded singular values and null basis from the full SVD."""
+    """Padded singular values and null basis (sigma <= TOL_POINT * sigma_max) from the full SVD."""
     _, svals, vh = scipy.linalg.svd(mat)
     cols = mat.shape[1]
     padded = np.concatenate([svals, np.zeros(cols - len(svals))])
-    rank = int(np.sum(svals > max(mat.shape) * svals[0] * 2.0**-52))
+    rank = int(np.sum(svals > linalg.TOL_POINT * svals[0]))
     return padded, vh, vh[rank:].conj().T
 
 
@@ -160,7 +160,7 @@ def _assert_vector_svds_are_bitwise_scipy_svd(mat):
     _, svals, vh = scipy.linalg.svd(mat, full_matrices=False)
     ours, witness = linalg.smallest_right(mat)
     assert np.array_equal(ours, svals) and np.array_equal(witness, vh[-1].conj())
-    rank = int(np.sum(svals > linalg.rank_tol(mat.shape, svals[0])))
+    rank = int(np.sum(svals > linalg.TOL_POINT * svals[0]))
     assert np.array_equal(linalg.kernel(mat), vh[rank:].conj().T)
 
 
@@ -248,7 +248,7 @@ for label, mat, thin, smallest, null, r, values_vh in cases:
     u, s, vh = scipy.linalg.svd(mat, full_matrices=False)
     full_vh = scipy.linalg.svd(mat)[2]
     svals = np.concatenate([s, np.zeros(cols - len(s))])
-    rank = int(np.sum(s > linalg.rank_tol(mat.shape, s[0])))
+    rank = int(np.sum(s > linalg.TOL_POINT * s[0]))
     checks = {
         "thin_svd": all(np.array_equal(a, b) for a, b in zip(thin, (u, s, vh))),
         "smallest_right": np.array_equal(smallest[0], svals)

@@ -189,7 +189,7 @@ def test_simpson_grid_is_the_reference_grid(half_m, a, b):
 
 
 def test_simpson_sums_node_values_of_changing_key_order_along_a_plan(monkeypatch):
-    # the node values switch key order at t = 0.5, so no pass can zip one shared order
+    # the node values switch key order at t = 0.5; each pass sums them along one coordinate plan
     plans = []
     coordinate_plan = odae.coordinate_plan
     monkeypatch.setattr(odae, "coordinate_plan", lambda vs: plans.append(len(vs)) or coordinate_plan(vs))

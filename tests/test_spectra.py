@@ -105,12 +105,6 @@ def test_grid_is_row_major_re_then_im():
     ]
 
 
-def test_grid_step_validation():
-    s = section(_diag_pencil(), 3)
-    with pytest.raises(ValueError):
-        spectra_grid(s, (-1.0, 1.0, -1.0, 1.0), (1, 3))
-
-
 @pytest.mark.parametrize("steps", [(1, 3), (3, 1), (0, 0)])
 def test_grid_with_fewer_than_two_steps_names_the_bound(steps):
     with pytest.raises(ValueError, match="^need at least 2 steps per axis$"):

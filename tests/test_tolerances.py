@@ -39,17 +39,24 @@ def test_classify_point_flips_at_its_factor_times_sigma_max(factor, at_or_below,
     assert verdicts == [at_or_below, at_or_below, above]
 
 
-def test_dh_classify_flips_at_the_approx_factor_times_the_dh_scale():
+@pytest.mark.parametrize("factor, kdims, at_or_below, above", [
+    (linalg.TOL_POINT, [1, 1, 0], "point_singular", "approx_singular_evidence"),
+    (linalg.TOL_APPROX, [0, 0, 0], "approx_singular_evidence", "regular_candidate"),
+], ids=["TOL_POINT", "TOL_APPROX"])
+def test_dh_classify_flips_at_the_approx_factor_times_the_dh_scale(factor, kdims, at_or_below,
+                                                                   above):
     verdicts = []
-    for delta in _around(linalg.TOL_APPROX):
-        # the stack [E; BQ] has orthogonal columns (1, 0, 0, 0) and (0, 0, 0, -delta), and
-        # the dH scale is max(||E||_2, ||BQ||_2) = 1
+    for delta, kdim in zip(_around(factor), kdims):
+        # the stack [E; BQ] has orthogonal columns (1, 0, 0, 0) and (0, 0, 0, -delta): its
+        # sigma_max, which scales the kernel's TOL_POINT, and the dH scale
+        # max(||E||_2, ||BQ||_2), which scales TOL_APPROX, are both 1
         B = _diag(0.0, -delta)
         p = Pencil(E=_diag(1.0, 0.0), A=B, dh=DHStructure(B=B, Q=Identity(SP)))
         rep = dh_classify(section(p, 2), p.dh)
         assert (rep.stacked_sigma_min, rep.diagnostics.scale) == (delta, 1.0)
+        assert rep.common_kernel_dim == kdim
         verdicts.append(rep.classification)
-    assert verdicts == ["approx_singular_evidence"] * 2 + ["regular_candidate"]
+    assert verdicts == [at_or_below, at_or_below, above]
 
 
 def _failures(E: DenseBlock, B: DenseBlock, Q: DenseBlock) -> list:
