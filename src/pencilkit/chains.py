@@ -12,9 +12,9 @@ singular vectors; and a scan that reaches HINT_DEGREE without a chain
 jumps to the minimal index eps that a staircase-style subspace recursion
 on the n-sized E and A predicts (Van Dooren 1979; Demmel and Kagstrom,
 GUPTRI, 1993), when one values-only screen of T_{eps-1} proves that the
-degrees in between would all be skipped.  Section-level verdicts are
-statements about the section; they do not automatically lift to the
-infinite object.  The tolerance factors sit in the verdict table of ``linalg``.
+degrees in between would all be skipped; its nullspaces are
+``linalg.kernel``'s.  Section-level verdicts are statements about the
+section; they do not automatically lift to the infinite object.  The tolerance factors sit in the verdict table of ``linalg``.
 """
 
 from __future__ import annotations
@@ -120,28 +120,25 @@ def _chain_system(E: np.ndarray, A: np.ndarray, d: int) -> np.ndarray:
     return T
 
 
-def _null_basis(mat: np.ndarray, thr: float) -> np.ndarray:
-    """Orthonormal columns spanning the right singular directions with sigma <= thr."""
-    svals, vh = linalg.svals_vh(mat)
-    return vh[int(np.sum(svals > thr)) :].conj().T
-
-
 def _right_index_hint(E: np.ndarray, A: np.ndarray, thr: float) -> int | None:
     """Minimal right index of the section pencil from n-sized nullspaces, or None.
 
     S_0 = ker A and S_{j+1} = A^{-1}(E S_j) hold the vectors x_j that end a
     chain x_0..x_j with A x_0 = 0 and A x_{i+1} = E x_i; the hint is the
-    first j with ker(E|S_j) != 0.  Rank decisions are sigma <= thr.  When
-    S_j stops growing no chain of any length exists, and the hint is None.
+    first j with ker(E|S_j) != 0.  ker A and ker((I - UU*)A) come from
+    ``linalg.kernel``; ker(E|S_j) != 0 means sigma_min(E S_j) <= thr, since
+    a one-column E S_j has sigma_min = sigma_max and no rule relative to it
+    could call it zero.  When S_j stops growing no chain of any length
+    exists, and the hint is None.
     """
-    basis = _null_basis(A, thr)
+    basis = linalg.kernel(A)
     for j in range(A.shape[1]):
         if basis.shape[1] == 0:
             return None
         u, svals, _ = linalg.thin_svd(E @ basis)
         if len(svals) < basis.shape[1] or svals[-1] <= thr:
             return j
-        grown = _null_basis(A - u @ (u.conj().T @ A), thr)
+        grown = linalg.kernel(A - u @ (u.conj().T @ A))
         if grown.shape[1] <= basis.shape[1]:
             return None
         basis = grown
@@ -212,7 +209,7 @@ def extract_right_chain(s: SectionedPencil, tol: float = linalg.TOL_CHAIN) -> Ch
       screens would mostly fail as well.
     - Certified jump: a scan that reaches degree HINT_DEGREE (6) without a
       chain computes the hint eps of ``_right_index_hint`` once, from
-      nullspaces of n-sized matrices at the same thr.  If
+      ``linalg.kernel`` nullspaces of n-sized matrices.  If
       HINT_DEGREE + 1 < eps < k and T_{eps-1} has at least as many rows as
       columns, one values-only screen of T_{eps-1} is taken, and the scan
       continues at degree eps when sigma_min(T_{eps-1}) exceeds the screen

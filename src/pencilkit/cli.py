@@ -7,7 +7,8 @@ identical inputs give byte-identical output at a fixed BLAS thread count;
 across thread counts the last digits of near-singular results can move.
 ``PENCILKIT_THREADS=1`` pins the count.
 Exit codes: 0 success, 1 verdict failure in ``examples run``, 2 input
-error (an OS error on a pencil path or ``--out`` path among them), 3
+error (a ``ValueError``, ``CLIError`` among them, or an OS error on a
+pencil or ``--out`` path), 3
 internal failure (a linear-algebra kernel that did not converge, a
 quadrature that missed its tolerance, a ``chains`` report holding a
 non-finite number, or a ``KeyError``: no input reaches one, since unknown
@@ -44,8 +45,8 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-class CLIError(Exception):
-    """Input error; reported and mapped to exit code 2."""
+class CLIError(ValueError):
+    """Input error; ``main`` reports it as it reports a library ``ValueError`` (exit 2)."""
 
 
 def _load(path: str):
@@ -510,9 +511,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise"):
             return _COMMANDS[args.command](args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (FloatingPointError, OverflowError) as exc:  # finite input, out-of-range result
         print(f"error: {exc}: the input is too large for double precision", file=sys.stderr)
         return EXIT_INPUT

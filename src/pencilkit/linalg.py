@@ -52,8 +52,10 @@ input: ``sections`` stores each section with its largest entry in range.
   differ in the last digits, so the threshold stays at 2.
 - ``kernel`` keeps the singular values at or below ``TOL_POINT`` times
   sigma_max, the ``point_singular`` rule of the verdict table: one answer to
-  "exactly singular".  ``rank_tol`` is the rounding slack of ``screen_margin``
-  and the rank rule of ``reduce_polynomial`` and of ``dh_kernel_EJR``.
+  "exactly singular", and the one nullspace of the package (the dH common
+  kernels and the chain scan's hint).  ``rank_tol`` is the rounding slack
+  of ``screen_margin`` and the rank rule of ``reduce_polynomial`` and of
+  ``dh_kernel_EJR``.
 - ``norm2``, ``eigvalsh``, ``eigh`` and ``standard_eigvals`` pass through
   to ``numpy.linalg``, and ``poly_roots`` to ``numpy.roots`` (an
   eigenvalue solve of the companion matrix), looked up at each call, so

@@ -567,22 +567,6 @@ def test_no_screen_after_the_first_that_skips_nothing(monkeypatch):
     assert events == [("screen", 0), ("screen", 1)] + [("vector", d) for d in range(1, 5)]
 
 
-@pytest.mark.parametrize("rows,cols", [(3, 7), (7, 7), (9, 4), (20, 6)])
-def test_null_basis_spans_the_small_singular_directions(rows, cols):
-    # rank 2 plus a 1e-12 perturbation: thr = 1e-9 keeps cols - 2 directions,
-    # those the zero-padded thin SVD keeps
-    rng = np.random.default_rng(rows * cols)
-    mat = rng.standard_normal((rows, 2)) @ rng.standard_normal((2, cols))
-    mat = mat + 1e-12 * rng.standard_normal((rows, cols))
-    basis = chains._null_basis(mat, 1e-9)
-    assert basis.shape == (cols, cols - 2)
-    assert np.allclose(basis.conj().T @ basis, np.eye(cols - 2), atol=1e-12)
-    padded = np.vstack([mat, np.zeros((max(cols - rows, 0), cols))])
-    _, svals, vh = scipy.linalg.svd(padded, full_matrices=False)
-    reference = vh[int(np.sum(svals > 1e-9)) :].conj().T
-    assert scipy.linalg.subspace_angles(basis, reference).max() <= 1e-8
-
-
 def test_polynomial_checks_refuse_what_they_cannot_judge():
     s = section(_kronecker(2), 3)
     q = VectorPolynomial([basis_vec(1), basis_vec(2)])

@@ -67,10 +67,30 @@ def test_kernel_matches_full_svd(seed, rows, cols, rank):
     assert np.linalg.norm(mat @ basis) <= 1e-12 * np.linalg.norm(mat, 2)
 
 
-def test_kernel_explicit_tolerance_and_full_rank():
-    mat = np.diag([1.0, 1e-3, 1e-9]).astype(complex)
-    assert linalg.kernel(mat).shape == (3, 0)
+def test_kernel_keeps_what_the_point_rule_calls_zero():
+    # sigma_max = 1: a smallest value at half of TOL_POINT * sigma_max is a null direction,
+    # one at twice it is not
+    for factor, kept in ((0.5, 1), (2.0, 0)):
+        basis = linalg.kernel(np.diag([1.0, 1e-3, factor * linalg.TOL_POINT]).astype(complex))
+        assert basis.shape == (3, kept)
+        assert np.allclose(np.abs(basis), np.eye(3)[:, 2:2 + kept], atol=1e-12)
+    assert linalg.kernel(np.diag([1.0, 1e-3, 1e-9]).astype(complex)).shape == (3, 0)
     assert linalg.kernel(np.zeros((2, 3))).shape == (3, 3)
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 7), (7, 7), (9, 4), (20, 6)])
+def test_kernel_spans_the_small_singular_directions(rows, cols):
+    # rank 2 plus a 1e-12 perturbation: the TOL_POINT rule keeps cols - 2 directions,
+    # those scipy's full SVD keeps at the same cut
+    rng = np.random.default_rng(rows * cols)
+    mat = rng.standard_normal((rows, 2)) @ rng.standard_normal((2, cols))
+    mat = mat + 1e-12 * rng.standard_normal((rows, cols))
+    basis = linalg.kernel(mat)
+    assert basis.shape == (cols, cols - 2)
+    assert np.allclose(basis.conj().T @ basis, np.eye(cols - 2), atol=1e-12)
+    reference = _full_reference(mat)[2]
+    assert reference.shape == basis.shape
+    assert scipy.linalg.subspace_angles(basis, reference).max() <= 1e-8
 
 
 @pytest.mark.parametrize("seed", range(3))

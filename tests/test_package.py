@@ -98,6 +98,31 @@ def test_odae_tolerance_check_flags_each_form():
     assert _function_tolerance_literals(ast.parse(source)) == ["a:3", "b:4", "c:7"]
 
 
+def _svals_vh_calls(tree: ast.AST) -> list[int]:
+    """Lines of the calls to ``svals_vh``, by bare name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "svals_vh")
+
+
+def test_only_linalg_takes_singular_vectors_from_svals_vh():
+    # a nullspace sliced from ``svals_vh`` outside ``linalg`` restates ``kernel`` with a
+    # threshold of its own; ``kernel`` keeps the one TOL_POINT rule
+    folder = os.path.dirname(pencilkit.__file__)
+    hits = []
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py") and name != "linalg.py":
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                hits += [f"{name}:{line}" for line in _svals_vh_calls(ast.parse(fh.read()))]
+    assert hits == []
+
+
+def test_svals_vh_check_flags_each_form():
+    source = ("def a(m):\n    return linalg.svals_vh(m)\n"
+              "def b(m):\n    return svals_vh(m, m)\n"
+              "def ok(m):\n    return linalg.kernel(m), linalg.svdvals(m), svals_vh\n")
+    assert _svals_vh_calls(ast.parse(source)) == [2, 4]
+
+
 def test_only_sparsevec_chooses_between_a_plan_and_the_vec_iadd_loop():
     # ``vec_combine`` runs the ``vec_iadd`` loop itself where a plan would change the key
     # order; a function elsewhere that calls both keeps a second copy of that choice.
