@@ -10,7 +10,9 @@ Importing the package runs none of its modules.  It registers each one
 (all but ``cli``) in ``sys.modules`` and as ``pencilkit.<module>`` through
 ``importlib.util.LazyLoader``: the module's code runs on its first attribute
 access, after which it is an ordinary module.  ``__getattr__`` (PEP 562)
-reads a name from the module whose ``__all__`` holds it.  A top-level
+reads a name from the module whose ``__all__`` holds it; a dunder name or
+``cli`` it refuses before any module runs, so ``from pencilkit import cli``
+runs ``cli`` alone.  A top-level
 ``from . import x`` binds the registered ``x`` without running it, so each
 module imports its siblings at the top, and a cold start of the command line
 still compiles only what the command runs: ``examples list`` runs
@@ -56,6 +58,9 @@ def _register(name: str):
     return module
 
 
+# Submodules imported the ordinary way, never registered.
+_UNREGISTERED = ("cli",)
+
 for _name in _PUBLIC + ("linalg",):
     globals()[_name] = _register(_name)
 del _name
@@ -71,6 +76,9 @@ def __getattr__(name: str):
     """
     if name == "__all__":
         return ["__version__"] + [n for m in _PUBLIC for n in globals()[m].__all__]
+    if name.startswith("__") or name in _UNREGISTERED:
+        # ``from pencilkit import cli`` asks for ``cli`` before importing it
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     for m in _PUBLIC:
         module = globals()[m]
         if name in module.__all__:

@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .chains import VectorPolynomial
 from .operators import Pencil
-from .sparsevec import SparseVec, vec_inner, vec_norm, vec_scale
+from .sparsevec import SparseVec, vec_norm, vec_scale
 
 __all__ = [
     "PolynomialSequence",
@@ -94,18 +94,10 @@ class GramReport:
     xi: float
 
 
-def _gram(poly: VectorPolynomial) -> np.ndarray:
-    k = len(poly.coeffs)
-    g = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(i, k):
-            g[i, j] = vec_inner(poly.coeffs[i], poly.coeffs[j])
-            g[j, i] = g[i, j].conjugate()
-    return g
-
-
 def gram_lower_bound(seq: PolynomialSequence, n_range: Iterable[int]) -> GramReport:
     """Gram matrices of coefficient vectors, their lambda_min, and the running infimum.
+
+    Each Gram matrix is one product M M* of ``coefficient_matrix``'s M.
 
     ``lambda_min`` also bounds the reversal polynomials: the Gram matrix of
     rev p is the index-reversed Gram matrix of p (a principal block of it when
@@ -113,7 +105,8 @@ def gram_lower_bound(seq: PolynomialSequence, n_range: Iterable[int]) -> GramRep
     """
     ns, grams, lmins = [], [], []
     for n in n_range:
-        g = _gram(seq(n))
+        mat, _ = seq(n).coefficient_matrix()
+        g = mat @ mat.conj().T
         ns.append(n)
         grams.append(g)
         lmins.append(float(linalg.eigvalsh(g)[0]))

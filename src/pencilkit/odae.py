@@ -14,7 +14,11 @@ Trajectories without a term-wise integral (the exact matrix-exponential
 flow of the finite poroelasticity fixture) are integrated by composite
 Simpson with dyadic refinement until the Richardson estimate drops below a
 tenth of the requested tolerance.  Every pass takes its nodes and weights
-from ``_simpson_grid`` and combines its vectors along a ``coordinate_plan``.
+from ``_simpson_grid``.  A vector pass combines its vectors along a
+``coordinate_plan``; a scalar pass, such as the power balance's dissipation
+rate, sums plain floats s = s + w * v in node order from 0.0 by
+``vec_combine``'s zero rule (a partial sum equal to 0 restarts from 0.0, and
+a zero total or a zero h/3 gives 0.0), bitwise the one-key vector pass.
 Halving the step is exact, so every node of one pass is a node of the next:
 the integrand is evaluated once per distinct node, and a batch form
 ``many`` of it, such as the flow's, takes the fresh nodes of a pass at once.
@@ -139,18 +143,25 @@ def _simpson_grid(a: float, b: float, m: int) -> tuple[float, np.ndarray, np.nda
     return h, a + np.arange(m + 1) * h, weights
 
 
+def _node_values(fn, values: dict, ts: list[float]) -> list:
+    """fn at each node of ts, memoized in values.
+
+    The fresh nodes, each distinct one once in node order, go to one
+    ``fn.many`` call when fn has that batch form, else to fn one by one.
+    """
+    fresh = list(dict.fromkeys(t for t in ts if t not in values))
+    values.update(zip(fresh, fn.many(fresh) if hasattr(fn, "many") else map(fn, fresh)))
+    return [values[t] for t in ts]
+
+
 def _simpson_pass(fn, values: dict, a: float, b: float, m: int) -> SparseVec:
     """Composite Simpson with m subintervals (even); fn(t) is memoized in values.
 
-    The fresh nodes of ``_simpson_grid`` go to one ``fn.many`` call when fn
-    has that batch form.  The node values, only read, never mutated, are
+    The node values of ``_simpson_grid``, only read, never mutated, are
     summed by ``vec_combine`` along their ``coordinate_plan``.
     """
     h, ts, weights = _simpson_grid(a, b, m)
-    ts = ts.tolist()
-    fresh = list(dict.fromkeys(t for t in ts if t not in values))
-    values.update(zip(fresh, fn.many(fresh) if hasattr(fn, "many") else map(fn, fresh)))
-    nodes = [values[t] for t in ts]
+    nodes = _node_values(fn, values, ts.tolist())
     return vec_scale(h / 3.0, vec_combine(nodes, weights.tolist(), coordinate_plan(nodes)))
 
 
@@ -168,17 +179,23 @@ def adaptive_simpson_vec(fn, a: float, b: float, tol: float) -> SparseVec:
     before fn is called.  A missed tolerance raises QuadratureError, a
     non-finite estimate OverflowError.
     """
+    simpson = fn.simpson if isinstance(fn, MonomialForm) else partial(_simpson_pass, fn, {})
+    return _refine(simpson, lambda cur, prev: vec_norm(vec_sub(cur, prev)), {}, a, b, tol)
+
+
+def _refine(simpson, distance, zero, a: float, b: float, tol: float):
+    """The refinement loop of both adaptive quadratures: passes simpson(a, b, m),
+    estimate distance(cur, prev) / 15; ``zero`` is the integral when a == b."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if a == b:
-        return {}
-    simpson = fn.simpson if isinstance(fn, MonomialForm) else partial(_simpson_pass, fn, {})
+        return zero
     m = SIMPSON_M0
     prev = simpson(a, b, m)
     while m <= SIMPSON_MAX_M:
         m *= 2
         cur = simpson(a, b, m)
-        est = vec_norm(vec_sub(cur, prev)) / 15.0
+        est = distance(cur, prev) / 15.0
         if not math.isfinite(est):
             raise OverflowError(f"quadrature estimate {est} is not finite: the input overflows")
         if est < 0.1 * tol:
@@ -198,9 +215,34 @@ def _pointwise(g, fn):
     return h
 
 
+def _scalar_pass(fn, values: dict, a: float, b: float, m: int) -> float:
+    """``_simpson_pass`` of a scalar fn on plain floats: bitwise its one key, or 0.0."""
+    h, ts, weights = _simpson_grid(a, b, m)
+    s = 0.0
+    for w, v in zip(weights.tolist(), _node_values(fn, values, ts.tolist())):
+        s = s + w * v
+        if not s:
+            s = 0.0
+    return h / 3.0 * s if s and h / 3.0 else 0.0
+
+
+def _scalar_distance(cur, prev) -> float:
+    """``vec_norm(vec_sub({0: cur}, {0: prev}))``, bitwise: the square is kept, since
+    it can round or underflow, and a huge difference raises OverflowError there."""
+    return math.sqrt(abs((0.0 + cur) + -1.0 * prev) ** 2)
+
+
 def adaptive_simpson_scalar(fn, a: float, b: float, tol: float) -> float:
-    val = adaptive_simpson_vec(_pointwise(lambda v: {0: v}, fn), a, b, tol)
-    return float(val.get(0, 0.0).real)
+    """``adaptive_simpson_vec`` of a scalar fn, on plain floats.
+
+    Nodes, memoized batches, refinement and errors are the vector
+    quadrature's.  Each pass sums s = s + w * v in node order from 0.0 by
+    ``vec_combine``'s zero rule: a partial sum equal to 0 restarts from 0.0,
+    and a zero total or a zero h/3 gives 0.0, else the pass is h/3 * s.  So
+    the result is bitwise the real part of the one key of
+    ``adaptive_simpson_vec`` on ``t -> {0: fn(t)}``, or 0.0 where it has none.
+    """
+    return float(_refine(partial(_scalar_pass, fn, {}), _scalar_distance, 0.0, a, b, tol).real)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +400,10 @@ def power_balance_residual(
 
     The balance compares <E f(t), Q f(t)> - <E f(t0), Q f(t0)> against
     2 Re int_{t0}^t <B Q f, Q f>, t0 the first sample time; H = 1/2 <E f, Q f>.
-    The rate forwards the flow's batches and skips Q when Q = I.
+    The rate forwards the flow's batches and skips Q when Q = I; its
+    integral is ``adaptive_simpson_scalar``, whose passes sum plain floats
+    with ``vec_combine``'s zero rule (a partial sum equal to 0 restarts from
+    0.0; a zero total or a zero h/3 gives 0.0).
     """
     if p.dh is None:
         raise ValueError("pencil carries no dissipative-Hamiltonian metadata")

@@ -10,7 +10,9 @@ rule, implemented once by ``vec_iadd(out, v, c)``: each entry ``x`` of ``v``
 an entry that sums to exactly zero is dropped, so supports stay finite and
 iteration stays cheap.  An unscaled add multiplies by nothing, and a scaled
 add with ``c == 0`` adds nothing (as ``vec_scale`` returns ``{}``), so an
-in-place sum is bitwise equal to merging ``vec_scale``'d copies.
+in-place sum is bitwise equal to merging ``vec_scale``'d copies.  Into an
+empty vector the rule keeps ``0.0 + x`` where it is not zero; ``vec_sub``
+copies its first operand so, in one comprehension.
 
 ``vec_combine(vs, scales, plan)`` is the one owner of the faster
 coordinate-major order: it sums each index of ``plan`` over its (k, x) pairs
@@ -107,7 +109,7 @@ def vec_scale(c: complex, v: SparseVec) -> SparseVec:
 
 
 def vec_sub(a: SparseVec, b: SparseVec) -> SparseVec:
-    out = vec_add(a)
+    out = {j: s for j, x in a.items() if (s := 0.0 + x) != 0}
     vec_iadd(out, b, -1.0)
     return out
 

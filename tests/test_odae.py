@@ -174,6 +174,59 @@ def test_simpson_matches_reference_loop_bitwise(kind, a, length, tol):
     assert [(j, repr(x)) for j, x in got.items()] == [(j, repr(x)) for j, x in want.items()]
 
 
+def _scalar_integrand(kind, a, b, tol):
+    c = 0.5 * (a + b)
+    tiny = 1e-3 * tol
+    if kind == "cubic":
+        return lambda t: 3 * t**3 - t + 2.0
+    if kind == "exponential":
+        return lambda t: math.exp(-t) - 0.5
+    if kind == "zero":
+        return lambda t: -0.0 * t
+    if kind == "odd":
+        # every pass sums to exactly zero: the rule drops the total
+        return lambda t: t - c
+    if kind == "spike":
+        # the first partial sum is cancelled by the next node and restarts from 0.0
+        return lambda t: tiny if t == a else -tiny / 4
+    if kind == "complex":
+        return lambda t: complex(math.cos(3 * t), -0.0 if t < c else (t - c) ** 3)
+    if kind == "huge":
+        # the sum overflows to inf, the estimate is nan
+        return lambda t: 1e308 * (1.5 + math.sin(t))
+    # the squared difference of two passes overflows
+    return lambda t: 1e200 * math.exp(3 * t)
+
+
+def _outcome(quadrature):
+    try:
+        return float.hex(quadrature())
+    except (ArithmeticError, QuadratureError) as exc:
+        return type(exc), str(exc)
+
+
+_SCALAR_END = st.one_of(
+    st.floats(min_value=-1.5, max_value=1.5),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.5e-308]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["cubic", "exponential", "zero", "odd", "spike", "complex", "huge",
+                          "overflow"]),
+    a=_SCALAR_END,
+    b=_SCALAR_END,
+    tol=st.sampled_from([1e-4, 1e-8, 1e-12, 1e-300]),
+)
+def test_scalar_simpson_is_the_one_key_vector_quadrature_bitwise(kind, a, b, tol):
+    # float passes against {0: v} passes: the same value, or the same error and message
+    fn = _scalar_integrand(kind, a, b, tol)
+    want = _outcome(lambda: float(
+        adaptive_simpson_vec(odae._pointwise(lambda v: {0: v}, fn), a, b, tol).get(0, 0.0).real))
+    assert _outcome(lambda: adaptive_simpson_scalar(fn, a, b, tol)) == want
+
+
 _GRID_END = st.floats(min_value=-1e300, max_value=1e300)
 
 

@@ -11,21 +11,32 @@ import sys
 import pencilkit
 
 
-def test_import_registers_every_module_but_cli_without_running_it():
+def _pencilkit_modules_after(statement: str) -> tuple[list[str], list[str]]:
+    """The pencilkit modules in ``sys.modules``, and those run, after ``statement``
+    in a fresh interpreter."""
     code = (
         "import json, sys\n"
-        "import pencilkit\n"
+        f"{statement}\n"
         "mods = {m: v for m, v in sys.modules.items() if m.startswith('pencilkit.')}\n"
-        "print(json.dumps([sorted(mods), [m for m, v in mods.items() if type(v) is type(sys)]]))\n"
+        "print(json.dumps([sorted(mods), sorted(m for m, v in mods.items() if type(v) is type(sys))]))\n"
     )
     src = os.path.dirname(os.path.dirname(pencilkit.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
-    registered, run = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_import_registers_every_module_but_cli_without_running_it():
+    registered, run = _pencilkit_modules_after("import pencilkit")
     every = {f"pencilkit.{info.name}" for info in pkgutil.iter_modules(pencilkit.__path__)}
     assert set(registered) == every - {"pencilkit.cli"}
     assert run == []
+
+
+def test_from_import_of_cli_runs_no_other_module():
+    # the import machinery asks the package for ``cli`` before importing it
+    assert _pencilkit_modules_after("from pencilkit import cli")[1] == ["pencilkit.cli"]
 
 
 def test_package_names_follow_patches_of_their_module(monkeypatch):

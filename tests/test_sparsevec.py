@@ -158,6 +158,16 @@ def test_vec_add_and_sub_match_reference(vs, a, b):
     assert _entries(vec_sub(a, b)) == _entries(_ref_sub(a, b))
 
 
+@settings(max_examples=200, deadline=None)
+@given(vecs(), vecs(), st.lists(st.integers(1, DIM), max_size=DIM))
+def test_vec_sub_matches_the_two_step_form(a, b, shared):
+    # entries of b copied from a cancel exactly; zeros and -0.0 parts are dropped or kept alike
+    b = {**b, **{j: a[j] for j in shared if j in a}}
+    want = vec_add(a)
+    vec_iadd(want, b, -1.0)
+    assert _entries(vec_sub(a, b)) == _entries(want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(vecs(), vecs(), SCALAR)
 def test_vec_iadd_matches_scaled_merge(start, v, c):
